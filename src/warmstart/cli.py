@@ -1,7 +1,8 @@
 """Command-line entry point tying the pipeline stages together.
 
 Subcommands: transplant, prepare-corpus, sample-batches, lr-curve, memplan,
-stats. Every value can come from a `key = value` config file (--config) with
+stats. Each subcommand's options are declared once, in a table of `Option`
+rows. Every value can come from a `key = value` config file (--config) with
 command-line flags taking precedence; the seed falls back to the
 WARMSTART_SEED environment variable, then 0. Errors exit 1 with a single
 machine-parsable line on stderr.
@@ -21,10 +22,11 @@ from . import __version__
 from .batcher import assemble, padding_stats, plan_accumulation
 from .config import (
     ConfigError,
+    Option,
     append_run_log,
     parse_bool,
     parse_config_file,
-    resolve,
+    resolve_options,
     resolve_seed,
 )
 from .corpus import SequenceStoreReader, TokenSequence, chunk_corpus, write_store
@@ -46,7 +48,6 @@ from .translate import (
     IdentityProvider,
     RemoteTranslationProvider,
     TranslationTable,
-    normalize_token,
     translate_all,
 )
 from .vocab import DEFAULT_BOUNDARY_MARKER, Vocabulary, load_vocab, tokenize_greedy
@@ -83,74 +84,108 @@ def _parse_gib(raw: str) -> int:
     return round(gib * 2**30)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key = value config file")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--run-log", default=None, help="provenance log path")
+# One row per option: flag, default, converter, choices, required, help.
+# The config key is the argparse dest, so the same row drives the parser,
+# config-file resolution and the run-log hash.
+VOCAB_OPTIONS = (
+    Option("--pad-id", 0, int),
+    Option("--eos-id", 1, int),
+    Option("--unk-id", 2, int),
+    Option("--sentinel-count", 100, int),
+    Option("--boundary-marker", DEFAULT_BOUNDARY_MARKER),
+)
+
+TRANSPLANT_OPTIONS = VOCAB_OPTIONS + (
+    Option("--src-emb", required=True),
+    Option("--src-vocab", required=True),
+    Option("--tgt-vocab", required=True),
+    Option("--out", required=True),
+    Option("--report", help="write a JSON tally here"),
+    Option("--cache", help="persistent translation cache file"),
+    Option("--provider", "identity", choices=("dict", "remote", "identity")),
+    Option("--dict-file"),
+    Option("--remote-url"),
+    Option("--source-lang"),
+    Option("--target-lang", "en"),
+    Option("--retry-failed", False, parse_bool),
+    Option("--rate-limit", help="requests per second, N or N/s"),
+    Option("--timeout-ms", 10000, int),
+)
+
+PREPARE_CORPUS_OPTIONS = VOCAB_OPTIONS + (
+    Option("--vocab", required=True),
+    Option("--in", required=True, help="text file or directory of *.txt", dest="input"),
+    Option("--out", required=True),
+    Option("--seq-len", 512, int),
+    Option("--min-tail", 16, int),
+)
+
+SAMPLE_BATCHES_OPTIONS = VOCAB_OPTIONS + (
+    Option("--store", required=True),
+    Option("--vocab", required=True),
+    Option("--epoch", 0, int),
+    Option("--mode", "span", choices=("span", "iid")),
+    Option("--rate", 0.15, float),
+    Option("--mean-span", 3.0, float),
+    Option("--micro-batch", 16, int),
+    Option("--effective-batch", 128, int),
+    Option("--sort-by-length", False, parse_bool),
+    Option("--format", "text", choices=("text", "binary")),
+    Option("--out", help="text path, or base path for binary stores"),
+    Option("--report", help="per-batch efficiency lines"),
+)
+
+LR_CURVE_OPTIONS = (
+    Option("--peak", 4e-3, float),
+    Option("--warmup", 5000, int),
+    Option("--total", convert=int),
+    Option("--shape", "linear", choices=("linear", "rsqrt")),
+    Option("--stride", 1, int),
+    Option("--store", help="derive --total from this store"),
+    Option("--epochs", 10, int),
+    Option("--effective-batch", 128, int),
+    Option("--out"),
+)
+
+MEMPLAN_OPTIONS = (
+    Option("--params", convert=int, required=True),
+    Option("--precision", "fp32", choices=("fp32", "fp16", "bf16")),
+    Option("--offload", False, parse_bool),
+    Option("--gpus", 1, int),
+    Option("--gpu-mem", help="per-GPU memory, GiB"),
+    Option("--ram", help="system memory, GiB"),
+    Option("--nvlink", False, parse_bool),
+)
+
+STATS_OPTIONS = (Option("--store", required=True),)
 
 
-def _add_vocab_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--pad-id", type=int, default=None)
-    sub.add_argument("--eos-id", type=int, default=None)
-    sub.add_argument("--unk-id", type=int, default=None)
-    sub.add_argument("--sentinel-count", type=int, default=None)
-    sub.add_argument("--boundary-marker", default=None)
-
-
-def _vocab_params(args, cfg) -> dict:
-    return {
-        "pad_id": resolve(args.pad_id, cfg, "pad_id", 0, int),
-        "eos_id": resolve(args.eos_id, cfg, "eos_id", 1, int),
-        "unk_id": resolve(args.unk_id, cfg, "unk_id", 2, int),
-        "sentinel_count": resolve(args.sentinel_count, cfg, "sentinel_count", 100, int),
-        "boundary_marker": resolve(
-            args.boundary_marker, cfg, "boundary_marker", DEFAULT_BOUNDARY_MARKER
-        ),
-    }
-
-
-def _load_config(args) -> dict[str, str]:
-    if args.config is None:
-        return {}
-    return parse_config_file(args.config)
-
-
-def _build_provider(args, cfg):
-    name = resolve(args.provider, cfg, "provider", "identity")
-    if name == "identity":
-        return IdentityProvider()
+def _build_provider(o: dict):
+    name = o["provider"]
     if name == "dict":
-        path = _require(resolve(args.dict_file, cfg, "dict_file", None), "--dict-file")
-        return DictionaryProvider.from_file(path)
+        return DictionaryProvider.from_file(_require(o["dict_file"], "--dict-file"))
     if name == "remote":
-        url = _require(resolve(args.remote_url, cfg, "remote_url", None), "--remote-url")
-        rate_raw = resolve(args.rate_limit, cfg, "rate_limit", None)
+        rate_raw = o["rate_limit"]
         return RemoteTranslationProvider(
-            url=url,
-            source_lang=resolve(args.source_lang, cfg, "source_lang", None),
-            target_lang=resolve(args.target_lang, cfg, "target_lang", "en"),
+            url=_require(o["remote_url"], "--remote-url"),
+            source_lang=o["source_lang"],
+            target_lang=o["target_lang"],
             rate_limit_per_s=None if rate_raw is None else _parse_rate_limit(rate_raw),
-            timeout_ms=resolve(args.timeout_ms, cfg, "timeout_ms", 10000, int),
+            timeout_ms=o["timeout_ms"],
         )
-    raise ConfigError(f"unknown provider {name!r} (expected dict, remote or identity)")
+    return IdentityProvider()
 
 
-def cmd_transplant(args) -> int:
-    cfg = _load_config(args)
-    seed = resolve_seed(args.seed, cfg)
-    vp = _vocab_params(args, cfg)
-    src_vocab_path = _require(resolve(args.src_vocab, cfg, "src_vocab", None), "--src-vocab")
-    tgt_vocab_path = _require(resolve(args.tgt_vocab, cfg, "tgt_vocab", None), "--tgt-vocab")
-    src_emb_path = _require(resolve(args.src_emb, cfg, "src_emb", None), "--src-emb")
-    out_path = _require(resolve(args.out, cfg, "out", None), "--out")
-    report_path = resolve(args.report, cfg, "report", None)
-    cache_path = resolve(args.cache, cfg, "cache", None)
-    retry_failed = resolve(args.retry_failed, cfg, "retry_failed", False, parse_bool)
+def _load_vocab(path, o: dict) -> Vocabulary:
+    return load_vocab(path, **{opt.key: o[opt.key] for opt in VOCAB_OPTIONS})
 
-    src = load_vocab(src_vocab_path, **vp)
-    tgt = load_vocab(tgt_vocab_path, **vp)
-    src_emb = read_embeddings(src_emb_path)
-    provider = _build_provider(args, cfg)
+
+def cmd_transplant(o: dict, seed: int) -> int:
+    cache_path = o["cache"]
+    src = _load_vocab(o["src_vocab"], o)
+    tgt = _load_vocab(o["tgt_vocab"], o)
+    src_emb = read_embeddings(o["src_emb"])
+    provider = _build_provider(o)
 
     if cache_path is not None and Path(cache_path).exists():
         table = TranslationTable.load(cache_path, persist=True)
@@ -164,13 +199,13 @@ def cmd_transplant(args) -> int:
         provider,
         pending,
         boundary_marker=tgt.boundary_marker,
-        retry_failed=retry_failed,
+        retry_failed=o["retry_failed"],
     )
 
     out_emb, report = transplant(src_emb, src, tgt, table)
-    write_embeddings(out_emb, out_path)
+    write_embeddings(out_emb, o["out"])
 
-    if report_path is not None:
+    if o["report"] is not None:
         payload = {
             "report": report.as_dict(),
             "seed": seed,
@@ -180,7 +215,7 @@ def cmd_transplant(args) -> int:
                 "unk-only rows inherit the unknown-token embedding",
             ],
         }
-        with open(report_path, "w", encoding="utf-8") as f:
+        with open(o["report"], "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=2, sort_keys=True)
             f.write("\n")
 
@@ -190,8 +225,6 @@ def cmd_transplant(args) -> int:
         f"{r['translated_count']} translated, {r['failed_count']} failed, "
         f"{r['bypassed_count']} bypassed, {r['specials_copied']} specials copied"
     )
-    values = {"subcommand": "transplant", "src_emb": src_emb_path, "out": out_path}
-    append_run_log("transplant", values, seed, path=args.run_log)
     return 0
 
 
@@ -216,55 +249,30 @@ def _read_documents(input_path, vocab: Vocabulary):
                 yield ids
 
 
-def cmd_prepare_corpus(args) -> int:
-    cfg = _load_config(args)
-    seed = resolve_seed(args.seed, cfg)
-    vp = _vocab_params(args, cfg)
-    vocab_path = _require(resolve(args.vocab, cfg, "vocab", None), "--vocab")
-    input_path = _require(resolve(args.input, cfg, "input", None), "--in")
-    out_path = _require(resolve(args.out, cfg, "out", None), "--out")
-    seq_len = resolve(args.seq_len, cfg, "seq_len", 512, int)
-    min_tail = resolve(args.min_tail, cfg, "min_tail", 16, int)
-
-    vocab = load_vocab(vocab_path, **vp)
-    seqs = chunk_corpus(_read_documents(input_path, vocab), seq_len, min_tail)
-    count = write_store(seqs, out_path)
-    reader = SequenceStoreReader(out_path)
+def cmd_prepare_corpus(o: dict, seed: int) -> int:
+    seq_len, min_tail = o["seq_len"], o["min_tail"]
+    vocab = _load_vocab(o["vocab"], o)
+    seqs = chunk_corpus(_read_documents(o["input"], vocab), seq_len, min_tail)
+    count = write_store(seqs, o["out"])
+    reader = SequenceStoreReader(o["out"])
     total = sum(reader.lengths())
     print(f"sequences={count} tokens={total} seq_len={seq_len} min_tail={min_tail}")
-    values = {"subcommand": "prepare-corpus", "input": input_path, "out": out_path}
-    append_run_log("prepare-corpus", values, seed, path=args.run_log)
     return 0
 
 
-def cmd_sample_batches(args) -> int:
-    cfg = _load_config(args)
-    seed = resolve_seed(args.seed, cfg)
-    vp = _vocab_params(args, cfg)
-    store_path = _require(resolve(args.store, cfg, "store", None), "--store")
-    vocab_path = _require(resolve(args.vocab, cfg, "vocab", None), "--vocab")
-    epoch = resolve(args.epoch, cfg, "epoch", 0, int)
-    mode = MaskMode(resolve(args.mode, cfg, "mode", "span"))
-    rate = resolve(args.rate, cfg, "rate", 0.15, float)
-    mean_span = resolve(args.mean_span, cfg, "mean_span", 3.0, float)
-    micro = resolve(args.micro_batch, cfg, "micro_batch", 16, int)
-    effective = resolve(args.effective_batch, cfg, "effective_batch", 128, int)
-    sort_by_length = resolve(args.sort_by_length, cfg, "sort_by_length", False, parse_bool)
-    out_format = resolve(args.format, cfg, "format", "text")
-    out_path = resolve(args.out, cfg, "out", None)
-    report_path = resolve(args.report, cfg, "report", None)
-    if out_format not in ("text", "binary"):
-        raise ConfigError(f"unknown format {out_format!r} (expected text or binary)")
-    if out_format == "binary" and out_path is None:
+def cmd_sample_batches(o: dict, seed: int) -> int:
+    epoch, micro, out_path = o["epoch"], o["micro_batch"], o["out"]
+    mode = MaskMode(o["mode"])
+    if o["format"] == "binary" and out_path is None:
         raise ConfigError("--out is required with --format binary")
 
-    vocab = load_vocab(vocab_path, **vp)
-    spec = MaskSpec(rate=rate, mean_span=mean_span, mode=mode)
-    plan = plan_accumulation(effective, micro)
-    reader = SequenceStoreReader(store_path)
+    vocab = _load_vocab(o["vocab"], o)
+    spec = MaskSpec(rate=o["rate"], mean_span=o["mean_span"], mode=mode)
+    plan = plan_accumulation(o["effective_batch"], micro)
+    reader = SequenceStoreReader(o["store"])
 
     order = list(range(reader.count))
-    if sort_by_length:
+    if o["sort_by_length"]:
         lengths = reader.lengths()
         order.sort(key=lambda i: lengths[i])  # stable: ties keep store order
 
@@ -296,12 +304,12 @@ def cmd_sample_batches(args) -> int:
             f"width_tgt={batch.width_tgt} input_eff={stats.input_efficiency} "
             f"target_eff={stats.target_efficiency} combined={stats.combined}"
         )
-    if report_path is not None:
-        with open(report_path, "w", encoding="utf-8") as f:
+    if o["report"] is not None:
+        with open(o["report"], "w", encoding="utf-8") as f:
             for line in report_lines:
                 f.write(line + "\n")
 
-    if out_format == "text":
+    if o["format"] == "text":
         lines = (
             f"{i}\t{' '.join(map(str, ex.input_ids))}\t{' '.join(map(str, ex.target_ids))}\n"
             for i, ex in zip(indices, examples)
@@ -333,47 +341,30 @@ def cmd_sample_batches(args) -> int:
         f"mode={mode.value} seed={seed}"
         + ("" if overall is None else f" efficiency={float(overall):.4f}")
     )
-    values = {
-        "subcommand": "sample-batches",
-        "store": store_path,
-        "epoch": epoch,
-        "mode": mode.value,
-    }
-    append_run_log("sample-batches", values, seed, path=args.run_log)
     return 0
 
 
-def cmd_lr_curve(args) -> int:
-    cfg = _load_config(args)
-    seed = resolve_seed(args.seed, cfg)
-    peak = resolve(args.peak, cfg, "peak", 4e-3, float)
-    warmup = resolve(args.warmup, cfg, "warmup", 5000, int)
-    total = resolve(args.total, cfg, "total", None, int)
-    shape = resolve(args.shape, cfg, "shape", "linear")
-    stride = resolve(args.stride, cfg, "stride", 1, int)
-    out_path = resolve(args.out, cfg, "out", None)
-
+def cmd_lr_curve(o: dict, seed: int) -> int:
+    total, out_path = o["total"], o["out"]
     if total is None:
-        store_path = resolve(args.store, cfg, "store", None)
-        if store_path is None:
+        if o["store"] is None:
             raise ConfigError("need --total, or --store to derive it from")
-        epochs = resolve(args.epochs, cfg, "epochs", 10, int)
-        effective = resolve(args.effective_batch, cfg, "effective_batch", 128, int)
-        count = SequenceStoreReader(store_path).count
+        epochs, effective = o["epochs"], o["effective_batch"]
+        count = SequenceStoreReader(o["store"]).count
         total = math.ceil(epochs * count / effective)
         print(f"derived total={total} from {count} sequences x {epochs} epochs / {effective}")
 
-    sched = LrSchedule(total_steps=total, peak=peak, warmup_steps=warmup, shape=shape)
+    sched = LrSchedule(
+        total_steps=total, peak=o["peak"], warmup_steps=o["warmup"], shape=o["shape"]
+    )
     rows = [f"step,lr\n"]
-    rows.extend(f"{step},{rate:.17g}\n" for step, rate in iter_curve(sched, stride))
+    rows.extend(f"{step},{rate:.17g}\n" for step, rate in iter_curve(sched, o["stride"]))
     if out_path is None:
         sys.stdout.writelines(rows)
     else:
         with open(out_path, "w", encoding="utf-8") as f:
             f.writelines(rows)
         print(f"wrote {len(rows) - 1} points to {out_path}")
-    values = {"subcommand": "lr-curve", "peak": peak, "warmup": warmup, "total": total}
-    append_run_log("lr-curve", values, seed, path=args.run_log)
     return 0
 
 
@@ -391,27 +382,19 @@ def _print_memory_report(title: str, rep: MemoryReport) -> None:
         print(f"  headroom     {float(rep.headroom_fraction):.4f}")
 
 
-def cmd_memplan(args) -> int:
-    cfg = _load_config(args)
-    seed = resolve_seed(args.seed, cfg)
-    params = _require(resolve(args.params, cfg, "params", None, int), "--params")
-    precision = PrecisionMode.parse(resolve(args.precision, cfg, "precision", "fp32"))
-    offload = resolve(args.offload, cfg, "offload", False, parse_bool)
-    gpus = resolve(args.gpus, cfg, "gpus", 1, int)
-    gpu_mem = resolve(args.gpu_mem, cfg, "gpu_mem", None)
-    ram = resolve(args.ram, cfg, "ram", None)
-    nvlink = resolve(args.nvlink, cfg, "nvlink", False, parse_bool)
-
+def cmd_memplan(o: dict, seed: int) -> int:
+    params, offload, gpu_mem, ram = o["params"], o["offload"], o["gpu_mem"], o["ram"]
+    precision = PrecisionMode.parse(o["precision"])
     model = ModelSpec(param_count=params)
     hardware = None
     if gpu_mem is not None or ram is not None:
         if gpu_mem is None or ram is None:
             raise ConfigError("--gpu-mem and --ram must be given together")
         hardware = HardwareSpec(
-            gpu_count=gpus,
-            gpu_memory_bytes=_parse_gib(str(gpu_mem)),
-            system_ram_bytes=_parse_gib(str(ram)),
-            nvlink_pairs=nvlink,
+            gpu_count=o["gpus"],
+            gpu_memory_bytes=_parse_gib(gpu_mem),
+            system_ram_bytes=_parse_gib(ram),
+            nvlink_pairs=o["nvlink"],
         )
 
     rep = estimate(model, precision, offload, hardware)
@@ -462,15 +445,11 @@ def cmd_memplan(args) -> int:
     print("---")
     for key, value in kv.items():
         print(f"{key}={value}")
-    append_run_log("memplan", {"subcommand": "memplan", "params": params}, seed, path=args.run_log)
     return 0
 
 
-def cmd_stats(args) -> int:
-    cfg = _load_config(args)
-    seed = resolve_seed(args.seed, cfg)
-    store_path = _require(resolve(args.store, cfg, "store", None), "--store")
-    reader = SequenceStoreReader(store_path)
+def cmd_stats(o: dict, seed: int) -> int:
+    reader = SequenceStoreReader(o["store"])
     lengths = reader.lengths()
     print(f"sequences={reader.count}")
     print(f"tokens={sum(lengths)}")
@@ -486,8 +465,25 @@ def cmd_stats(args) -> int:
             lo_edge = b * width + 1
             hi_edge = (b + 1) * width
             print(f"len[{lo_edge},{hi_edge}]={buckets[b]}")
-    append_run_log("stats", {"subcommand": "stats", "store": store_path}, seed, path=args.run_log)
     return 0
+
+
+SUBCOMMANDS = (
+    ("transplant", cmd_transplant, TRANSPLANT_OPTIONS, "build a warm-start embedding matrix"),
+    ("prepare-corpus", cmd_prepare_corpus, PREPARE_CORPUS_OPTIONS,
+     "chunk text into a sequence store"),
+    ("sample-batches", cmd_sample_batches, SAMPLE_BATCHES_OPTIONS,
+     "draw masked batches for an epoch"),
+    ("lr-curve", cmd_lr_curve, LR_CURVE_OPTIONS, "emit the learning-rate schedule as CSV"),
+    ("memplan", cmd_memplan, MEMPLAN_OPTIONS, "training memory estimate and fit advice"),
+    ("stats", cmd_stats, STATS_OPTIONS, "sequence store statistics"),
+)
+
+# Keys a config file may hold: any subcommand's, so one file can drive the
+# whole pipeline, plus the seed.
+CONFIG_KEYS = frozenset(["seed"]).union(
+    opt.key for _, _, options, _ in SUBCOMMANDS for opt in options
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,82 +494,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"warmstart {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = subs.add_parser("transplant", help="build a warm-start embedding matrix")
-    _add_common(p)
-    _add_vocab_flags(p)
-    p.add_argument("--src-emb", default=None)
-    p.add_argument("--src-vocab", default=None)
-    p.add_argument("--tgt-vocab", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--report", default=None, help="write a JSON tally here")
-    p.add_argument("--cache", default=None, help="persistent translation cache file")
-    p.add_argument("--provider", choices=("dict", "remote", "identity"), default=None)
-    p.add_argument("--dict-file", default=None)
-    p.add_argument("--remote-url", default=None)
-    p.add_argument("--source-lang", default=None)
-    p.add_argument("--target-lang", default=None)
-    p.add_argument("--retry-failed", action="store_true", default=None)
-    p.add_argument("--rate-limit", default=None, help="requests per second, N or N/s")
-    p.add_argument("--timeout-ms", type=int, default=None)
-    p.set_defaults(func=cmd_transplant)
-
-    p = subs.add_parser("prepare-corpus", help="chunk text into a sequence store")
-    _add_common(p)
-    _add_vocab_flags(p)
-    p.add_argument("--vocab", default=None)
-    p.add_argument("--in", dest="input", default=None, help="text file or directory of *.txt")
-    p.add_argument("--out", default=None)
-    p.add_argument("--seq-len", type=int, default=None)
-    p.add_argument("--min-tail", type=int, default=None)
-    p.set_defaults(func=cmd_prepare_corpus)
-
-    p = subs.add_parser("sample-batches", help="draw masked batches for an epoch")
-    _add_common(p)
-    _add_vocab_flags(p)
-    p.add_argument("--store", default=None)
-    p.add_argument("--vocab", default=None)
-    p.add_argument("--epoch", type=int, default=None)
-    p.add_argument("--mode", choices=("span", "iid"), default=None)
-    p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--mean-span", type=float, default=None)
-    p.add_argument("--micro-batch", type=int, default=None)
-    p.add_argument("--effective-batch", type=int, default=None)
-    p.add_argument("--sort-by-length", action="store_true", default=None)
-    p.add_argument("--format", choices=("text", "binary"), default=None)
-    p.add_argument("--out", default=None, help="text path, or base path for binary stores")
-    p.add_argument("--report", default=None, help="per-batch efficiency lines")
-    p.set_defaults(func=cmd_sample_batches)
-
-    p = subs.add_parser("lr-curve", help="emit the learning-rate schedule as CSV")
-    _add_common(p)
-    p.add_argument("--peak", type=float, default=None)
-    p.add_argument("--warmup", type=int, default=None)
-    p.add_argument("--total", type=int, default=None)
-    p.add_argument("--shape", choices=("linear", "rsqrt"), default=None)
-    p.add_argument("--stride", type=int, default=None)
-    p.add_argument("--store", default=None, help="derive --total from this store")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--effective-batch", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_lr_curve)
-
-    p = subs.add_parser("memplan", help="training memory estimate and fit advice")
-    _add_common(p)
-    p.add_argument("--params", type=int, default=None)
-    p.add_argument("--precision", choices=("fp32", "fp16", "bf16"), default=None)
-    p.add_argument("--offload", action="store_true", default=None)
-    p.add_argument("--gpus", type=int, default=None)
-    p.add_argument("--gpu-mem", default=None, help="per-GPU memory, GiB")
-    p.add_argument("--ram", default=None, help="system memory, GiB")
-    p.add_argument("--nvlink", action="store_true", default=None)
-    p.set_defaults(func=cmd_memplan)
-
-    p = subs.add_parser("stats", help="sequence store statistics")
-    _add_common(p)
-    p.add_argument("--store", default=None)
-    p.set_defaults(func=cmd_stats)
-
+    for name, func, options, help_text in SUBCOMMANDS:
+        p = subs.add_parser(name, help=help_text)
+        p.add_argument("--config", help="key = value config file")
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--run-log", default=None, help="provenance log path")
+        # Every default is None so resolve_options can tell a given flag
+        # from an absent one; the row's own default applies after config.
+        for opt in options:
+            if opt.convert is parse_bool:
+                p.add_argument(opt.flag, dest=opt.key, action="store_true", default=None,
+                               help=opt.help)
+            else:
+                p.add_argument(opt.flag, dest=opt.key, type=opt.convert, choices=opt.choices,
+                               default=None, help=opt.help)
+        p.set_defaults(func=func, options=options)
     return parser
 
 
@@ -581,11 +516,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except WarmstartError as e:
-        print(f"warmstart: error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+        cfg = {} if args.config is None else parse_config_file(args.config, CONFIG_KEYS)
+        seed = resolve_seed(args.seed, cfg)
+        values = resolve_options(args.options, args, cfg)
+        code = args.func(values, seed)
+        append_run_log(args.subcommand, values, seed, path=args.run_log)
+        return code
+    except (WarmstartError, OSError) as e:
         print(f"warmstart: error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,8 @@ import hashlib
 import os
 import sys
 import time
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Collection, Iterable, Optional
 
 from .errors import WarmstartError
 
@@ -25,8 +26,11 @@ class ConfigError(WarmstartError):
     pass
 
 
-def parse_config_file(path) -> dict[str, str]:
-    """Read `key = value` lines; values keep internal whitespace."""
+def parse_config_file(path, known_keys: Collection[str]) -> dict[str, str]:
+    """Read `key = value` lines; values keep internal whitespace.
+
+    A key outside `known_keys` is an error, so a misspelt key cannot be
+    silently ignored."""
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -40,6 +44,8 @@ def parse_config_file(path) -> dict[str, str]:
             value = value.strip()
             if not key:
                 raise ConfigError(f"{path}:{lineno}: empty key")
+            if key not in known_keys:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in out:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             out[key] = value
@@ -55,28 +61,55 @@ def parse_bool(value: str) -> bool:
     raise ConfigError(f"not a boolean: {value!r}")
 
 
-def resolve(
-    flag_value,
-    config: dict[str, str],
-    key: str,
-    default,
-    convert: Optional[Callable[[str], object]] = None,
-):
-    """Flag over config over default. Flags are pre-parsed by argparse;
-    config values are strings and go through `convert`."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        raw = config[key]
-        if convert is None:
-            return raw
-        try:
-            return convert(raw)
-        except ConfigError:
-            raise
-        except Exception as e:
-            raise ConfigError(f"config key {key}: cannot parse {raw!r}: {e}") from e
-    return default
+@dataclass(frozen=True)
+class Option:
+    """One command-line option, declared once for argparse and config files.
+
+    The config key is the argparse dest: the flag without its leading dashes
+    and with `-` as `_`, unless `dest` names it. `convert` parses a string
+    value (None keeps it a string); an option converted by `parse_bool` is a
+    switch that takes no value on the command line.
+    """
+
+    flag: str
+    default: object = None
+    convert: Optional[Callable[[str], object]] = None
+    choices: Optional[tuple[str, ...]] = None
+    required: bool = False
+    help: Optional[str] = None
+    dest: Optional[str] = None
+
+    @property
+    def key(self) -> str:
+        return self.dest or self.flag[2:].replace("-", "_")
+
+
+def resolve_options(options: Iterable[Option], args, config: dict[str, str]) -> dict[str, object]:
+    """Effective value of every option: flag over config over default.
+
+    Flags are pre-parsed and checked by argparse; config values are strings
+    and go through the option's converter and choices here, so a bad value
+    fails the same way wherever it came from.
+    """
+    values: dict[str, object] = {}
+    for opt in options:
+        value = getattr(args, opt.key)
+        if value is None and opt.key in config:
+            raw = config[opt.key]
+            try:
+                value = raw if opt.convert is None else opt.convert(raw)
+            except ValueError as e:
+                raise ConfigError(f"config key {opt.key}: cannot parse {raw!r}: {e}") from e
+            if opt.choices is not None and value not in opt.choices:
+                raise ConfigError(
+                    f"config key {opt.key}: {raw!r} is not one of {', '.join(opt.choices)}"
+                )
+        if value is None:
+            value = opt.default
+        if value is None and opt.required:
+            raise ConfigError(f"missing required value: {opt.flag}")
+        values[opt.key] = value
+    return values
 
 
 def resolve_seed(flag_value: Optional[int], config: dict[str, str]) -> int:
@@ -99,12 +132,15 @@ def resolve_seed(flag_value: Optional[int], config: dict[str, str]) -> int:
 
 def config_hash(values: dict[str, object]) -> str:
     """Order-independent digest of the effective configuration."""
-    lines = [f"{k}={values[k]}" for k in sorted(values)]
+    lines = [f"{k}={values[k]!r}" for k in sorted(values)]
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
 
 
 def append_run_log(subcommand: str, values: dict[str, object], seed: int, path=None) -> None:
-    """One provenance record per run: when, what, which config, which seed.
+    """One provenance record per run: when (UTC), what, which config, which seed.
+
+    `values` is the full effective option dict, defaults included, so two
+    runs that differ in any option log different hashes.
 
     Logging failures never fail the run; the log is best-effort bookkeeping.
     """
@@ -114,7 +150,7 @@ def append_run_log(subcommand: str, values: dict[str, object], seed: int, path=N
 
     record = "\t".join(
         [
-            time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            time.strftime("%Y-%m-%dT%H:%M:%S%z", time.gmtime()),
             subcommand,
             f"config={config_hash(values)}",
             f"seed={seed}",

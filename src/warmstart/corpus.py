@@ -8,6 +8,7 @@ side index of byte offsets for O(1) reads.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -154,18 +155,27 @@ class SequenceStoreReader:
             raise StoreFormatError(f"{path}: truncated index")
         return list(struct.unpack(f"<{count}Q", payload))
 
-    def _scan_offsets(self) -> list[int]:
-        offsets = []
-        with open(self.path, "rb") as f:
-            f.seek(16)
-            for _ in range(self.count):
-                offsets.append(f.tell())
-                raw = f.read(4)
-                if len(raw) != 4:
-                    raise StoreFormatError(f"{self.path}: truncated store")
-                (length,) = struct.unpack("<I", raw)
-                f.seek(4 * length, 1)
-        return offsets
+    def _scan(self, f) -> Iterator[tuple[int, int, int]]:
+        """Walk the length prefixes of open store `f`, yielding
+        (index, offset, length) per sequence.
+
+        Each sequence is checked to fit inside the file before it is
+        yielded, and the walk seeks to the next absolute offset itself, so a
+        caller may read the payload or not.
+        """
+        size = os.fstat(f.fileno()).st_size
+        offset = 16
+        for i in range(self.count):
+            f.seek(offset)
+            raw = f.read(4)
+            if len(raw) != 4:
+                raise StoreFormatError(f"{self.path}: truncated store")
+            (length,) = struct.unpack("<I", raw)
+            end = offset + 4 + 4 * length
+            if end > size:
+                raise StoreFormatError(f"{self.path}: truncated sequence {i}")
+            yield i, offset, length
+            offset = end
 
     def read(self, index: int) -> TokenSequence:
         if not 0 <= index < self.count:
@@ -173,7 +183,8 @@ class SequenceStoreReader:
                 f"sequence index {index} out of range (count={self.count})"
             )
         if self._offsets is None:
-            self._offsets = self._scan_offsets()
+            with open(self.path, "rb") as f:
+                self._offsets = [offset for _, offset, _ in self._scan(f)]
         with open(self.path, "rb") as f:
             f.seek(self._offsets[index])
             (length,) = struct.unpack("<I", f.read(4))
@@ -185,35 +196,17 @@ class SequenceStoreReader:
 
     def __iter__(self) -> Iterator[TokenSequence]:
         with open(self.path, "rb") as f:
-            f.seek(16)
-            for i in range(self.count):
-                raw = f.read(4)
-                if len(raw) != 4:
-                    raise StoreFormatError(f"{self.path}: truncated store")
-                (length,) = struct.unpack("<I", raw)
-                payload = f.read(4 * length)
-                if len(payload) != 4 * length:
-                    raise StoreFormatError(f"{self.path}: truncated sequence {i}")
-                yield TokenSequence(
-                    ids=list(struct.unpack(f"<{length}I", payload)), seq_index=i
-                )
+            for i, _, length in self._scan(f):
+                ids = struct.unpack(f"<{length}I", f.read(4 * length))
+                yield TokenSequence(ids=list(ids), seq_index=i)
 
     def __len__(self) -> int:
         return self.count
 
     def lengths(self) -> list[int]:
         """Sequence lengths in order, without materializing ids."""
-        out = []
         with open(self.path, "rb") as f:
-            f.seek(16)
-            for _ in range(self.count):
-                raw = f.read(4)
-                if len(raw) != 4:
-                    raise StoreFormatError(f"{self.path}: truncated store")
-                (length,) = struct.unpack("<I", raw)
-                out.append(length)
-                f.seek(4 * length, 1)
-        return out
+            return [length for _, _, length in self._scan(f)]
 
 
 def read_store(path, index: int, index_path=None) -> TokenSequence:

@@ -139,7 +139,8 @@ class TranslationTable:
         self._entries: dict[str, TranslationOutcome] = {}
         self._provenance: dict[str, str] = {}
         self._lock = threading.RLock()
-        self._inflight: dict[str, threading.Lock] = {}
+        # Serializes lookup_or_fetch so concurrent misses fetch once.
+        self._fetch_lock = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:
@@ -162,69 +163,38 @@ class TranslationTable:
             return self._provenance.get(token)
 
     def insert(self, token: str, outcome: TranslationOutcome, provenance: str) -> None:
-        with self._lock:
-            replacing = token in self._entries
-            self._entries[token] = outcome
-            self._provenance[token] = provenance
-            if self.persist_path is not None:
-                if replacing:
-                    # Replacement invalidates earlier lines; rewrite whole file.
-                    try:
-                        self.save(self.persist_path)
-                    except OSError as e:
-                        raise CachePersistenceError(
-                            f"cannot rewrite cache file {self.persist_path}: {e}",
-                            {token: outcome},
-                        ) from e
-                else:
-                    try:
-                        with open(self.persist_path, "a", encoding="utf-8", newline="") as f:
-                            f.write(_format_line(token, outcome))
-                    except OSError as e:
-                        raise CachePersistenceError(
-                            f"cannot append to cache file {self.persist_path}: {e}",
-                            {token: outcome},
-                        ) from e
+        self.insert_many({token: outcome}, provenance)
 
     def insert_many(self, outcomes: dict[str, TranslationOutcome], provenance: str) -> None:
+        """Record outcomes in memory, then persist them: appended as new
+        lines, or, when any of them replaces an entry (which invalidates its
+        earlier line), by rewriting the whole file once.
+
+        On a write failure the CachePersistenceError carries all of
+        `outcomes`, since none of them is known to have reached the file.
+        """
         with self._lock:
+            replacing = any(token in self._entries for token in outcomes)
+            for token, outcome in outcomes.items():
+                self._entries[token] = outcome
+                self._provenance[token] = provenance
             if self.persist_path is None:
-                for token, outcome in outcomes.items():
-                    self._entries[token] = outcome
-                    self._provenance[token] = provenance
                 return
-            pending = dict(outcomes)
             try:
-                with open(self.persist_path, "a", encoding="utf-8", newline="") as f:
-                    for token, outcome in outcomes.items():
-                        if token in self._entries:
-                            # rare replace path: fall back to item-wise insert
-                            f.close()
-                            break
-                        f.write(_format_line(token, outcome))
-                        self._entries[token] = outcome
-                        self._provenance[token] = provenance
-                        del pending[token]
-                    else:
-                        return
+                if replacing:
+                    self.save(self.persist_path)
+                else:
+                    with open(self.persist_path, "a", encoding="utf-8", newline="") as f:
+                        f.writelines(_format_line(t, o) for t, o in outcomes.items())
             except OSError as e:
+                action = "rewrite" if replacing else "append to"
                 raise CachePersistenceError(
-                    f"cannot append to cache file {self.persist_path}: {e}", pending
+                    f"cannot {action} cache file {self.persist_path}: {e}", outcomes
                 ) from e
-            for token, outcome in pending.items():
-                self.insert(token, outcome, provenance)
 
     def items(self) -> list[tuple[str, TranslationOutcome]]:
         with self._lock:
             return list(self._entries.items())
-
-    def _key_lock(self, token: str) -> threading.Lock:
-        with self._lock:
-            lock = self._inflight.get(token)
-            if lock is None:
-                lock = threading.Lock()
-                self._inflight[token] = lock
-            return lock
 
     @classmethod
     def load(cls, path, persist: bool = False) -> "TranslationTable":
@@ -270,34 +240,16 @@ def lookup_or_fetch(
 ) -> TranslationOutcome:
     """Resolve one raw vocabulary token to a translation outcome.
 
-    Order: normalize, serve from cache (unless retrying a FAILED entry),
-    bypass non-linguistic tokens as FAILED/identity, otherwise fetch through
-    the provider under a per-token lock so concurrent callers of the same
-    token trigger a single fetch. Provider exceptions and empty translations
+    A one-token `translate_all` (cache, then bypass, then provider) run under
+    the table's fetch lock, so concurrent callers of the same missing token
+    trigger a single fetch. Provider exceptions and empty translations
     become FAILED/identity outcomes; they are cached like any other result.
     """
-    normalized = normalize_token(token, boundary_marker)
-    cached = table.get(normalized)
-    if cached is not None and not (retry_failed and not cached.ok):
-        return cached
-    if not needs_translation(normalized, boundary_marker):
-        outcome = TranslationOutcome(TranslationStatus.FAILED, normalized)
-        table.insert(normalized, outcome, "bypass")
-        return outcome
-    key_lock = table._key_lock(normalized)
-    with key_lock:
-        cached = table.get(normalized)
-        if cached is not None and not (retry_failed and not cached.ok):
-            return cached
-        try:
-            results = provider.translate_batch([normalized])
-            outcome = results[0] if results else None
-        except Exception:
-            outcome = None
-        if outcome is None or (outcome.ok and not outcome.text):
-            outcome = TranslationOutcome(TranslationStatus.FAILED, normalized)
-        table.insert(normalized, outcome, provider.name)
-        return outcome
+    with table._fetch_lock:
+        translate_all(
+            table, provider, [token], boundary_marker=boundary_marker, retry_failed=retry_failed
+        )
+        return table.get(normalize_token(token, boundary_marker))
 
 
 def translate_all(

@@ -169,3 +169,19 @@ class TestStore:
         p2 = tmp_path / "again.seqs"
         write_store((TokenSequence(ids=ids) for ids in reread), p2)
         assert p2.read_bytes() == first
+
+
+@pytest.mark.parametrize("access", ["lengths", "iterate", "read without index"])
+def test_store_cut_mid_payload_is_rejected(tmp_path, access):
+    path = tmp_path / "c.seqs"
+    write_store((TokenSequence(ids=ids) for ids in [[1, 2], [3, 4, 5]]), path)
+    path.write_bytes(path.read_bytes()[:-6])  # the last sequence loses 1.5 ids
+    (tmp_path / "c.seqs.idx").unlink()
+    reader = SequenceStoreReader(path)
+    with pytest.raises(StoreFormatError, match="truncated"):
+        if access == "lengths":
+            reader.lengths()
+        elif access == "iterate":
+            list(reader)
+        else:
+            reader.read(0)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from warmstart.translate import (
     CacheFormatError,
+    CachePersistenceError,
     DictionaryProvider,
     IdentityProvider,
     RemoteTranslationProvider,
@@ -338,3 +339,27 @@ class TestRemoteProvider:
         p.translate_batch(["hej"])
         assert payloads[0]["source"] == "da"
         assert payloads[0]["target"] == "en"
+
+
+def test_retry_batch_mixing_a_replacement_with_new_tokens_saves_canonically(tmp_path):
+    cache = tmp_path / "cache.tsv"
+    table = TranslationTable(persist_path=cache)
+    translate_all(table, CountingProvider({"hus": "house"}), ["doktor", "hus"])
+    provider = CountingProvider({"doktor": "doctor", "bil": "car"})
+    translate_all(table, provider, ["bil", "doktor", "vej"], retry_failed=True)
+    assert provider.seen == ["bil", "doktor", "vej"]  # one batch, doktor replaced
+    fresh = tmp_path / "fresh.tsv"
+    table.save(fresh)
+    assert cache.read_bytes() == fresh.read_bytes()
+    assert TranslationTable.load(cache).items() == table.items()
+
+
+def test_persistence_failure_carries_the_unwritten_outcomes(tmp_path):
+    table = TranslationTable(persist_path=tmp_path / "missing" / "cache.tsv")
+    outcomes = {
+        "doktor": TranslationOutcome(TranslationStatus.TRANSLATED, "doctor"),
+        "hus": TranslationOutcome(TranslationStatus.FAILED, "hus"),
+    }
+    with pytest.raises(CachePersistenceError) as exc:
+        table.insert_many(outcomes, "dict")
+    assert exc.value.undelivered == outcomes
