@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import ExitStack
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -29,7 +30,7 @@ from .config import (
     resolve_options,
     resolve_seed,
 )
-from .corpus import SequenceStoreReader, TokenSequence, chunk_corpus, write_store
+from .corpus import SequenceStoreReader, chunk_corpus, replacing, store_writer, write_store
 from .errors import WarmstartError
 from .masking import MaskKey, MaskMode, MaskSpec, make_example
 from .memplan import (
@@ -254,82 +255,58 @@ def cmd_prepare_corpus(o: dict, seed: int) -> int:
     vocab = _load_vocab(o["vocab"], o)
     seqs = chunk_corpus(_read_documents(o["input"], vocab), seq_len, min_tail)
     count = write_store(seqs, o["out"])
-    reader = SequenceStoreReader(o["out"])
-    total = sum(reader.lengths())
+    total = sum(SequenceStoreReader(o["out"]).lengths())
     print(f"sequences={count} tokens={total} seq_len={seq_len} min_tail={min_tail}")
     return 0
 
 
 def cmd_sample_batches(o: dict, seed: int) -> int:
     epoch, micro, out_path = o["epoch"], o["micro_batch"], o["out"]
-    mode = MaskMode(o["mode"])
     if o["format"] == "binary" and out_path is None:
         raise ConfigError("--out is required with --format binary")
 
     vocab = _load_vocab(o["vocab"], o)
-    spec = MaskSpec(rate=o["rate"], mean_span=o["mean_span"], mode=mode)
+    spec = MaskSpec(rate=o["rate"], mean_span=o["mean_span"], mode=MaskMode(o["mode"]))
     plan = plan_accumulation(o["effective_batch"], micro)
     reader = SequenceStoreReader(o["store"])
 
-    order = list(range(reader.count))
+    order = range(reader.count)
     if o["sort_by_length"]:
-        lengths = reader.lengths()
-        order.sort(key=lambda i: lengths[i])  # stable: ties keep store order
+        order = sorted(order, key=reader.lengths().__getitem__)  # stable: ties keep store order
 
-    examples = []
-    indices = []
-    for i in order:
-        seq = reader.read(i)
-        key = MaskKey(seed=seed, epoch=epoch, seq_index=i)
-        examples.append(make_example(seq, spec, key, vocab))
-        indices.append(i)
-
-    batches = [
-        (indices[s : s + micro], examples[s : s + micro])
-        for s in range(0, len(examples), micro)
-    ]
-
-    report_lines = []
-    real_cells = 0
-    total_cells = 0
-    for b, (_, exs) in enumerate(batches):
-        batch = assemble(exs, micro, vocab.pad_id)
-        stats = padding_stats(batch)
-        real = sum(batch.input_lengths) + sum(batch.target_lengths)
-        cells = batch.rows * (batch.width_in + batch.width_tgt)
-        real_cells += real
-        total_cells += cells
-        report_lines.append(
-            f"batch={b} rows={batch.rows} width_in={batch.width_in} "
-            f"width_tgt={batch.width_tgt} input_eff={stats.input_efficiency} "
-            f"target_eff={stats.target_efficiency} combined={stats.combined}"
-        )
-    if o["report"] is not None:
-        with open(o["report"], "w", encoding="utf-8") as f:
-            for line in report_lines:
-                f.write(line + "\n")
-
-    if o["format"] == "text":
-        lines = (
-            f"{i}\t{' '.join(map(str, ex.input_ids))}\t{' '.join(map(str, ex.target_ids))}\n"
-            for i, ex in zip(indices, examples)
-        )
-        if out_path is None:
-            for line in lines:
-                sys.stdout.write(line)
+    # One micro-batch at a time: read, mask, assemble, report, emit. Files
+    # replace their targets only once the whole epoch has succeeded.
+    text = o["format"] == "text"
+    starts = range(0, len(order), micro)
+    real_cells = total_cells = 0
+    with ExitStack() as files:
+        if text:
+            out = sys.stdout if out_path is None else files.enter_context(
+                replacing(out_path, "w", encoding="utf-8"))
         else:
-            with open(out_path, "w", encoding="utf-8") as f:
-                for line in lines:
-                    f.write(line)
-    else:
-        write_store(
-            (TokenSequence(ids=ex.input_ids, seq_index=i) for i, ex in zip(indices, examples)),
-            f"{out_path}.inputs.seqs",
-        )
-        write_store(
-            (TokenSequence(ids=ex.target_ids, seq_index=i) for i, ex in zip(indices, examples)),
-            f"{out_path}.targets.seqs",
-        )
+            append_in, append_tgt = (files.enter_context(store_writer(f"{out_path}.{part}.seqs"))
+                                     for part in ("inputs", "targets"))
+        if o["report"] is not None:
+            report = files.enter_context(replacing(o["report"], "w", encoding="utf-8"))
+        for b, s in enumerate(starts):
+            indices = order[s : s + micro]
+            examples = [make_example(reader.read(i), spec, MaskKey(seed, epoch, i), vocab)
+                        for i in indices]
+            batch = assemble(examples, micro, vocab.pad_id)
+            stats = padding_stats(batch)
+            real_cells += sum(batch.input_lengths) + sum(batch.target_lengths)
+            total_cells += batch.rows * (batch.width_in + batch.width_tgt)
+            if o["report"] is not None:
+                report.write(f"batch={b} rows={batch.rows} width_in={batch.width_in} "
+                             f"width_tgt={batch.width_tgt} input_eff={stats.input_efficiency} "
+                             f"target_eff={stats.target_efficiency} combined={stats.combined}\n")
+            for i, ex in zip(indices, examples):
+                if text:
+                    out.write(f"{i}\t{' '.join(map(str, ex.input_ids))}\t"
+                              f"{' '.join(map(str, ex.target_ids))}\n")
+                else:
+                    append_in(ex.input_ids)
+                    append_tgt(ex.target_ids)
 
     overall = Fraction(real_cells, total_cells) if total_cells else None
     print(
@@ -337,8 +314,8 @@ def cmd_sample_batches(o: dict, seed: int) -> int:
         f"effective={plan.effective_batch}"
     )
     print(
-        f"batches={len(batches)} sequences={len(examples)} epoch={epoch} "
-        f"mode={mode.value} seed={seed}"
+        f"batches={len(starts)} sequences={len(order)} epoch={epoch} "
+        f"mode={spec.mode.value} seed={seed}"
         + ("" if overall is None else f" efficiency={float(overall):.4f}")
     )
     return 0
@@ -387,9 +364,9 @@ def cmd_memplan(o: dict, seed: int) -> int:
     precision = PrecisionMode.parse(o["precision"])
     model = ModelSpec(param_count=params)
     hardware = None
-    if gpu_mem is not None or ram is not None:
+    if gpu_mem is not None or ram is not None or o["gpus"] != 1 or o["nvlink"]:
         if gpu_mem is None or ram is None:
-            raise ConfigError("--gpu-mem and --ram must be given together")
+            raise ConfigError("--gpus, --nvlink, --gpu-mem and --ram need both --gpu-mem and --ram")
         hardware = HardwareSpec(
             gpu_count=o["gpus"],
             gpu_memory_bytes=_parse_gib(gpu_mem),

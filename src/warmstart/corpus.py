@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from .errors import WarmstartError
 
@@ -81,6 +84,52 @@ def default_index_path(store_path) -> str:
     return str(store_path) + ".idx"
 
 
+@contextmanager
+def replacing(path, mode="wb", **kwargs):
+    """Open a temp file beside `path` that replaces it only when the block
+    succeeds. A target that exists but is not a regular file, such as a
+    FIFO, is opened directly. A symlink is followed, not replaced."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, **kwargs) as f:
+            yield f
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
+@contextmanager
+def store_writer(path, index_path=None):
+    """Yield `append(ids)`, which streams one sequence into the store and its
+    side index and returns the count so far. Both replace their targets only
+    when the block succeeds; see write_store for the layout."""
+    head = struct.pack("<IQ", STORE_VERSION, 0)
+    with replacing(path) as store, replacing(index_path or default_index_path(path)) as index:
+        store.write(STORE_MAGIC + head)
+        index.write(INDEX_MAGIC + head)
+        count = 0
+
+        def append(ids) -> int:
+            nonlocal count
+            if not ids:
+                raise CorpusError("cannot store an empty sequence")
+            index.write(struct.pack("<Q", store.tell()))
+            store.write(struct.pack(f"<I{len(ids)}I", len(ids), *ids))
+            count += 1
+            return count
+
+        yield append
+        for f in (store, index):
+            f.seek(8)
+            f.write(struct.pack("<Q", count))
+
+
 def write_store(seqs: Iterable[TokenSequence], path, index_path=None) -> int:
     """Stream sequences to a store file, returning the count written.
 
@@ -90,123 +139,94 @@ def write_store(seqs: Iterable[TokenSequence], path, index_path=None) -> int:
     index ("SEQI", version, count, u64 absolute offsets) is written next to
     the store unless index_path is given.
     """
-    if index_path is None:
-        index_path = default_index_path(path)
-    offsets: list[int] = []
     count = 0
-    with open(path, "wb") as f:
-        f.write(STORE_MAGIC + struct.pack("<IQ", STORE_VERSION, 0))
+    with store_writer(path, index_path) as append:
         for seq in seqs:
-            if not seq.ids:
-                raise CorpusError("cannot store an empty sequence")
-            offsets.append(f.tell())
-            f.write(struct.pack("<I", len(seq.ids)))
-            f.write(struct.pack(f"<{len(seq.ids)}I", *seq.ids))
-            count += 1
-        f.seek(4 + 4)
-        f.write(struct.pack("<Q", count))
-    with open(index_path, "wb") as f:
-        f.write(INDEX_MAGIC + struct.pack("<IQ", STORE_VERSION, count))
-        f.write(struct.pack(f"<{count}Q", *offsets))
+            count = append(seq.ids)
+    return count
+
+
+def _header_count(path, header: bytes, magic: bytes, kind: str) -> int:
+    """The sequence count of a store or index header, once it is checked."""
+    if len(header) < 16 or header[:4] != magic:
+        raise StoreFormatError(f"{path}: not a {kind} (bad magic)")
+    version, count = struct.unpack("<IQ", header[4:16])
+    if version != STORE_VERSION:
+        raise StoreFormatError(f"{path}: unsupported version {version}")
     return count
 
 
 class SequenceStoreReader:
-    """Random and sequential access to a store file.
+    """Random and sequential access to a store file, mapped once as u32 words.
 
-    Uses the side index when present; otherwise a single sequential scan
-    builds offsets on first random access.
+    Sequence offsets come from the side index when present, checked to chain
+    from the first record through each length prefix to inside the file;
+    otherwise one walk of the length prefixes finds them on first use.
     """
 
     def __init__(self, path, index_path=None):
         self.path = path
         with open(path, "rb") as f:
-            header = f.read(16)
-        if len(header) < 16 or header[:4] != STORE_MAGIC:
-            raise StoreFormatError(f"{path}: not a sequence store (bad magic)")
-        version, count = struct.unpack("<IQ", header[4:16])
-        if version != STORE_VERSION:
-            raise StoreFormatError(f"{path}: unsupported version {version}")
-        self.count = count
-        self._offsets: Optional[list[int]] = None
-        candidate = default_index_path(path) if index_path is None else index_path
+            self.count = _header_count(path, f.read(16), STORE_MAGIC, "sequence store")
+            size = os.fstat(f.fileno()).st_size
+            self._words = np.memmap(f, dtype="<u4", mode="r", shape=(size // 4,))
+        self._starts: Optional[np.ndarray] = None  # word offset of each length prefix
         try:
-            self._offsets = self._load_index(candidate, count)
+            self._starts = self._load_index(index_path or default_index_path(path))
         except FileNotFoundError:
             if index_path is not None:
                 raise
 
-    @staticmethod
-    def _load_index(path, expected_count: int) -> list[int]:
+    def _load_index(self, path) -> np.ndarray:
         with open(path, "rb") as f:
-            header = f.read(16)
-            if len(header) < 16 or header[:4] != INDEX_MAGIC:
-                raise StoreFormatError(f"{path}: not a store index (bad magic)")
-            version, count = struct.unpack("<IQ", header[4:16])
-            if version != STORE_VERSION:
-                raise StoreFormatError(f"{path}: unsupported version {version}")
-            if count != expected_count:
-                raise StoreFormatError(
-                    f"{path}: index holds {count} offsets but store has "
-                    f"{expected_count} sequences"
-                )
-            payload = f.read(8 * count)
-        if len(payload) != 8 * count:
+            raw = f.read()
+        count = _header_count(path, raw, INDEX_MAGIC, "store index")
+        if count != self.count:
+            raise StoreFormatError(f"{path}: index holds {count} offsets but store has "
+                                   f"{self.count} sequences")
+        if len(raw) < 16 + 8 * count:
             raise StoreFormatError(f"{path}: truncated index")
-        return list(struct.unpack(f"<{count}Q", payload))
+        offsets = np.frombuffer(raw, "<u8", count=count, offset=16)
+        # Each offset must be the end of the record before it (the first
+        # record starts at byte 16), and the last record must end in the file.
+        starts, n = offsets // 4, len(self._words)
+        ends = starts + 1 + self._words[np.minimum(starts, n - 1)]
+        if count and not (offsets[0] == 16 and ends[-1] <= n
+                          and np.array_equal(offsets[1:], 4 * ends[:-1])):
+            raise StoreFormatError(f"{path}: stale index, offsets do not chain through the store")
+        return starts
 
-    def _scan(self, f) -> Iterator[tuple[int, int, int]]:
-        """Walk the length prefixes of open store `f`, yielding
-        (index, offset, length) per sequence.
-
-        Each sequence is checked to fit inside the file before it is
-        yielded, and the walk seeks to the next absolute offset itself, so a
-        caller may read the payload or not.
-        """
-        size = os.fstat(f.fileno()).st_size
-        offset = 16
-        for i in range(self.count):
-            f.seek(offset)
-            raw = f.read(4)
-            if len(raw) != 4:
-                raise StoreFormatError(f"{self.path}: truncated store")
-            (length,) = struct.unpack("<I", raw)
-            end = offset + 4 + 4 * length
-            if end > size:
-                raise StoreFormatError(f"{self.path}: truncated sequence {i}")
-            yield i, offset, length
-            offset = end
+    def _word_starts(self) -> np.ndarray:
+        """Offsets from the index, or else from one checked walk of the store."""
+        if self._starts is None:
+            starts = np.empty(self.count, dtype=np.uint64)
+            w, n = 4, len(self._words)
+            for i in range(self.count):
+                if w >= n:
+                    raise StoreFormatError(f"{self.path}: truncated store")
+                starts[i] = w
+                w += 1 + int(self._words[w])
+                if w > n:
+                    raise StoreFormatError(f"{self.path}: truncated sequence {i}")
+            self._starts = starts
+        return self._starts
 
     def read(self, index: int) -> TokenSequence:
         if not 0 <= index < self.count:
-            raise IndexError(
-                f"sequence index {index} out of range (count={self.count})"
-            )
-        if self._offsets is None:
-            with open(self.path, "rb") as f:
-                self._offsets = [offset for _, offset, _ in self._scan(f)]
-        with open(self.path, "rb") as f:
-            f.seek(self._offsets[index])
-            (length,) = struct.unpack("<I", f.read(4))
-            payload = f.read(4 * length)
-            if len(payload) != 4 * length:
-                raise StoreFormatError(f"{self.path}: truncated sequence {index}")
-            ids = list(struct.unpack(f"<{length}I", payload))
+            raise IndexError(f"sequence index {index} out of range (count={self.count})")
+        w = int(self._word_starts()[index]) + 1
+        ids = self._words[w : w + int(self._words[w - 1])].tolist()
         return TokenSequence(ids=ids, seq_index=index)
 
     def __iter__(self) -> Iterator[TokenSequence]:
-        with open(self.path, "rb") as f:
-            for i, _, length in self._scan(f):
-                ids = struct.unpack(f"<{length}I", f.read(4 * length))
-                yield TokenSequence(ids=list(ids), seq_index=i)
+        return (self.read(i) for i in range(self.count))
 
     def __len__(self) -> int:
         return self.count
 
     def lengths(self) -> list[int]:
         """Sequence lengths in order, without materializing ids."""
-        with open(self.path, "rb") as f:
-            return [length for _, _, length in self._scan(f)]
+        return self._words[self._word_starts()].tolist()
 
 
 def read_store(path, index: int, index_path=None) -> TokenSequence:

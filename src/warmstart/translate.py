@@ -267,6 +267,7 @@ def translate_all(
     ``provider.max_in_flight``.
     """
     todo: list[str] = []
+    bypassed: dict[str, TranslationOutcome] = {}
     seen: set[str] = set()
     for token in tokens:
         normalized = normalize_token(token, boundary_marker)
@@ -277,9 +278,11 @@ def translate_all(
         if cached is not None and not (retry_failed and not cached.ok):
             continue
         if not needs_translation(normalized, boundary_marker):
-            table.insert(normalized, TranslationOutcome(TranslationStatus.FAILED, normalized), "bypass")
+            bypassed[normalized] = TranslationOutcome(TranslationStatus.FAILED, normalized)
             continue
         todo.append(normalized)
+    if bypassed:  # one write; bypasses precede fetched entries in the file
+        table.insert_many(bypassed, "bypass")
     chunk = max(1, provider.max_in_flight)
     for start in range(0, len(todo), chunk):
         batch = todo[start : start + chunk]

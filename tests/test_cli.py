@@ -1,10 +1,13 @@
 import json
+import os
+import struct
+import threading
 
 import numpy as np
 import pytest
 
 from warmstart.cli import main
-from warmstart.corpus import SequenceStoreReader
+from warmstart.corpus import SequenceStoreReader, TokenSequence, write_store
 from warmstart.transplant import EmbeddingMatrix, write_embeddings
 
 from conftest import write_vocab_file
@@ -229,6 +232,62 @@ class TestSampleBatches:
         assert self._run(corpus_store, vocab_file, tmp_path / "b.tsv") == 0
         assert "plan: micro=2 steps=4 effective=8" in capsys.readouterr().out
 
+    def test_index_past_end_of_store_is_one_error_line(
+        self, tmp_path, corpus_store, vocab_file, capsys
+    ):
+        idx = tmp_path / "corpus.seqs.idx"
+        assert idx.read_bytes()[16:] == struct.pack("<4Q", 16, 52, 88, 108)
+        idx.write_bytes(b"SEQI" + struct.pack("<IQ4Q", 1, 4, 16, 52, 88, 4000))
+        assert self._run(corpus_store, vocab_file, tmp_path / "b.tsv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("warmstart: error: StoreFormatError:") and err.count("\n") == 1
+
+    @staticmethod
+    def _store_ending_in_length_one(tmp_path):
+        store = tmp_path / "tail.seqs"
+        ids = [[3, 4, 5, 6], [7, 8, 9, 10], [3, 4, 5], [7]]  # masking needs length >= 2
+        write_store((TokenSequence(ids=seq) for seq in ids), store)
+        return store
+
+    def test_failed_epoch_writes_no_files(self, tmp_path, vocab_file, capsys):
+        store = self._store_ending_in_length_one(tmp_path)
+        out = tmp_path / "old.tsv"
+        out.write_bytes(b"earlier run\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        report = ("--report", str(tmp_path / "eff.txt"))
+        assert self._run(store, vocab_file, out, extra=report) == 1
+        assert self._run(store, vocab_file, tmp_path / "new.tsv", extra=report) == 1
+        assert self._run(store, vocab_file, tmp_path / "bat", extra=("--format", "binary")) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert out.read_bytes() == b"earlier run\n"
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3 and all(l.startswith("warmstart: error: MaskingError:") for l in err)
+
+    def test_stdout_holds_finished_micro_batches_before_an_error(
+        self, tmp_path, vocab_file, capsys
+    ):
+        store = self._store_ending_in_length_one(tmp_path)
+        assert main([
+            "sample-batches", "--store", str(store), "--vocab", str(vocab_file),
+            "--micro-batch", "2", "--effective-batch", "8", "--sentinel-count", "3",
+        ]) == 1
+        out, err = capsys.readouterr()
+        assert [line.split("\t")[0] for line in out.splitlines()] == ["0", "1"]
+        assert err.startswith("warmstart: error: MaskingError:") and err.count("\n") == 1
+
+    def test_out_to_a_fifo(self, tmp_path, corpus_store, vocab_file):
+        regular = tmp_path / "b.tsv"
+        assert self._run(corpus_store, vocab_file, regular) == 0
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        drain = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        drain.start()
+        assert self._run(corpus_store, vocab_file, fifo) == 0
+        drain.join(timeout=30)
+        assert not drain.is_alive()
+        assert got == [regular.read_bytes()]
+
 
 class TestLrCurve:
     def test_csv_written(self, tmp_path):
@@ -282,6 +341,13 @@ class TestMemplanCommand:
 
     def test_gpu_mem_requires_ram(self, capsys):
         assert main(["memplan", "--params", "1000", "--gpu-mem", "40"]) == 1
+
+    @pytest.mark.parametrize("flags", [("--gpus", "4"), ("--nvlink",), ("--gpus", "4", "--nvlink")])
+    def test_hardware_flags_without_gpu_mem_and_ram_rejected(self, flags, capsys):
+        assert main(["memplan", "--params", "1000", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("warmstart: error: ConfigError:") and err.count("\n") == 1
+        assert main(["memplan", "--params", "1000", "--gpus", "1"]) == 0
 
 
 class TestConfigPrecedence:

@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +161,47 @@ class TestStore:
             assert [s.ids for s in reader] == id_lists
             for i, ids in enumerate(id_lists):
                 assert reader.read(i).ids == ids
+
+    @pytest.mark.parametrize("offsets", [
+        (16, 20, 32),  # read(1) would return [9]
+        (16, 33, 44),  # not on a word boundary
+        (20, 32, 44),  # not starting at the first record
+        (16, 32, 4000),  # past the end of the file
+    ])
+    def test_same_count_stale_index_rejected(self, tmp_path, offsets):
+        path = self._write(tmp_path, [[1, 9, 4], [5, 6], [7]])
+        idx = tmp_path / "c.seqs.idx"
+        assert idx.read_bytes()[16:] == struct.pack("<3Q", 16, 32, 44)
+        idx.write_bytes(b"SEQI" + struct.pack("<IQ3Q", 1, 3, *offsets))
+        with pytest.raises(StoreFormatError, match="stale index"):
+            SequenceStoreReader(path)
+
+    def test_index_of_a_store_cut_short_rejected(self, tmp_path):
+        path = self._write(tmp_path, [[1, 9, 4], [5, 6], [7]])
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(StoreFormatError, match="stale index"):
+            SequenceStoreReader(path)
+
+    def test_index_and_walk_agree(self, tmp_path):
+        id_lists = [[1, 9, 4], [5, 6], [7], list(range(40))]
+        path = self._write(tmp_path, id_lists)
+        indexed = SequenceStoreReader(path)
+        (tmp_path / "c.seqs.idx").unlink()
+        walked = SequenceStoreReader(path)
+        assert indexed.lengths() == walked.lengths() == [3, 2, 1, 40]
+        assert [s.ids for s in indexed] == [s.ids for s in walked] == id_lists
+
+    def test_failed_write_leaves_old_files(self, tmp_path):
+        path = self._write(tmp_path, [[1, 2], [3]])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def seqs():
+            yield TokenSequence(ids=[4, 5])
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError):
+            write_store(seqs(), path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         id_lists = [[1, 2, 3], [4], [5, 6]]

@@ -180,6 +180,31 @@ class TestTranslateAll:
         assert not table.get("2022").ok
         assert not table.get("Aarhus").ok
 
+    def test_bypasses_are_persisted_in_one_write(self, tmp_path, monkeypatch):
+        calls = []
+        insert_many = TranslationTable.insert_many
+
+        def counted(table, outcomes, provenance):
+            calls.append(len(outcomes))
+            insert_many(table, outcomes, provenance)
+
+        monkeypatch.setattr(TranslationTable, "insert_many", counted)
+        cache = tmp_path / "cache.tsv"
+        table = TranslationTable(persist_path=cache)
+        tokens = [t for i in range(500) for t in (f"▁{i}", f"▁word{i}")]
+        translate_all(table, IdentityProvider(), tokens)
+        assert calls == [500, 500]  # the bypasses, then one fetch batch
+        assert [t for t, _ in table.items()][:2] == ["0", "1"]  # bypasses first, as before
+        fresh = tmp_path / "fresh.tsv"
+        table.save(fresh)
+        assert cache.read_bytes() == fresh.read_bytes()
+        # Retrying replaces every bypass: still one write, canonical file.
+        calls.clear()
+        translate_all(table, IdentityProvider(), tokens, retry_failed=True)
+        assert calls == [500, 500]
+        table.save(fresh)
+        assert cache.read_bytes() == fresh.read_bytes()
+
 
 class TestCacheFile:
     def test_round_trip_identical_bytes(self, tmp_path):
