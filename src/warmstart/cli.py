@@ -216,7 +216,7 @@ def cmd_transplant(o: dict, seed: int) -> int:
                 "unk-only rows inherit the unknown-token embedding",
             ],
         }
-        with open(o["report"], "w", encoding="utf-8") as f:
+        with replacing(o["report"], "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=2, sort_keys=True)
             f.write("\n")
 
@@ -339,7 +339,7 @@ def cmd_lr_curve(o: dict, seed: int) -> int:
     if out_path is None:
         sys.stdout.writelines(rows)
     else:
-        with open(out_path, "w", encoding="utf-8") as f:
+        with replacing(out_path, "w", encoding="utf-8") as f:
             f.writelines(rows)
         print(f"wrote {len(rows) - 1} points to {out_path}")
     return 0

@@ -3,7 +3,8 @@
 Documents are split into consecutive fixed-length chunks that never cross a
 document boundary; a short final tail is kept only when it reaches min_tail.
 Sequences are persisted in a length-prefixed binary store with an optional
-side index of byte offsets for O(1) reads.
+side index of byte offsets for O(1) reads. Every artifact writer in
+warmstart opens its target through `replacing`, so a file appears only whole.
 """
 
 from __future__ import annotations

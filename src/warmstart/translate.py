@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Protocol, Sequence
 
+from .corpus import replacing
 from .errors import WarmstartError
 from .vocab import DEFAULT_BOUNDARY_MARKER
 
@@ -141,6 +142,7 @@ class TranslationTable:
         self._lock = threading.RLock()
         # Serializes lookup_or_fetch so concurrent misses fetch once.
         self._fetch_lock = threading.Lock()
+        self._torn = False  # the file ends in a line cut short; rewrite, not append
 
     def __len__(self) -> int:
         with self._lock:
@@ -174,20 +176,21 @@ class TranslationTable:
         `outcomes`, since none of them is known to have reached the file.
         """
         with self._lock:
-            replacing = any(token in self._entries for token in outcomes)
+            rewrite = self._torn or any(token in self._entries for token in outcomes)
             for token, outcome in outcomes.items():
                 self._entries[token] = outcome
                 self._provenance[token] = provenance
             if self.persist_path is None:
                 return
             try:
-                if replacing:
+                if rewrite:
                     self.save(self.persist_path)
+                    self._torn = False
                 else:
                     with open(self.persist_path, "a", encoding="utf-8", newline="") as f:
                         f.writelines(_format_line(t, o) for t, o in outcomes.items())
             except OSError as e:
-                action = "rewrite" if replacing else "append to"
+                action = "rewrite" if rewrite else "append to"
                 raise CachePersistenceError(
                     f"cannot {action} cache file {self.persist_path}: {e}", outcomes
                 ) from e
@@ -199,14 +202,15 @@ class TranslationTable:
     @classmethod
     def load(cls, path, persist: bool = False) -> "TranslationTable":
         """Read a cache file. With ``persist=True`` new inserts keep
-        appending to the same file."""
+        appending to the same file. A last line with no newline is an append
+        cut short: it is dropped, and the next insert rewrites the file."""
         table = cls(persist_path=path if persist else None)
-        with open(path, encoding="utf-8", newline="") as f:
+        with open(path, encoding="utf-8", newline="\n") as f:
             for lineno, raw in enumerate(f, start=1):
-                line = raw[:-1] if raw.endswith("\n") else raw
-                if not line:
+                table._torn = not raw.endswith("\n")
+                if table._torn or raw == "\n":
                     continue
-                fields = line.split("\t")
+                fields = raw[:-1].split("\t")
                 if len(fields) != 3:
                     raise CacheFormatError(
                         f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
@@ -225,7 +229,7 @@ class TranslationTable:
 
     def save(self, path) -> None:
         with self._lock:
-            with open(path, "w", encoding="utf-8", newline="") as f:
+            with replacing(path, "w", encoding="utf-8", newline="") as f:
                 for token, outcome in self._entries.items():
                     f.write(_format_line(token, outcome))
 

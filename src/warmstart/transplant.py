@@ -8,6 +8,7 @@ model addresses them by role, not by surface string.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .corpus import replacing
 from .errors import WarmstartError
 from .translate import TranslationOutcome, TranslationTable, needs_translation, normalize_token
 from .vocab import Vocabulary, tokenize_greedy
@@ -67,9 +69,9 @@ def write_embeddings(matrix: EmbeddingMatrix, path) -> None:
     header = EMBEDDING_MAGIC + struct.pack(
         "<III", EMBEDDING_VERSION, matrix.rows, matrix.dim
     )
-    with open(path, "wb") as f:
+    with replacing(path) as f:
         f.write(header)
-        f.write(matrix.data.astype("<f4", copy=False).tobytes(order="C"))
+        f.write(matrix.data.astype("<f4", copy=False))  # no copy: data is C-contiguous
 
 
 def read_embeddings(path) -> EmbeddingMatrix:
@@ -80,14 +82,12 @@ def read_embeddings(path) -> EmbeddingMatrix:
         version, rows, dim = struct.unpack("<III", header[4:16])
         if version != EMBEDDING_VERSION:
             raise EmbeddingFormatError(f"{path}: unsupported version {version}")
-        payload = f.read()
-    expected = rows * dim * 4
-    if len(payload) != expected:
-        raise EmbeddingFormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
-    data = np.frombuffer(payload, dtype="<f4").reshape(rows, dim)
-    return EmbeddingMatrix(data.copy())
+        # Sized before reading: np.fromfile allocates `count` floats up front.
+        payload, expected = os.fstat(f.fileno()).st_size - 16, rows * dim * 4
+        if payload != expected:
+            raise EmbeddingFormatError(f"{path}: payload is {payload} bytes, expected {expected}")
+        data = np.fromfile(f, dtype="<f4", count=rows * dim)
+    return EmbeddingMatrix(data.reshape(rows, dim))
 
 
 @dataclass

@@ -163,6 +163,19 @@ class TestPrepareCorpusAndStats:
         # doc 1: 3 ids (tail 3 kept); doc 2: 7 ids -> 4 + tail 3
         assert SequenceStoreReader(store).lengths() == [3, 4, 3]
 
+    def test_single_file_crlf_blank_line_docs(self, tmp_path, vocab_file, capsys):
+        doc = tmp_path / "single.txt"
+        doc.write_bytes(b"red red red\r\n\r\nblue blue blue\r\n")
+        store = tmp_path / "s.seqs"
+        code = main([
+            "prepare-corpus", "--vocab", str(vocab_file), "--in", str(doc),
+            "--out", str(store), "--seq-len", "4", "--min-tail", "2",
+            "--sentinel-count", "3",
+        ])
+        assert code == 0
+        assert "sequences=2 " in capsys.readouterr().out
+        assert [s.ids for s in SequenceStoreReader(store)] == [[3, 3, 3], [4, 4, 4]]
+
 
 class TestSampleBatches:
     def _run(self, store, vocab_file, out, epoch=0, extra=()):

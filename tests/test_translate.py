@@ -388,3 +388,41 @@ def test_persistence_failure_carries_the_unwritten_outcomes(tmp_path):
     with pytest.raises(CachePersistenceError) as exc:
         table.insert_many(outcomes, "dict")
     assert exc.value.undelivered == outcomes
+
+
+def test_torn_last_cache_line_is_dropped_and_rewritten_away(tmp_path):
+    cache = tmp_path / "cache.tsv"
+    cache.write_bytes(b"hus\tOK\thouse\ndokumentet\tOK\tthe docu")
+    table = TranslationTable.load(cache, persist=True)
+    assert table.items() == [("hus", TranslationOutcome(TranslationStatus.TRANSLATED, "house"))]
+    translate_all(table, CountingProvider({"bil": "car"}), ["bil"])
+    assert cache.read_bytes() == b"hus\tOK\thouse\nbil\tOK\tcar\n"
+    table.insert("vej", TranslationOutcome(TranslationStatus.FAILED, "vej"), "dict")
+    assert cache.read_bytes().endswith(b"bil\tOK\tcar\nvej\tFAIL\tvej\n")
+    assert TranslationTable.load(cache).items() == table.items()
+
+
+def test_failed_rewrite_leaves_the_cache_unchanged(tmp_path, monkeypatch):
+    import warmstart.translate as translate
+
+    cache = tmp_path / "cache.tsv"
+    table = TranslationTable(persist_path=cache)
+    translate_all(table, CountingProvider({}), ["bil", "doktor", "hus", "vej"])
+    before = cache.read_bytes()
+    calls = []
+
+    def format_line(token, outcome):
+        calls.append(token)
+        if len(calls) == 3:
+            raise OSError(28, "No space left on device")
+        return real_format_line(token, outcome)
+
+    real_format_line = translate._format_line
+    monkeypatch.setattr(translate, "_format_line", format_line)
+    with pytest.raises(CachePersistenceError) as exc:
+        translate_all(table, CountingProvider({"doktor": "doctor", "hus": "house"}),
+                      ["bil", "doktor", "hus", "vej"], retry_failed=True)
+    assert set(exc.value.undelivered) == {"bil", "doktor", "hus", "vej"}
+    assert exc.value.undelivered["doktor"].text == "doctor"
+    assert cache.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.tsv"]

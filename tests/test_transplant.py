@@ -76,6 +76,36 @@ class TestEmbeddingMatrix:
         with pytest.raises(EmbeddingFormatError):
             read_embeddings(path)
 
+    # 4 bytes too long; a header claiming far more floats than the file holds,
+    # which must fail before any array is allocated.
+    @pytest.mark.parametrize("rows,dim,size", [(2, 2, 20), (0xFFFFFFFF, 0xFFFFFFFF, 8)])
+    def test_payload_size_must_match_header(self, tmp_path, rows, dim, size):
+        import struct
+
+        path = tmp_path / "e.embt"
+        path.write_bytes(b"EMBT" + struct.pack("<III", 1, rows, dim) + b"\x00" * size)
+        with pytest.raises(EmbeddingFormatError, match=f"payload is {size} bytes, expected "):
+            read_embeddings(path)
+
+    def test_failed_write_leaves_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "e.embt"
+        write_embeddings(EmbeddingMatrix(np.ones((2, 2), dtype=np.float32)), path)
+        before = path.read_bytes()
+
+        class FullDisk:
+            # Gives the shape for the header, then fails as the payload is written.
+            shape = (2, 2)
+
+            def astype(self, *args, **kwargs):
+                raise OSError(28, "No space left on device")
+
+        broken = EmbeddingMatrix(np.zeros((2, 2), dtype=np.float32))
+        broken.data = FullDisk()
+        with pytest.raises(OSError):
+            write_embeddings(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["e.embt"]
+
 
 class TestMapToken:
     def test_single_word_translation(self, toy_vocab):
