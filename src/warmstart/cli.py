@@ -254,8 +254,15 @@ def cmd_prepare_corpus(o: dict, seed: int) -> int:
     seq_len, min_tail = o["seq_len"], o["min_tail"]
     vocab = _load_vocab(o["vocab"], o)
     seqs = chunk_corpus(_read_documents(o["input"], vocab), seq_len, min_tail)
-    count = write_store(seqs, o["out"])
-    total = sum(SequenceStoreReader(o["out"]).lengths())
+    total = 0
+
+    def counted():
+        nonlocal total
+        for seq in seqs:
+            total += len(seq.ids)
+            yield seq
+
+    count = write_store(counted(), o["out"])
     print(f"sequences={count} tokens={total} seq_len={seq_len} min_tail={min_tail}")
     return 0
 

@@ -10,6 +10,7 @@ warmstart opens its target through `replacing`, so a file appears only whole.
 from __future__ import annotations
 
 import os
+import shutil
 import struct
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -88,8 +89,10 @@ def default_index_path(store_path) -> str:
 @contextmanager
 def replacing(path, mode="wb", **kwargs):
     """Open a temp file beside `path` that replaces it only when the block
-    succeeds. A target that exists but is not a regular file, such as a
-    FIFO, is opened directly. A symlink is followed, not replaced."""
+    succeeds. The temp file takes an existing target's permission bits
+    before anything is written to it. A target that exists but is not a
+    regular file, such as a FIFO, is opened directly. A symlink is followed,
+    not replaced."""
     path = os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, mode, **kwargs) as f:
@@ -98,6 +101,8 @@ def replacing(path, mode="wb", **kwargs):
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, **kwargs) as f:
+            with suppress(FileNotFoundError):
+                shutil.copymode(path, tmp)
             yield f
         os.replace(tmp, path)
     finally:

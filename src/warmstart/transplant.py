@@ -9,6 +9,7 @@ model addresses them by role, not by surface string.
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,11 +83,24 @@ def read_embeddings(path) -> EmbeddingMatrix:
         version, rows, dim = struct.unpack("<III", header[4:16])
         if version != EMBEDDING_VERSION:
             raise EmbeddingFormatError(f"{path}: unsupported version {version}")
-        # Sized before reading: np.fromfile allocates `count` floats up front.
-        payload, expected = os.fstat(f.fileno()).st_size - 16, rows * dim * 4
-        if payload != expected:
-            raise EmbeddingFormatError(f"{path}: payload is {payload} bytes, expected {expected}")
-        data = np.fromfile(f, dtype="<f4", count=rows * dim)
+        # A regular file is sized before the payload array is allocated; a
+        # pipe can only be read into it and checked after.
+        expected = rows * dim * 4
+        st = os.fstat(f.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size - 16 != expected:
+            raise EmbeddingFormatError(
+                f"{path}: payload is {st.st_size - 16} bytes, expected {expected}")
+        try:
+            data = np.empty(rows * dim, dtype="<f4")
+        except (MemoryError, ValueError):
+            raise EmbeddingFormatError(
+                f"{path}: header claims {rows} x {dim} floats, too many to allocate") from None
+        got = f.readinto(data)
+        if got != expected:
+            raise EmbeddingFormatError(f"{path}: payload is {got} bytes, expected {expected}")
+        if f.read(1):
+            raise EmbeddingFormatError(
+                f"{path}: payload is longer than the {expected} bytes expected")
     return EmbeddingMatrix(data.reshape(rows, dim))
 
 

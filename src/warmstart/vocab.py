@@ -8,11 +8,13 @@ id ``size - 1 - k``.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Optional, Sequence
 
 from .errors import WarmstartError
 
 DEFAULT_BOUNDARY_MARKER = "▁"  # "▁", marks word-initial pieces
+MEMO_MAX_WORDS = 65_536  # about 9 MB; past it new words are scanned, not stored
 
 
 class VocabularyError(WarmstartError):
@@ -24,10 +26,13 @@ class DuplicateTokenError(VocabularyError):
 
 
 class Vocabulary:
-    """Immutable token inventory; all operations on it are pure.
+    """Immutable token inventory; every operation on it gives the same output
+    for the same input.
 
-    Matching structures are built once at construction, so instances are safe
-    to share across threads.
+    Matching structures are built once at construction. The one mutable part
+    is the word memo of tokenize_greedy, a cache that never changes an
+    output: threads that fill it at once store equal values, so instances are
+    safe to share across threads.
     """
 
     def __init__(
@@ -61,6 +66,16 @@ class Vocabulary:
                 if len(tok) > maxlen.get(first, 0):
                     maxlen[first] = len(tok)
         self._maxlen_by_first = maxlen
+
+    @cached_property
+    def _word_memo(self) -> Optional[dict[str, tuple[int, ...]]]:
+        """Word -> ids memo of tokenize_greedy, or None when it would not be
+        exact: a matchable token holding the marker past position 0 can match
+        across a word boundary. Checked on first use, not at load time."""
+        marker = self.boundary_marker
+        if any(marker in tok[1:] for tok in self._match_ids):
+            return None
+        return {}
 
     def _validate(self) -> None:
         if len(self.boundary_marker) != 1:
@@ -154,11 +169,33 @@ def tokenize_greedy(vocab: Vocabulary, text: str) -> list[int]:
     advances one Unicode scalar, except that an unmatched boundary marker is
     consumed silently (markers are introduced by the preprocessing itself).
     Never emits pad, eos or sentinel ids.
+
+    The marked text is the concatenation of marker + word for each word of
+    text.split(" "), empty words included. Unless a token holds the marker
+    past position 0, no match crosses into the next word's marker, so the
+    scan splits into per-word scans and each word's ids are memoized on the
+    vocabulary (at most MEMO_MAX_WORDS words).
     """
     if not text:
         return []
     marker = vocab.boundary_marker
-    s = marker + text.replace(" ", marker)
+    memo = vocab._word_memo
+    if memo is None:
+        return _scan(vocab, marker + text.replace(" ", marker))
+    out: list[int] = []
+    for word in text.split(" "):
+        ids = memo.get(word)
+        if ids is None:
+            ids = tuple(_scan(vocab, marker + word))
+            if len(memo) < MEMO_MAX_WORDS:
+                memo[word] = ids
+        out += ids
+    return out
+
+
+def _scan(vocab: Vocabulary, s: str) -> list[int]:
+    """The greedy longest-match scan of an already marked string."""
+    marker = vocab.boundary_marker
     match_ids = vocab._match_ids
     maxlen_by_first = vocab._maxlen_by_first
     out: list[int] = []

@@ -1,5 +1,7 @@
 import math
+import os
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from warmstart.transplant import (
 )
 from warmstart.vocab import Vocabulary
 
-from conftest import TOY_TOKENS
+from conftest import TOY_TOKENS, random_embedding
 
 OK = TranslationStatus.TRANSLATED
 FAIL = TranslationStatus.FAILED
@@ -105,6 +107,41 @@ class TestEmbeddingMatrix:
             write_embeddings(broken, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["e.embt"]
+
+    def _read_from_fifo(self, tmp_path, payload):
+        fifo = tmp_path / "e.fifo"
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "wb") as f:
+                f.write(payload)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            return read_embeddings(fifo)
+        finally:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+
+    def test_fifo_reads_like_a_regular_file(self, tmp_path):
+        m = EmbeddingMatrix(random_embedding(300, 70, seed=5))  # 84 kB, over a pipe's buffer
+        path = tmp_path / "e.embt"
+        write_embeddings(m, path)
+        assert self._read_from_fifo(tmp_path, path.read_bytes()) == read_embeddings(path) == m
+
+    @pytest.mark.parametrize("rows,dim,size,message", [
+        (2, 2, 12, "payload is 12 bytes, expected 16"),
+        (2, 2, 20, "payload is longer than the 16 bytes expected"),
+        (0xFFFFFFFF, 0xFFFFFFFF, 8, "header claims 4294967295 x 4294967295 floats"),
+    ])
+    def test_fifo_payload_must_match_header(self, tmp_path, rows, dim, size, message):
+        import struct
+
+        payload = b"EMBT" + struct.pack("<III", 1, rows, dim) + b"\x00" * size
+        with pytest.raises(EmbeddingFormatError, match=message) as exc:
+            self._read_from_fifo(tmp_path, payload)
+        assert "\n" not in str(exc.value)
 
 
 class TestMapToken:

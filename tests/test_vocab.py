@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import warmstart.vocab as vocab_mod
 from warmstart.vocab import (
     DuplicateTokenError,
     Vocabulary,
     VocabularyError,
+    _scan,
     detokenize,
     load_vocab,
     tokenize_greedy,
@@ -139,3 +141,52 @@ def test_round_trip_over_vocab_words(words):
     v = Vocabulary(TOY_TOKENS, sentinel_count=0)
     text = " ".join(words)
     assert detokenize(v, tokenize_greedy(v, text)) == text
+
+
+def _whole_scan(v, text):
+    """The reference: one greedy scan over the whole marked text."""
+    if not text:
+        return []
+    marker = v.boundary_marker
+    return _scan(v, marker + text.replace(" ", marker))
+
+
+class TestWordMemo:
+    def test_cross_word_token_is_still_emitted(self):
+        # "a▁b" holds the marker past position 0, so it can match across the
+        # space; a per-word scan would give "a" then "b".
+        v = Vocabulary(["<pad>", "</s>", "<unk>", "a▁b", "a", "b"], sentinel_count=0)
+        assert tokenize_greedy(v, "a b") == [3]
+        assert tokenize_greedy(v, "a b a b") == [3, 3]
+        assert v._word_memo is None
+
+    def test_returned_list_is_the_callers_own(self, toy_vocab):
+        first = tokenize_greedy(toy_vocab, "here you here")
+        first.append(99)
+        first[0] = 7
+        assert tokenize_greedy(toy_vocab, "here you here") == [3, 4, 3]
+
+    def test_words_past_the_cap_are_scanned_not_stored(self, toy_vocab, monkeypatch):
+        monkeypatch.setattr(vocab_mod, "MEMO_MAX_WORDS", 2)
+        text = "the doctor document here you go zz doc  tor "
+        for _ in range(2):
+            assert tokenize_greedy(toy_vocab, text) == _whole_scan(toy_vocab, text)
+        assert list(toy_vocab._word_memo) == ["the", "doctor"]
+
+
+_MEMO_ALPHABET = "ab▁"
+_tokens = st.text(_MEMO_ALPHABET, min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_tokens, min_size=1, max_size=12, unique=True),
+    st.lists(st.text(_MEMO_ALPHABET + " \tζ", max_size=16), min_size=1, max_size=6),
+)
+def test_memo_matches_one_whole_scan(tokens, texts):
+    # Random small vocabularies, some with the marker past position 0;
+    # texts with double, leading and trailing spaces, literal markers, tabs
+    # and unmatched scalars. Repeating the texts reads them from the memo.
+    v = Vocabulary(["<pad>", "</s>", "<unk>"] + tokens, sentinel_count=0)
+    for text in texts + texts:
+        assert tokenize_greedy(v, text) == _whole_scan(v, text)

@@ -7,11 +7,16 @@ written. Calls that open or write files by another name (`os.open`,
 """
 
 import ast
+import stat
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import warmstart
+from warmstart.corpus import TokenSequence, write_store
+from warmstart.translate import IdentityProvider, TranslationTable, translate_all
+from warmstart.transplant import EmbeddingMatrix, write_embeddings
 
 SRC = Path(warmstart.__file__).resolve().parent
 WRITING_METHODS = {"open", "write_text", "write_bytes"}
@@ -83,3 +88,31 @@ def test_guard_allows_reads_and_appends(call):
 
 def test_guard_skips_the_body_of_replacing():
     assert _scan('def replacing(path, mode="wb"):\n    open(path, mode)\n').offences == []
+
+
+def _write_cache(path, first):
+    table = TranslationTable(persist_path=path) if first else TranslationTable.load(path, persist=True)
+    translate_all(table, IdentityProvider(), ["bil", "hus"], retry_failed=not first)
+
+
+def _write_embeddings(path, first):
+    write_embeddings(EmbeddingMatrix(np.full((2, 2), float(first), dtype=np.float32)), path)
+
+
+def _write_store(path, first):
+    write_store([TokenSequence(ids=[1, 2] if first else [3])], path)
+
+
+@pytest.mark.parametrize("name,write", [
+    ("cache.tsv", _write_cache), ("e.embt", _write_embeddings), ("c.seqs", _write_store),
+])
+def test_rewrite_keeps_the_targets_permission_bits(tmp_path, name, write):
+    write(tmp_path / name, True)
+    for p in tmp_path.iterdir():
+        p.chmod(0o600)
+    inodes = {p.name: p.stat().st_ino for p in tmp_path.iterdir()}
+    write(tmp_path / name, False)
+    after = {p.name: p.stat() for p in tmp_path.iterdir()}
+    assert after.keys() == inodes.keys()
+    assert all(st.st_ino != inodes[n] for n, st in after.items())  # replaced, not rewritten
+    assert {n: stat.S_IMODE(st.st_mode) for n, st in after.items()} == dict.fromkeys(inodes, 0o600)
