@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import ExitStack
 from fractions import Fraction
@@ -30,7 +31,8 @@ from .config import (
     resolve_options,
     resolve_seed,
 )
-from .corpus import SequenceStoreReader, chunk_corpus, replacing, store_writer, write_store
+from .corpus import (SequenceStoreReader, chunk_corpus, default_index_path, replacing,
+                     store_writer, write_store)
 from .errors import WarmstartError
 from .masking import MaskKey, MaskMode, MaskSpec, make_example
 from .memplan import (
@@ -60,18 +62,38 @@ def _require(value, flag: str):
     return value
 
 
+def _check_paths(outputs, inputs) -> None:
+    """Fail in one line when two outputs, or an output and an input, are one
+    file. Each entry is (flag, path or None). An existing target that is not
+    a regular file, such as a FIFO, is exempt: it is written directly."""
+    written: dict[str, str] = {}
+    for n, (flag, path) in enumerate([*outputs, *inputs]):
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if os.path.exists(real) and not os.path.isfile(real):
+            continue
+        if real in written:
+            raise ConfigError(f"{written[real]} and {flag} are the same file: {path}")
+        if n < len(outputs):  # inputs may share a file with each other
+            written[real] = flag
+
+
+def _store_files(flag: str, *stores) -> list:
+    """Each store and its side index, as _check_paths entries."""
+    return [(flag, p) for s in stores if s is not None for p in (s, default_index_path(s))]
+
+
 def _parse_rate_limit(raw: str) -> float:
-    """Accept `N` or `N/s` request-per-second forms."""
+    """Accept `N` or `N/s` request-per-second forms; the provider checks
+    the value."""
     text = raw.strip()
     if text.endswith("/s"):
         text = text[: -len("/s")]
     try:
-        value = float(text)
+        return float(text)
     except ValueError as e:
         raise ConfigError(f"cannot parse rate limit {raw!r}") from e
-    if value <= 0:
-        raise ConfigError("rate limit must be positive")
-    return value
 
 
 def _parse_gib(raw: str) -> int:
@@ -183,6 +205,9 @@ def _load_vocab(path, o: dict) -> Vocabulary:
 
 def cmd_transplant(o: dict, seed: int) -> int:
     cache_path = o["cache"]
+    _check_paths([("--out", o["out"]), ("--report", o["report"]), ("--cache", cache_path)],
+                 [("--src-emb", o["src_emb"]), ("--src-vocab", o["src_vocab"]),
+                  ("--tgt-vocab", o["tgt_vocab"]), ("--dict-file", o["dict_file"])])
     src = _load_vocab(o["src_vocab"], o)
     tgt = _load_vocab(o["tgt_vocab"], o)
     src_emb = read_embeddings(o["src_emb"])
@@ -237,21 +262,18 @@ def _read_documents(input_path, vocab: Vocabulary):
         files = sorted(p.glob("*.txt"))
         if not files:
             raise ConfigError(f"{input_path}: no *.txt files found")
-        for path in files:
-            text = path.read_text(encoding="utf-8")
-            ids = tokenize_greedy(vocab, " ".join(text.split()))
-            if ids:
-                yield ids
+        texts = (path.read_text(encoding="utf-8") for path in files)  # one file at a time
     else:
-        text = p.read_text(encoding="utf-8")
-        for block in text.split("\n\n"):
-            ids = tokenize_greedy(vocab, " ".join(block.split()))
-            if ids:
-                yield ids
+        texts = p.read_text(encoding="utf-8").split("\n\n")
+    for text in texts:
+        ids = tokenize_greedy(vocab, " ".join(text.split()))
+        if ids:
+            yield ids
 
 
 def cmd_prepare_corpus(o: dict, seed: int) -> int:
     seq_len, min_tail = o["seq_len"], o["min_tail"]
+    _check_paths(_store_files("--out", o["out"]), [("--vocab", o["vocab"]), ("--in", o["input"])])
     vocab = _load_vocab(o["vocab"], o)
     seqs = chunk_corpus(_read_documents(o["input"], vocab), seq_len, min_tail)
     total = 0
@@ -269,8 +291,13 @@ def cmd_prepare_corpus(o: dict, seed: int) -> int:
 
 def cmd_sample_batches(o: dict, seed: int) -> int:
     epoch, micro, out_path = o["epoch"], o["micro_batch"], o["out"]
-    if o["format"] == "binary" and out_path is None:
+    text = o["format"] == "text"
+    if not text and out_path is None:
         raise ConfigError("--out is required with --format binary")
+    stores = [] if text else [f"{out_path}.{part}.seqs" for part in ("inputs", "targets")]
+    outputs = [("--out", out_path)] if text else _store_files("--out", *stores)
+    _check_paths(outputs + [("--report", o["report"])],
+                 _store_files("--store", o["store"]) + [("--vocab", o["vocab"])])
 
     vocab = _load_vocab(o["vocab"], o)
     spec = MaskSpec(rate=o["rate"], mean_span=o["mean_span"], mode=MaskMode(o["mode"]))
@@ -283,7 +310,6 @@ def cmd_sample_batches(o: dict, seed: int) -> int:
 
     # One micro-batch at a time: read, mask, assemble, report, emit. Files
     # replace their targets only once the whole epoch has succeeded.
-    text = o["format"] == "text"
     starts = range(0, len(order), micro)
     real_cells = total_cells = 0
     with ExitStack() as files:
@@ -291,8 +317,7 @@ def cmd_sample_batches(o: dict, seed: int) -> int:
             out = sys.stdout if out_path is None else files.enter_context(
                 replacing(out_path, "w", encoding="utf-8"))
         else:
-            append_in, append_tgt = (files.enter_context(store_writer(f"{out_path}.{part}.seqs"))
-                                     for part in ("inputs", "targets"))
+            append_in, append_tgt = (files.enter_context(store_writer(s)) for s in stores)
         if o["report"] is not None:
             report = files.enter_context(replacing(o["report"], "w", encoding="utf-8"))
         for b, s in enumerate(starts):
@@ -330,6 +355,7 @@ def cmd_sample_batches(o: dict, seed: int) -> int:
 
 def cmd_lr_curve(o: dict, seed: int) -> int:
     total, out_path = o["total"], o["out"]
+    _check_paths([("--out", out_path)], _store_files("--store", o["store"]))
     if total is None:
         if o["store"] is None:
             raise ConfigError("need --total, or --store to derive it from")

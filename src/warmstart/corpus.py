@@ -2,8 +2,8 @@
 
 Documents are split into consecutive fixed-length chunks that never cross a
 document boundary; a short final tail is kept only when it reaches min_tail.
-Sequences are persisted in a length-prefixed binary store with an optional
-side index of byte offsets for O(1) reads. Every artifact writer in
+Sequences are persisted in a length-prefixed binary store with a side index
+of byte offsets at `<store>.idx` for O(1) reads. Every artifact writer in
 warmstart opens its target through `replacing`, so a file appears only whole.
 """
 
@@ -63,23 +63,11 @@ def chunk_corpus(
         raise CorpusError(f"min_tail must be in [0, {seq_len}], got {min_tail}")
     seq_index = 0
     for doc_ordinal, doc in enumerate(docs):
-        n = len(doc)
-        full_end = (n // seq_len) * seq_len
-        for start in range(0, full_end, seq_len):
-            yield TokenSequence(
-                ids=list(doc[start : start + seq_len]),
-                source_doc=doc_ordinal,
-                seq_index=seq_index,
-            )
-            seq_index += 1
-        tail = n - full_end
-        if 0 < tail and tail >= min_tail:
-            yield TokenSequence(
-                ids=list(doc[full_end:]),
-                source_doc=doc_ordinal,
-                seq_index=seq_index,
-            )
-            seq_index += 1
+        for start in range(0, len(doc), seq_len):
+            chunk = doc[start : start + seq_len]
+            if len(chunk) >= min_tail:  # a full chunk always passes: min_tail <= seq_len
+                yield TokenSequence(ids=list(chunk), source_doc=doc_ordinal, seq_index=seq_index)
+                seq_index += 1
 
 
 def default_index_path(store_path) -> str:
@@ -111,12 +99,12 @@ def replacing(path, mode="wb", **kwargs):
 
 
 @contextmanager
-def store_writer(path, index_path=None):
+def store_writer(path):
     """Yield `append(ids)`, which streams one sequence into the store and its
     side index and returns the count so far. Both replace their targets only
     when the block succeeds; see write_store for the layout."""
     head = struct.pack("<IQ", STORE_VERSION, 0)
-    with replacing(path) as store, replacing(index_path or default_index_path(path)) as index:
+    with replacing(path) as store, replacing(default_index_path(path)) as index:
         store.write(STORE_MAGIC + head)
         index.write(INDEX_MAGIC + head)
         count = 0
@@ -136,17 +124,17 @@ def store_writer(path, index_path=None):
             f.write(struct.pack("<Q", count))
 
 
-def write_store(seqs: Iterable[TokenSequence], path, index_path=None) -> int:
+def write_store(seqs: Iterable[TokenSequence], path) -> int:
     """Stream sequences to a store file, returning the count written.
 
     Layout: "SEQS", u32 version, u64 count, then per sequence a u32 length
     followed by that many u32 ids, all little-endian. The count is patched
     into the header after streaming so the input can be a generator. A side
     index ("SEQI", version, count, u64 absolute offsets) is written next to
-    the store unless index_path is given.
+    the store, at default_index_path(path).
     """
     count = 0
-    with store_writer(path, index_path) as append:
+    with store_writer(path) as append:
         for seq in seqs:
             count = append(seq.ids)
     return count
@@ -170,18 +158,15 @@ class SequenceStoreReader:
     otherwise one walk of the length prefixes finds them on first use.
     """
 
-    def __init__(self, path, index_path=None):
+    def __init__(self, path):
         self.path = path
         with open(path, "rb") as f:
             self.count = _header_count(path, f.read(16), STORE_MAGIC, "sequence store")
             size = os.fstat(f.fileno()).st_size
             self._words = np.memmap(f, dtype="<u4", mode="r", shape=(size // 4,))
         self._starts: Optional[np.ndarray] = None  # word offset of each length prefix
-        try:
-            self._starts = self._load_index(index_path or default_index_path(path))
-        except FileNotFoundError:
-            if index_path is not None:
-                raise
+        with suppress(FileNotFoundError):
+            self._starts = self._load_index(default_index_path(path))
 
     def _load_index(self, path) -> np.ndarray:
         with open(path, "rb") as f:
@@ -235,6 +220,6 @@ class SequenceStoreReader:
         return self._words[self._word_starts()].tolist()
 
 
-def read_store(path, index: int, index_path=None) -> TokenSequence:
+def read_store(path, index: int) -> TokenSequence:
     """One-shot random read; prefer SequenceStoreReader for repeated access."""
-    return SequenceStoreReader(path, index_path=index_path).read(index)
+    return SequenceStoreReader(path).read(index)

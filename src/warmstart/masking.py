@@ -43,7 +43,7 @@ class MaskSpec:
     def __post_init__(self):
         if not 0.0 < self.rate < 1.0:
             raise MaskingError(f"rate must be in (0, 1), got {self.rate}")
-        if self.mean_span < 1.0:
+        if not self.mean_span >= 1.0:  # also rejects NaN
             raise MaskingError(f"mean_span must be at least 1, got {self.mean_span}")
 
 

@@ -31,8 +31,8 @@ class LrSchedule:
     shape: str = "linear"
 
     def __post_init__(self):
-        if self.peak <= 0:
-            raise ScheduleError(f"peak must be positive, got {self.peak}")
+        if not 0 < self.peak < math.inf:
+            raise ScheduleError(f"peak must be finite and positive, got {self.peak}")
         if not 0 < self.warmup_steps < self.total_steps:
             raise ScheduleError(
                 f"need 0 < warmup_steps < total_steps, got warmup "

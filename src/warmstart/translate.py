@@ -8,6 +8,8 @@ line-oriented file that survives byte-identical round trips.
 
 from __future__ import annotations
 
+import math
+import re
 import threading
 import time
 import unicodedata
@@ -94,6 +96,7 @@ class TranslationProvider(Protocol):
 
 _ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
 _UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+_ESCAPE_SEQUENCE = re.compile(r"\\(.?)", re.DOTALL)  # an empty group: backslash ends the field
 
 
 def _escape(field: str) -> str:
@@ -101,23 +104,16 @@ def _escape(field: str) -> str:
 
 
 def _unescape(field: str) -> str:
-    out: list[str] = []
-    i = 0
-    n = len(field)
-    while i < n:
-        ch = field[i]
-        if ch == "\\":
-            if i + 1 >= n:
-                raise CacheFormatError("dangling escape at end of field")
-            nxt = field[i + 1]
-            if nxt not in _UNESCAPES:
-                raise CacheFormatError(f"unknown escape sequence \\{nxt}")
-            out.append(_UNESCAPES[nxt])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return _ESCAPE_SEQUENCE.sub(_unescape_one, field)
+
+
+def _unescape_one(m: re.Match) -> str:
+    nxt = m.group(1)
+    if not nxt:
+        raise CacheFormatError("dangling escape at end of field")
+    if nxt not in _UNESCAPES:
+        raise CacheFormatError(f"unknown escape sequence \\{nxt}")
+    return _UNESCAPES[nxt]
 
 
 def _format_line(token: str, outcome: TranslationOutcome) -> str:
@@ -293,7 +289,7 @@ def translate_all(
         try:
             results = provider.translate_batch(batch)
         except Exception:
-            results = [TranslationOutcome(TranslationStatus.FAILED, t) for t in batch]
+            results = []  # fails like a result of the wrong length
         if len(results) != len(batch):
             results = [TranslationOutcome(TranslationStatus.FAILED, t) for t in batch]
         fixed: dict[str, TranslationOutcome] = {}
@@ -385,8 +381,11 @@ class RemoteTranslationProvider:
     ):
         if batch_size < 1:
             raise TranslationError("batch_size must be at least 1")
-        if rate_limit_per_s is not None and rate_limit_per_s <= 0:
-            raise TranslationError("rate limit must be positive")
+        if rate_limit_per_s is not None and not 0 < rate_limit_per_s < math.inf:
+            raise TranslationError(
+                f"rate limit must be finite and positive, got {rate_limit_per_s}")
+        if not 0 < timeout_ms < math.inf:
+            raise TranslationError(f"timeout_ms must be finite and positive, got {timeout_ms}")
         self.url = url
         self.source_lang = source_lang
         self.target_lang = target_lang

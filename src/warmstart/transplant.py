@@ -184,30 +184,29 @@ def transplant(
 
     translated = failed = bypassed = unk_only = 0
     pieces_total = 0
-    regular_total = 0
     marker = tgt.boundary_marker
     for t in range(tgt.size):
-        src_role = role_copy.get(t)
-        if src_role is not None:
-            out[t] = src_data[src_role]
-            continue
-        token = tgt.tokens[t]
-        normalized = normalize_token(token, marker)
-        outcome = table.get(normalized)
-        if outcome is None:
-            raise TransplantError(
-                f"no translation entry for token {token!r} (id {t}); "
-                f"run translation to completion first"
-            )
-        if outcome.ok:
-            translated += 1
-        elif needs_translation(normalized, marker):
-            failed += 1
+        if t in role_copy:
+            pieces = [role_copy[t]]
         else:
-            bypassed += 1
-        pieces = map_token(token, outcome, src)
-        if pieces == [src.unk_id]:
-            unk_only += 1
+            token = tgt.tokens[t]
+            normalized = normalize_token(token, marker)
+            outcome = table.get(normalized)
+            if outcome is None:
+                raise TransplantError(
+                    f"no translation entry for token {token!r} (id {t}); "
+                    f"run translation to completion first"
+                )
+            if outcome.ok:
+                translated += 1
+            elif needs_translation(normalized, marker):
+                failed += 1
+            else:
+                bypassed += 1
+            pieces = map_token(token, outcome, src)
+            if pieces == [src.unk_id]:
+                unk_only += 1
+            pieces_total += len(pieces)
         if len(pieces) == 1:
             out[t] = src_data[pieces[0]]
         else:
@@ -218,9 +217,8 @@ def transplant(
             for p in pieces:
                 acc += src_data[p]
             out[t] = (acc / len(pieces)).astype(np.float32)
-        pieces_total += len(pieces)
-        regular_total += 1
 
+    regular_total = tgt.size - len(role_copy)
     report = TransplantReport(
         total_tokens=tgt.size,
         translated_count=translated,

@@ -133,31 +133,20 @@ class Vocabulary:
         )
 
 
-def load_vocab(
-    path,
-    pad_id: int = 0,
-    eos_id: int = 1,
-    unk_id: int = 2,
-    sentinel_count: int = 100,
-    boundary_marker: str = DEFAULT_BOUNDARY_MARKER,
-) -> Vocabulary:
-    """Load a newline-delimited vocabulary file.
+def load_vocab(path, **layout) -> Vocabulary:
+    """Load a newline-delimited vocabulary file into a Vocabulary built with
+    the `layout` keywords (pad_id, eos_id, unk_id, sentinel_count, ...).
 
-    One token per line, id = 0-based line index. Anything after the first
+    One token per line, id = 0-based line index. Only "\\n" ends a line (a
+    "\\r" right before it is part of the ending). Anything after the first
     horizontal tab on a line is ignored, so sentencepiece-style score columns
     are accepted and discarded.
     """
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
-    tokens = [line.split("\t", 1)[0] for line in text.splitlines()]
-    return Vocabulary(
-        tokens,
-        pad_id=pad_id,
-        eos_id=eos_id,
-        unk_id=unk_id,
-        sentinel_count=sentinel_count,
-        boundary_marker=boundary_marker,
-    )
+    with open(path, encoding="utf-8", newline="") as f:
+        lines = f.read().replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":  # the final newline ends the last line; it starts none
+        lines.pop()
+    return Vocabulary([line.split("\t", 1)[0] for line in lines], **layout)
 
 
 def tokenize_greedy(vocab: Vocabulary, text: str) -> list[int]:

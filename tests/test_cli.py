@@ -302,6 +302,69 @@ class TestSampleBatches:
         assert got == [regular.read_bytes()]
 
 
+class TestNonFiniteOptions:
+    def test_nan_mean_span_is_one_error_line(self, tmp_path, corpus_store, vocab_file, capsys):
+        out = tmp_path / "b.tsv"
+        assert main([
+            "sample-batches", "--store", str(corpus_store), "--vocab", str(vocab_file),
+            "--sentinel-count", "3", "--mean-span", "nan", "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("warmstart: error: MaskingError:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("peak", ["nan", "inf"])
+    def test_non_finite_peak_is_one_error_line(self, peak, capsys):
+        assert main(["lr-curve", "--total", "100", "--warmup", "10", "--peak", peak]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("warmstart: error: ScheduleError:") and err.count("\n") == 1
+
+
+class TestOutputCollisions:
+    """Two outputs, or an output and an input, naming one file fail before
+    anything is read or written."""
+
+    @pytest.mark.parametrize("case", [
+        "out-is-report", "out-is-store", "binary-report-is-an-output-index", "report-is-cache",
+        "out-is-store-index",
+    ])
+    def test_leaves_every_file_unchanged(
+        self, case, tmp_path, vocab_file, emb_file, corpus_store, capsys
+    ):
+        x = tmp_path / "x.txt"
+        x.write_text("red\tOK\tred\n", encoding="utf-8")
+        batches = ["sample-batches", "--store", str(corpus_store), "--vocab", str(vocab_file),
+                   "--sentinel-count", "3"]
+        argv = {
+            "out-is-report": [*batches, "--out", str(x), "--report", str(x)],
+            "out-is-store": [*batches, "--out", str(corpus_store)],
+            "binary-report-is-an-output-index": [
+                *batches, "--format", "binary", "--out", str(tmp_path / "b"),
+                "--report", str(tmp_path / "b.targets.seqs.idx")],
+            "report-is-cache": [
+                "transplant", "--src-emb", str(emb_file), "--src-vocab", str(vocab_file),
+                "--tgt-vocab", str(vocab_file), "--sentinel-count", "3",
+                "--out", str(tmp_path / "o.embt"), "--report", str(x), "--cache", str(x)],
+            "out-is-store-index": [
+                "lr-curve", "--store", str(corpus_store), "--warmup", "1",
+                "--out", f"{corpus_store}.idx"],
+        }[case]
+        before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("warmstart: error: ConfigError:") and err.count("\n") == 1
+        assert "are the same file" in err
+        assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+    def test_a_target_that_is_not_a_regular_file_is_exempt(self, corpus_store, vocab_file):
+        assert main([
+            "sample-batches", "--store", str(corpus_store), "--vocab", str(vocab_file),
+            "--sentinel-count", "3", "--out", os.devnull, "--report", os.devnull,
+        ]) == 0
+
+
 class TestLrCurve:
     def test_csv_written(self, tmp_path):
         out = tmp_path / "curve.csv"

@@ -112,11 +112,6 @@ class TestStore:
         reader = SequenceStoreReader(path)
         assert reader.read(1).ids == [9]
 
-    def test_missing_explicit_index_is_an_error(self, tmp_path):
-        path = self._write(tmp_path, [[1]])
-        with pytest.raises(FileNotFoundError):
-            SequenceStoreReader(path, index_path=tmp_path / "nope.idx")
-
     def test_corrupt_magic(self, tmp_path):
         path = tmp_path / "c.seqs"
         path.write_bytes(b"XXXX" + b"\x00" * 12)

@@ -10,6 +10,7 @@ from warmstart.translate import (
     DictionaryProvider,
     IdentityProvider,
     RemoteTranslationProvider,
+    TranslationError,
     TranslationOutcome,
     TranslationStatus,
     TranslationTable,
@@ -158,6 +159,21 @@ class TestLookupOrFetch:
 
 
 class TestTranslateAll:
+    def test_result_of_the_wrong_length_degrades_to_identity(self):
+        class Short:
+            name = "short"
+            max_in_flight = 2
+
+            def translate_batch(self, texts):
+                return [TranslationOutcome(TranslationStatus.TRANSLATED, "x")]
+
+        table = TranslationTable()
+        translate_all(table, Short(), ["▁doktor", "▁hus"])
+        assert table.items() == [
+            ("doktor", TranslationOutcome(TranslationStatus.FAILED, "doktor")),
+            ("hus", TranslationOutcome(TranslationStatus.FAILED, "hus")),
+        ]
+
     def test_dedupes_normalized_tokens(self):
         table = TranslationTable()
         provider = CountingProvider({"go": "go!"})
@@ -241,6 +257,17 @@ class TestCacheFile:
         path.write_text("tok\tMAYBE\ttext\n", encoding="utf-8")
         with pytest.raises(CacheFormatError):
             TranslationTable.load(path)
+
+    @pytest.mark.parametrize("field, message", [
+        ("bad\\q", "unknown escape sequence \\q"),
+        ("bad\\", "dangling escape at end of field"),
+    ])
+    def test_bad_escape_messages(self, tmp_path, field, message):
+        path = tmp_path / "cache.tsv"
+        path.write_text(f"tok\tOK\t{field}\n", encoding="utf-8")
+        with pytest.raises(CacheFormatError) as exc:
+            TranslationTable.load(path)
+        assert str(exc.value) == message
 
     def test_bad_escape_rejected(self, tmp_path):
         path = tmp_path / "cache.tsv"
@@ -352,6 +379,23 @@ class TestRemoteProvider:
         p, _ = self._provider(post, batch_size=3)
         p.translate_batch([f"w{i}" for i in range(7)])
         assert sizes == [3, 3, 1]
+
+    @pytest.mark.parametrize("kw", [
+        {"timeout_ms": 0}, {"timeout_ms": -5}, {"timeout_ms": float("nan")},
+        {"rate_limit_per_s": float("nan")}, {"rate_limit_per_s": float("inf")},
+        {"rate_limit_per_s": 0.0},
+    ])
+    def test_bad_timeout_or_rate_limit_rejected_before_any_request(self, kw):
+        calls = []
+
+        def post(url, json, timeout):
+            calls.append(timeout)
+            return {"translations": json["texts"]}
+
+        with pytest.raises(TranslationError) as exc:
+            self._provider(post, **kw)[0].translate_batch(["doktor"])
+        assert "must be finite and positive" in str(exc.value)
+        assert calls == []
 
     def test_payload_carries_languages(self):
         payloads = []

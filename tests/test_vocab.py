@@ -65,6 +65,25 @@ class TestLoadVocab:
         v = load_vocab(path, sentinel_count=0)
         assert v.tokens[3] == "tor"
 
+    @pytest.mark.parametrize(
+        "ch", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_newline_ends_a_line(self, tmp_path, ch):
+        path = tmp_path / "v.txt"
+        path.write_bytes(f"<pad>\n</s>\n<unk>\nx{ch}y\nz\n".encode())
+        assert load_vocab(path, sentinel_count=0).tokens == (
+            "<pad>", "</s>", "<unk>", f"x{ch}y", "z")
+
+    @pytest.mark.parametrize("final", ["\n", ""])
+    def test_crlf_file_loads_like_its_lf_twin(self, tmp_path, final):
+        tokens = ["<pad>", "</s>", "<unk>", "", "▁go", "tor\t-3.2"]
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        lf.write_bytes(("\n".join(tokens) + final).encode())
+        crlf.write_bytes(("\r\n".join(tokens) + final.replace("\n", "\r\n")).encode())
+        expected = ("<pad>", "</s>", "<unk>", "", "▁go", "tor")
+        assert load_vocab(lf, sentinel_count=0).tokens == expected
+        assert load_vocab(crlf, sentinel_count=0).tokens == expected
+
     def test_duplicate_line_rejected(self, tmp_path):
         path = write_vocab_file(
             tmp_path / "v.txt", ["<pad>", "</s>", "<unk>", "▁go", "▁go"]
