@@ -15,13 +15,19 @@ import json
 import math
 import os
 import sys
-from contextlib import ExitStack
+from collections import deque
+from contextlib import ExitStack, closing
 from fractions import Fraction
+from itertools import chain, islice, pairwise
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
-from .batcher import assemble, padding_stats, plan_accumulation
+# assemble and make_example are not called here; bench/layertrace.py patches
+# them on this module by name.
+from .batcher import assemble, padding_stats, plan_accumulation  # noqa: F401
 from .config import (
     ConfigError,
     Option,
@@ -30,11 +36,13 @@ from .config import (
     parse_config_file,
     resolve_options,
     resolve_seed,
+    resolve_workers,
+    run_log_path,
 )
-from .corpus import (SequenceStoreReader, chunk_corpus, default_index_path, replacing,
-                     store_writer, write_store)
+from .corpus import (SequenceStoreReader, chunk_corpus, default_index_path, is_special_file,
+                     replacing, store_writer, write_store)
 from .errors import WarmstartError
-from .masking import MaskKey, MaskMode, MaskSpec, make_example
+from .masking import MaskMode, MaskSpec, corrupt_batch, make_example  # noqa: F401
 from .memplan import (
     HardwareSpec,
     MemoryReport,
@@ -62,17 +70,17 @@ def _require(value, flag: str):
     return value
 
 
-def _check_paths(outputs, inputs) -> None:
+def _check_paths(o: dict, outputs, inputs) -> None:
     """Fail in one line when two outputs, or an output and an input, are one
-    file. Each entry is (flag, path or None). An existing target that is not
-    a regular file, such as a FIFO, is exempt: it is written directly."""
+    file. Each entry is (flag, path or None); the run log counts as an
+    output. An existing target that is not a regular file, such as a FIFO or
+    a pipe, is exempt: it is written directly."""
+    outputs = [*outputs, ("--run-log", o["run_log"])]
     written: dict[str, str] = {}
     for n, (flag, path) in enumerate([*outputs, *inputs]):
-        if path is None:
+        if path is None or is_special_file(path):
             continue
         real = os.path.realpath(path)
-        if os.path.exists(real) and not os.path.isfile(real):
-            continue
         if real in written:
             raise ConfigError(f"{written[real]} and {flag} are the same file: {path}")
         if n < len(outputs):  # inputs may share a file with each other
@@ -205,7 +213,7 @@ def _load_vocab(path, o: dict) -> Vocabulary:
 
 def cmd_transplant(o: dict, seed: int) -> int:
     cache_path = o["cache"]
-    _check_paths([("--out", o["out"]), ("--report", o["report"]), ("--cache", cache_path)],
+    _check_paths(o, [("--out", o["out"]), ("--report", o["report"]), ("--cache", cache_path)],
                  [("--src-emb", o["src_emb"]), ("--src-vocab", o["src_vocab"]),
                   ("--tgt-vocab", o["tgt_vocab"]), ("--dict-file", o["dict_file"])])
     src = _load_vocab(o["src_vocab"], o)
@@ -273,7 +281,8 @@ def _read_documents(input_path, vocab: Vocabulary):
 
 def cmd_prepare_corpus(o: dict, seed: int) -> int:
     seq_len, min_tail = o["seq_len"], o["min_tail"]
-    _check_paths(_store_files("--out", o["out"]), [("--vocab", o["vocab"]), ("--in", o["input"])])
+    _check_paths(o, _store_files("--out", o["out"]),
+                 [("--vocab", o["vocab"]), ("--in", o["input"])])
     vocab = _load_vocab(o["vocab"], o)
     seqs = chunk_corpus(_read_documents(o["input"], vocab), seq_len, min_tail)
     total = 0
@@ -289,15 +298,119 @@ def cmd_prepare_corpus(o: dict, seed: int) -> int:
     return 0
 
 
+RUN_SEQUENCES = 256  # about this many sequences go to a worker at a time
+
+
+class _Decimals:
+    """Ids as decimal text, encoded a whole micro-batch at a time.
+
+    Row i of the table holds the digits of i and a space, zero-padded to
+    one width, and the mask row marks the bytes in use. Both are built once,
+    arithmetically, and viewed as one opaque item per row, so encoding is
+    a gather and a masked select over flat arrays.
+    """
+
+    def __init__(self, size: int):
+        ids = np.arange(size)
+        width = len(str(size - 1)) + 1
+        table = np.zeros((size, width), dtype=np.uint8)
+        self._widths = np.empty(size, dtype=np.int64)
+        for n in range(1, width):  # the ids of n digits are one range
+            lo, hi = 10 ** (n - 1) if n > 1 else 0, min(10**n, size)
+            for k in range(n):  # the k-th digit from the right
+                table[lo:hi, n - 1 - k] = ord("0") + ids[lo:hi] // 10**k % 10
+            table[lo:hi, n] = ord(" ")
+            self._widths[lo:hi] = n + 1
+        used = np.arange(width) < self._widths[:, None]
+        self._table = table.view(f"V{width}").ravel()
+        self._used = used.view(f"V{width}").ravel()
+
+    def rows(self, ids, lengths, end: str) -> tuple[str, list[int]]:
+        """Each row's ids separated by spaces and closed by `end`, as one
+        string, and the offset in it where each row ends."""
+        text = self._table[ids].view(np.uint8)[self._used[ids].view(bool)]
+        ends = np.cumsum(self._widths[ids])[np.cumsum(lengths) - 1]
+        text[ends - 1] = ord(end)
+        return text.tobytes().decode("ascii"), ends.tolist()
+
+    def lines(self, indices, batch) -> str:
+        """`index TAB input ids TAB target ids` per row, each byte as
+        ' '.join(map(str, ids)) would give it."""
+        inputs, in_ends = self.rows(batch.inputs, batch.input_lengths, "\t")
+        targets, tgt_ends = self.rows(batch.targets, batch.target_lengths, "\n")
+        lines, i0, t0 = [], 0, 0
+        for index, i1, t1 in zip(indices, in_ends, tgt_ends):
+            lines.append(f"{index}\t{inputs[i0:i1]}{targets[t0:t1]}")
+            i0, t0 = i1, t1
+        return "".join(lines)
+
+
+_worker_fn = None
+
+
+def _set_worker_fn(fn) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call_worker_fn(item):
+    return _worker_fn(item)
+
+
+def _ordered_map(fn, items: list, workers: int):
+    """fn(item) for each item, yielded in order.
+
+    The first item runs in this process before any worker starts, so its
+    result can be written at once. The rest run on `workers` forked
+    processes, no more than there are items left, with at most two items
+    per worker in flight. With one worker, on a platform without fork, or
+    in a process that runs other threads, they run here. Workers inherit
+    `fn` through fork, so only items and results are pickled. multiprocessing
+    flushes stdout and stderr before it forks, and a worker exits without
+    flushing its copies of other open files, so no buffered output is
+    written twice.
+    """
+    if not items:
+        return
+    yield fn(items[0])
+    rest = items[1:]
+    workers = min(workers, len(rest))
+    if workers > 1:
+        import multiprocessing
+        import threading
+
+        # A forked child holds only the thread that forked it, so fork only
+        # from a process that has no other.
+        if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+            workers = 1
+    if workers <= 1:
+        yield from map(fn, rest)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=_set_worker_fn, initargs=(fn,))
+    try:
+        todo = iter(rest)
+        pending = deque(pool.submit(_call_worker_fn, item) for item in islice(todo, 2 * workers))
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(_call_worker_fn, item) for item in islice(todo, 1))
+            yield result
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cmd_sample_batches(o: dict, seed: int) -> int:
-    epoch, micro, out_path = o["epoch"], o["micro_batch"], o["out"]
+    epoch, micro, out_path, report_path = o["epoch"], o["micro_batch"], o["out"], o["report"]
     text = o["format"] == "text"
     if not text and out_path is None:
         raise ConfigError("--out is required with --format binary")
     stores = [] if text else [f"{out_path}.{part}.seqs" for part in ("inputs", "targets")]
     outputs = [("--out", out_path)] if text else _store_files("--out", *stores)
-    _check_paths(outputs + [("--report", o["report"])],
+    _check_paths(o, outputs + [("--report", report_path)],
                  _store_files("--store", o["store"]) + [("--vocab", o["vocab"])])
+    workers = resolve_workers()
 
     vocab = _load_vocab(o["vocab"], o)
     spec = MaskSpec(rate=o["rate"], mean_span=o["mean_span"], mode=MaskMode(o["mode"]))
@@ -307,10 +420,39 @@ def cmd_sample_batches(o: dict, seed: int) -> int:
     order = range(reader.count)
     if o["sort_by_length"]:
         order = sorted(order, key=reader.lengths().__getitem__)  # stable: ties keep store order
+    decimals = _Decimals(vocab.size) if text else None
 
-    # One micro-batch at a time: read, mask, assemble, report, emit. Files
-    # replace their targets only once the whole epoch has succeeded.
-    starts = range(0, len(order), micro)
+    def render(b):
+        """Micro-batch b: its text or rows, report line, real and total cells."""
+        indices = order[b * micro : (b + 1) * micro]
+        batch = corrupt_batch(reader, indices, spec, seed, epoch, vocab)
+        stats = padding_stats(batch)
+        line = None if report_path is None else (
+            f"batch={b} rows={batch.rows} width_in={batch.width_in} "
+            f"width_tgt={batch.width_tgt} input_eff={stats.input_efficiency} "
+            f"target_eff={stats.target_efficiency} combined={stats.combined}\n")
+        return (decimals.lines(indices, batch) if text else batch, line,
+                sum(batch.input_lengths) + sum(batch.target_lengths),
+                batch.rows * (batch.width_in + batch.width_tgt))
+
+    def render_run(run: range) -> list:
+        """The micro-batches of a run; a failed one ends the list with its error."""
+        done = []
+        for b in run:
+            try:
+                done.append(render(b))
+            except (WarmstartError, OSError) as e:
+                done.append(e)
+                break
+        reader.release()
+        return done
+
+    # Micro-batch 0 alone, then runs of about RUN_SEQUENCES sequences, are
+    # rendered in order and written here as they come. Files replace their
+    # targets only once the whole epoch has succeeded.
+    batches = math.ceil(len(order) / micro)
+    runs = [range(lo, hi) for lo, hi in
+            pairwise([0, *range(1, batches, max(1, RUN_SEQUENCES // micro)), batches])]
     real_cells = total_cells = 0
     with ExitStack() as files:
         if text:
@@ -318,27 +460,23 @@ def cmd_sample_batches(o: dict, seed: int) -> int:
                 replacing(out_path, "w", encoding="utf-8"))
         else:
             append_in, append_tgt = (files.enter_context(store_writer(s)) for s in stores)
-        if o["report"] is not None:
-            report = files.enter_context(replacing(o["report"], "w", encoding="utf-8"))
-        for b, s in enumerate(starts):
-            indices = order[s : s + micro]
-            examples = [make_example(reader.read(i), spec, MaskKey(seed, epoch, i), vocab)
-                        for i in indices]
-            batch = assemble(examples, micro, vocab.pad_id)
-            stats = padding_stats(batch)
-            real_cells += sum(batch.input_lengths) + sum(batch.target_lengths)
-            total_cells += batch.rows * (batch.width_in + batch.width_tgt)
-            if o["report"] is not None:
-                report.write(f"batch={b} rows={batch.rows} width_in={batch.width_in} "
-                             f"width_tgt={batch.width_tgt} input_eff={stats.input_efficiency} "
-                             f"target_eff={stats.target_efficiency} combined={stats.combined}\n")
-            for i, ex in zip(indices, examples):
-                if text:
-                    out.write(f"{i}\t{' '.join(map(str, ex.input_ids))}\t"
-                              f"{' '.join(map(str, ex.target_ids))}\n")
-                else:
+        if report_path is not None:
+            report = files.enter_context(replacing(report_path, "w", encoding="utf-8"))
+        results = files.enter_context(closing(_ordered_map(render_run, runs, workers)))
+        for result in chain.from_iterable(results):
+            if isinstance(result, Exception):
+                raise result
+            rows, line, real, total = result
+            if line is not None:
+                report.write(line)
+            if text:
+                out.write(rows)
+            else:
+                for ex in rows.examples():
                     append_in(ex.input_ids)
                     append_tgt(ex.target_ids)
+            real_cells += real
+            total_cells += total
 
     overall = Fraction(real_cells, total_cells) if total_cells else None
     print(
@@ -346,7 +484,7 @@ def cmd_sample_batches(o: dict, seed: int) -> int:
         f"effective={plan.effective_batch}"
     )
     print(
-        f"batches={len(starts)} sequences={len(order)} epoch={epoch} "
+        f"batches={batches} sequences={len(order)} epoch={epoch} "
         f"mode={spec.mode.value} seed={seed}"
         + ("" if overall is None else f" efficiency={float(overall):.4f}")
     )
@@ -355,7 +493,7 @@ def cmd_sample_batches(o: dict, seed: int) -> int:
 
 def cmd_lr_curve(o: dict, seed: int) -> int:
     total, out_path = o["total"], o["out"]
-    _check_paths([("--out", out_path)], _store_files("--store", o["store"]))
+    _check_paths(o, [("--out", out_path)], _store_files("--store", o["store"]))
     if total is None:
         if o["store"] is None:
             raise ConfigError("need --total, or --store to derive it from")
@@ -459,6 +597,7 @@ def cmd_memplan(o: dict, seed: int) -> int:
 
 
 def cmd_stats(o: dict, seed: int) -> int:
+    _check_paths(o, [], _store_files("--store", o["store"]))
     reader = SequenceStoreReader(o["store"])
     lengths = reader.lengths()
     print(f"sequences={reader.count}")
@@ -529,8 +668,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = {} if args.config is None else parse_config_file(args.config, CONFIG_KEYS)
         seed = resolve_seed(args.seed, cfg)
         values = resolve_options(args.options, args, cfg)
-        code = args.func(values, seed)
-        append_run_log(args.subcommand, values, seed, path=args.run_log)
+        run_log = run_log_path(args.run_log)
+        # Commands check the run log against their own files; it is not
+        # part of the configuration the log hashes.
+        code = args.func({**values, "run_log": run_log}, seed)
+        append_run_log(args.subcommand, values, seed, path=run_log)
         return code
     except (WarmstartError, OSError) as e:
         print(f"warmstart: error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -19,7 +19,9 @@ from .errors import WarmstartError
 
 RUN_LOG_ENV = "WARMSTART_RUN_LOG"
 SEED_ENV = "WARMSTART_SEED"
+WORKERS_ENV = "WARMSTART_WORKERS"
 DEFAULT_RUN_LOG = "warmstart-runs.log"
+MAX_WORKERS = 8
 
 
 class ConfigError(WarmstartError):
@@ -130,6 +132,30 @@ def resolve_seed(flag_value: Optional[int], config: dict[str, str]) -> int:
     return 0
 
 
+def resolve_workers() -> int:
+    """Worker processes a command may use: WARMSTART_WORKERS, else the CPUs
+    this process may run on, and at most MAX_WORKERS either way. Outputs do
+    not depend on it, so it stays out of the run log."""
+    env = os.environ.get(WORKERS_ENV)
+    if env is None:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        return min(cpus or 1, MAX_WORKERS)
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV}={env!r} is not a positive integer")
+    return min(workers, MAX_WORKERS)
+
+
+def run_log_path(flag_value=None) -> str:
+    """Run-log precedence: --run-log, WARMSTART_RUN_LOG, ./warmstart-runs.log."""
+    if flag_value is not None:
+        return flag_value
+    return os.environ.get(RUN_LOG_ENV, DEFAULT_RUN_LOG)
+
+
 def config_hash(values: dict[str, object]) -> str:
     """Order-independent digest of the effective configuration."""
     lines = [f"{k}={values[k]!r}" for k in sorted(values)]
@@ -144,8 +170,7 @@ def append_run_log(subcommand: str, values: dict[str, object], seed: int, path=N
 
     Logging failures never fail the run; the log is best-effort bookkeeping.
     """
-    if path is None:
-        path = os.environ.get(RUN_LOG_ENV, DEFAULT_RUN_LOG)
+    path = run_log_path(path)
     from . import __version__
 
     record = "\t".join(

@@ -9,8 +9,10 @@ warmstart opens its target through `replacing`, so a file appears only whole.
 
 from __future__ import annotations
 
+import mmap
 import os
 import shutil
+import stat
 import struct
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -74,18 +76,28 @@ def default_index_path(store_path) -> str:
     return str(store_path) + ".idx"
 
 
+def is_special_file(path) -> bool:
+    """True when `path` exists and is not a regular file: a FIFO, a pipe such
+    as /dev/stdout in a pipeline, or a character device. The unresolved path
+    is stat-ed, since a pipe's /proc link does not resolve to a path."""
+    try:
+        return not stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:
+        return False
+
+
 @contextmanager
 def replacing(path, mode="wb", **kwargs):
     """Open a temp file beside `path` that replaces it only when the block
     succeeds. The temp file takes an existing target's permission bits
-    before anything is written to it. A target that exists but is not a
-    regular file, such as a FIFO, is opened directly. A symlink is followed,
-    not replaced."""
-    path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
+    before anything is written to it. A target that is not a regular file
+    (see is_special_file) is opened directly. A symlink is followed, not
+    replaced."""
+    if is_special_file(path):
         with open(path, mode, **kwargs) as f:
             yield f
         return
+    path = os.path.realpath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, **kwargs) as f:
@@ -152,6 +164,8 @@ def _header_count(path, header: bytes, magic: bytes, kind: str) -> int:
 
 class SequenceStoreReader:
     """Random and sequential access to a store file, mapped once as u32 words.
+    Every read copies its ids out of the mapping, so release() can drop the
+    mapped pages between reads.
 
     Sequence offsets come from the side index when present, checked to chain
     from the first record through each length prefix to inside the file;
@@ -162,8 +176,8 @@ class SequenceStoreReader:
         self.path = path
         with open(path, "rb") as f:
             self.count = _header_count(path, f.read(16), STORE_MAGIC, "sequence store")
-            size = os.fstat(f.fileno()).st_size
-            self._words = np.memmap(f, dtype="<u4", mode="r", shape=(size // 4,))
+            self._map = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        self._words = np.frombuffer(self._map, dtype="<u4", count=len(self._map) // 4)
         self._starts: Optional[np.ndarray] = None  # word offset of each length prefix
         with suppress(FileNotFoundError):
             self._starts = self._load_index(default_index_path(path))
@@ -208,6 +222,26 @@ class SequenceStoreReader:
         w = int(self._word_starts()[index]) + 1
         ids = self._words[w : w + int(self._words[w - 1])].tolist()
         return TokenSequence(ids=ids, seq_index=index)
+
+    def gather(self, indices) -> tuple[np.ndarray, np.ndarray]:
+        """The ids of the given sequences, concatenated in that order, and
+        each one's length: one gather from the mapped words, no objects per
+        sequence."""
+        indices = np.asarray(indices, dtype=np.int64)
+        if len(indices) and not (indices.min() >= 0 and indices.max() < self.count):
+            raise IndexError(f"sequence index out of range (count={self.count})")
+        starts = self._word_starts()[indices].astype(np.int64) + 1
+        lengths = self._words[starts - 1].astype(np.int64)
+        skips = starts - (np.cumsum(lengths) - lengths)  # word offset minus output offset
+        return self._words[np.arange(lengths.sum()) + np.repeat(skips, lengths)], lengths
+
+    def release(self) -> None:
+        """Unmap the pages this process has read; the page cache keeps them
+        and later reads map them back in. Called after each run of reads, it
+        keeps earlier runs' pages from staying resident, or being counted
+        again in every worker forked later."""
+        if hasattr(mmap, "MADV_DONTNEED"):
+            self._map.madvise(mmap.MADV_DONTNEED)
 
     def __iter__(self) -> Iterator[TokenSequence]:
         return (self.read(i) for i in range(self.count))

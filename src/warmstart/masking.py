@@ -6,6 +6,10 @@ round(rate * len) tokens are masked (clamped to [1, len-1]); SPAN mode
 groups them into runs averaging mean_span tokens, IID mode masks single
 tokens. Masked runs become sentinels in the input; the target lists each
 sentinel with its original tokens, then a closing sentinel and eos.
+
+make_example corrupts one sequence and is the reference; corrupt_batch gives
+the same rows for a whole micro-batch, built with index arithmetic over flat
+arrays.
 """
 
 from __future__ import annotations
@@ -15,8 +19,12 @@ import random
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+from typing import Iterator, Sequence
 
-from .corpus import TokenSequence
+import numpy as np
+
+from .corpus import SequenceStoreReader, StoreFormatError, TokenSequence
 from .errors import WarmstartError
 from .vocab import Vocabulary
 
@@ -142,6 +150,14 @@ def _validate_spans(spans: list[tuple[int, int]], length: int) -> None:
         prev_end = end
 
 
+def _check_sentinel_budget(num_spans: int, vocab: Vocabulary) -> None:
+    if num_spans + 1 > vocab.sentinel_count:
+        raise SentinelBudgetError(
+            f"{num_spans} spans need {num_spans + 1} sentinels but the "
+            f"vocabulary reserves only {vocab.sentinel_count}"
+        )
+
+
 def apply_span_corruption(
     seq: TokenSequence, spans: list[tuple[int, int]], vocab: Vocabulary
 ) -> MaskedExample:
@@ -153,11 +169,7 @@ def apply_span_corruption(
     """
     ids = seq.ids
     _validate_spans(spans, len(ids))
-    if len(spans) + 1 > vocab.sentinel_count:
-        raise SentinelBudgetError(
-            f"{len(spans)} spans need {len(spans) + 1} sentinels but the "
-            f"vocabulary reserves only {vocab.sentinel_count}"
-        )
+    _check_sentinel_budget(len(spans), vocab)
     input_ids: list[int] = []
     target_ids: list[int] = []
     pos = 0
@@ -181,3 +193,100 @@ def make_example(
     """Draw the mask for (spec, key) and corrupt the sequence with it."""
     spans = draw_mask(len(seq.ids), spec, key)
     return apply_span_corruption(seq, spans, vocab)
+
+
+@dataclass(frozen=True)
+class CorruptedBatch:
+    """The corrupted rows of one micro-batch as two flat id arrays.
+
+    Row r's input is the input_lengths[r] ids of `inputs` that follow the
+    rows before it, and likewise for its target. The lengths alone give what
+    batcher.padding_stats reads: rows and the dynamically padded widths.
+    """
+
+    inputs: np.ndarray
+    input_lengths: list[int]
+    targets: np.ndarray
+    target_lengths: list[int]
+
+    @property
+    def rows(self) -> int:
+        return len(self.input_lengths)
+
+    @property
+    def width_in(self) -> int:
+        return max(self.input_lengths)
+
+    @property
+    def width_tgt(self) -> int:
+        return max(self.target_lengths)
+
+    def examples(self) -> Iterator[MaskedExample]:
+        i = t = 0
+        for n_in, n_tgt in zip(self.input_lengths, self.target_lengths):
+            yield MaskedExample(self.inputs[i : i + n_in].tolist(),
+                                self.targets[t : t + n_tgt].tolist())
+            i, t = i + n_in, t + n_tgt
+
+
+def corrupt_batch(
+    reader: SequenceStoreReader, indices: Sequence[int], spec: MaskSpec, seed: int, epoch: int,
+    vocab: Vocabulary,
+) -> CorruptedBatch:
+    """make_example for each stored sequence in `indices`, as one batch.
+
+    Each row's mask comes from draw_mask and is checked as in
+    apply_span_corruption, so a row fails with the same error; an id
+    outside the vocabulary fails first. The rows are then laid end to end,
+    each followed by two slots (closing sentinel, eos), and both sides are
+    cut out of that layout with masks.
+    """
+    if not len(indices):
+        raise MaskingError("a batch needs at least one sequence")
+    tokens, lengths = reader.gather(indices)
+    if len(tokens) and tokens.max() >= vocab.size:
+        bad = int(np.argmax(tokens >= vocab.size))
+        row = int(np.searchsorted(np.cumsum(lengths), bad, side="right"))
+        raise StoreFormatError(f"{reader.path}: sequence {indices[row]} holds id "
+                               f"{tokens[bad]}, outside a vocabulary of {vocab.size}")
+    spans: list[tuple[int, int]] = []
+    counts = []
+    for i, n in zip(indices, lengths.tolist()):
+        row_spans = draw_mask(n, spec, MaskKey(seed, epoch, i))
+        _validate_spans(row_spans, n)
+        _check_sentinel_budget(len(row_spans), vocab)
+        spans.extend(row_spans)
+        counts.append(len(row_spans))
+
+    counts = np.array(counts)
+    first_span = np.cumsum(counts) - counts
+    span = np.fromiter(chain.from_iterable(spans), np.int64, 2 * len(spans)).reshape(-1, 2)
+    row_ends = np.cumsum(lengths)
+    layout = np.insert(tokens.astype(np.int64), np.repeat(row_ends, 2),
+                       np.tile([vocab.size - vocab.sentinel_count, vocab.eos_id], len(lengths)))
+    close = row_ends + 2 * np.arange(len(lengths))  # each row's closing-sentinel slot
+    base = close - lengths
+    starts = span[:, 0] + np.repeat(base, counts)
+    ends = span[:, 1] + np.repeat(base, counts)
+    sentinels = vocab.size - 1 - (np.arange(len(span)) - np.repeat(first_span, counts))
+    edges = np.zeros(len(layout) + 1, dtype=np.int8)
+    edges[starts] = 1
+    edges[ends + 1] = -1  # spans are non-adjacent, so no start shares this slot
+    masked = np.cumsum(edges[:-1]) > 0
+
+    keep_in = ~masked
+    keep_in[starts] = True
+    keep_in[close] = False
+    inputs = layout.copy()
+    inputs[starts] = sentinels
+    keep_tgt = masked
+    keep_tgt[close] = keep_tgt[close + 1] = True
+    targets = np.insert(layout[keep_tgt], np.cumsum(keep_tgt)[starts] - 1, sentinels)
+
+    num_masked = np.add.reduceat(span[:, 1] - span[:, 0] + 1, first_span)
+    return CorruptedBatch(
+        inputs=inputs[keep_in],
+        input_lengths=(lengths - num_masked + counts + 1).tolist(),
+        targets=targets,
+        target_lengths=(num_masked + counts + 2).tolist(),
+    )

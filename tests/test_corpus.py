@@ -94,6 +94,27 @@ class TestStore:
         with pytest.raises(IndexError):
             read_store(path, 3)
 
+    @pytest.mark.parametrize("indices", [[0, 1, 2], [1, 2], [2, 0, 2], []])
+    def test_gather_is_the_reads_concatenated(self, tmp_path, indices):
+        reader = SequenceStoreReader(self._write(tmp_path, [[1, 2, 3], [4, 5], [6]]))
+        ids, lengths = reader.gather(indices)
+        assert ids.tolist() == [t for i in indices for t in reader.read(i).ids]
+        assert lengths.tolist() == [len(reader.read(i)) for i in indices]
+
+    def test_reads_after_release_are_unchanged(self, tmp_path):
+        reader = SequenceStoreReader(self._write(tmp_path, [[1, 2, 3], [4, 5], [6]]))
+        ids, _ = reader.gather([2, 0])
+        reader.release()
+        assert ids.tolist() == [6, 1, 2, 3]
+        assert reader.gather([2, 0])[0].tolist() == [6, 1, 2, 3]
+        assert [s.ids for s in reader] == [[1, 2, 3], [4, 5], [6]]
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_gather_out_of_range(self, tmp_path, index):
+        reader = SequenceStoreReader(self._write(tmp_path, [[1], [2], [3]]))
+        with pytest.raises(IndexError):
+            reader.gather([0, index])
+
     def test_empty_store_readable(self, tmp_path):
         path = self._write(tmp_path, [])
         reader = SequenceStoreReader(path)

@@ -11,10 +11,13 @@ import argparse
 import contextlib
 import hashlib
 import io
+import random
 
 import numpy as np
+import pytest
 
 from warmstart.cli import build_parser, main
+from warmstart.corpus import TokenSequence, write_store
 from warmstart.transplant import EmbeddingMatrix, write_embeddings
 
 from conftest import write_vocab_file
@@ -48,15 +51,7 @@ def collect_digests(tmp) -> dict[str, str]:
     single.write_text("red blue green\n\nsun moon salt iron pine red blue", encoding="utf-8")
 
     digests: dict[str, str] = {}
-
-    def run(name, argv, files=()):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = main([str(a) for a in argv])
-        assert code == 0, f"{name} exited {code}"
-        digests[f"{name}:stdout"] = _sha(buf.getvalue().replace(str(tmp), "<tmp>").encode())
-        for f in files:
-            digests[f"{name}:{f.name}"] = _sha(f.read_bytes())
+    run = _runner(tmp, digests)
 
     store = tmp / "corpus.seqs"
     run("prepare-corpus", [
@@ -88,6 +83,7 @@ def collect_digests(tmp) -> dict[str, str]:
     run("sample-stdout-iid-sorted", [
         *base, "--mode", "iid", "--rate", 0.3, "--sort-by-length",
     ])
+    _sample_big_store(tmp, vocab, run)
 
     out = tmp / "identity.embt"
     run("transplant-identity", [
@@ -135,6 +131,44 @@ def collect_digests(tmp) -> dict[str, str]:
     return digests
 
 
+def _runner(tmp, digests):
+    def run(name, argv, files=()):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main([str(a) for a in argv])
+        assert code == 0, f"{name} exited {code}"
+        digests[f"{name}:stdout"] = _sha(buf.getvalue().replace(str(tmp), "<tmp>").encode())
+        for f in files:
+            digests[f"{name}:{f.name}"] = _sha(f.read_bytes())
+
+    return run
+
+
+def write_big_store(path, count=320):
+    """Sequences of 2 to 40 regular ids: enough micro-batches of 2 to make
+    several runs for workers, and lengths that vary for --sort-by-length."""
+    rng = random.Random(8)
+    write_store((TokenSequence([rng.randint(3, 10) for _ in range(rng.randint(2, 40))])
+                 for _ in range(count)), path)
+    return path
+
+
+def _sample_big_store(tmp, vocab, run):
+    store = write_big_store(tmp / "big.seqs")
+    base = [
+        "sample-batches", "--store", store, "--vocab", vocab, "--seed", 9,
+        "--micro-batch", 2, "--effective-batch", 8, "--sentinel-count", 3,
+    ]
+    text, report = tmp / "big.tsv", tmp / "big.eff"
+    run("sample-big-text", [*base, "--out", text, "--report", report], [text, report])
+    run("sample-big-stdout", base)
+    out = tmp / "bigbin"
+    run("sample-big-binary", [*base, "--format", "binary", "--out", out], [
+        tmp / f"bigbin.{part}" for part in (
+            "inputs.seqs", "inputs.seqs.idx", "targets.seqs", "targets.seqs.idx")])
+    run("sample-big-sorted", [*base, "--sort-by-length", "--report", report], [report])
+
+
 GOLDEN = {
     'prepare-corpus:stdout': '097f754a45b0e61d0c619b5f7ca5f60fbf1afe0a764310d02f381422b1b219c6',
     'prepare-corpus:corpus.seqs': 'c348c85930b98887d4b58782778987f05795f5bc32f7c01715043a03869bdede',
@@ -159,6 +193,17 @@ GOLDEN = {
     'sample-binary-e1:bin1.targets.seqs': '6c03aa71db9bf624f1c09787177e4fbf1cfe3c7fdf9e56c75f8202e5ab777af0',
     'sample-binary-e1:bin1.targets.seqs.idx': '03dce5ae621defab08b925e7a0443ab7c2be165274ea201c82cf8042c6907b34',
     'sample-stdout-iid-sorted:stdout': 'a24e1fc2e18345d3c905df2d86de78d6e6bf67353ccef659ebecc5403df23525',
+    'sample-big-text:stdout': '3afa6663d66c0a649720dc074cd6b4374bbfb7ea860b9a761443eed8ab7def10',
+    'sample-big-text:big.tsv': 'fbecfa146d3c165839cc77ef1d8f220476c06b6cef2cf054ca84d7e4c40bf986',
+    'sample-big-text:big.eff': '51f4d0ebfe1eeef4339a8bad9f0969296e901f50fdcc4857c7cf0e16b147f151',
+    'sample-big-stdout:stdout': '1ddc0c4b9ecf11d4e8765c3f9190190079d6d20a3803f642d6cdbb1ea68acf06',
+    'sample-big-binary:stdout': '3afa6663d66c0a649720dc074cd6b4374bbfb7ea860b9a761443eed8ab7def10',
+    'sample-big-binary:bigbin.inputs.seqs': '0c43601db96b1a2eede9e5f699b7e0109f4cb0358f8076926e034463314d5e67',
+    'sample-big-binary:bigbin.inputs.seqs.idx': '34e494a0fae1fd59c27622971f34ed556450382fc26745fbf480b7380916de49',
+    'sample-big-binary:bigbin.targets.seqs': 'b74dc16d78536081a1d4fceb67ecee48f9050c21f20bb11c123f47da55c39972',
+    'sample-big-binary:bigbin.targets.seqs.idx': '14e0b5aabbab15a192e242131623cdf8f7d474a4141af42151421ed67060b4b8',
+    'sample-big-sorted:stdout': '982889abb1b8330b38fc0044c509d8da17f75ac45ffc53f4b7b40b38f4e48452',
+    'sample-big-sorted:big.eff': 'b775544635a1c88e9b3a96be348a4d5b681a3ba993a60467d7f491785def797e',
     'transplant-identity:stdout': '79e6ed72815a1ed79c318c977d4d471fe01f8843f6c1036c21e7969794ef4cee',
     'transplant-identity:identity.embt': '2ad3e549b834a6b4f3ec9b76d6e942a34f85bcd21a3fad097e0f14e249d0d4eb',
     'transplant-identity:identity.json': 'f4b71c596a1ac458379df28884440aca7a505aa1d618b9e65c7e6e98557374a1',
@@ -297,6 +342,17 @@ def test_every_artifact_and_stdout_matches_the_pinned_digest(tmp_path):
     assert sorted(digests) == sorted(GOLDEN)
     changed = [name for name in GOLDEN if digests[name] != GOLDEN[name]]
     assert not changed, f"outputs differ from the pinned digests: {changed}"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_big_store_batches_match_the_pinned_digests_at_one_and_two_workers(
+    tmp_path, monkeypatch, workers
+):
+    monkeypatch.setenv("WARMSTART_WORKERS", workers)
+    digests: dict[str, str] = {}
+    vocab = write_vocab_file(tmp_path / "vocab.txt", VOCAB_TOKENS)
+    _sample_big_store(tmp_path, vocab, _runner(tmp_path, digests))
+    assert digests == {k: v for k, v in GOLDEN.items() if k.startswith("sample-big-")}
 
 
 def test_option_strings_config_keys_and_choices_are_pinned():

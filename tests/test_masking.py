@@ -1,6 +1,12 @@
-import pytest
+import tempfile
+from pathlib import Path
 
-from warmstart.corpus import TokenSequence
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from warmstart.batcher import assemble, padding_stats
+from warmstart.corpus import SequenceStoreReader, TokenSequence, write_store
 from warmstart.masking import (
     MaskKey,
     MaskMode,
@@ -9,6 +15,7 @@ from warmstart.masking import (
     MaskingError,
     SentinelBudgetError,
     apply_span_corruption,
+    corrupt_batch,
     draw_mask,
     make_example,
     mask_counts,
@@ -194,3 +201,77 @@ class TestMakeExample:
     def test_key_validation(self):
         with pytest.raises(MaskingError):
             MaskKey(seed=0, epoch=-1, seq_index=0)
+
+
+def _outcome(rows):
+    """The rows, or the class and message of the error that ends them."""
+    try:
+        return list(rows())
+    except MaskingError as e:
+        return type(e), str(e)
+
+
+def _batch_and_reference(seqs, indices, spec, seed, epoch, vocab):
+    with tempfile.TemporaryDirectory() as tmp:
+        store = Path(tmp) / "s.seqs"
+        write_store((TokenSequence(ids) for ids in seqs), store)
+        reader = SequenceStoreReader(store)
+        batch = _outcome(lambda: corrupt_batch(reader, indices, spec, seed, epoch, vocab)
+                         .examples())
+        reference = _outcome(lambda: [make_example(reader.read(i), spec,
+                                                   MaskKey(seed, epoch, i), vocab)
+                                      for i in indices])
+    return batch, reference
+
+
+class TestCorruptBatch:
+    """corrupt_batch is make_example over a micro-batch, row for row and
+    error for error."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rows_equal_make_example(self, data):
+        sentinels = data.draw(st.integers(1, 12), "sentinels")
+        vocab = Vocabulary([f"t{i}" for i in range(23 + sentinels)], sentinel_count=sentinels)
+        length = st.integers(2, 80)
+        if data.draw(st.booleans(), "with length-1 rows"):
+            length = st.one_of(length, st.just(1))
+        seqs = data.draw(st.lists(length.flatmap(
+            lambda n: st.lists(st.integers(3, 22), min_size=n, max_size=n)),
+            min_size=1, max_size=24), "seqs")
+        if data.draw(st.booleans(), "contiguous"):
+            lo = data.draw(st.integers(0, len(seqs) - 1))
+            indices = range(lo, data.draw(st.integers(lo + 1, len(seqs))))
+        else:
+            indices = data.draw(st.permutations(range(len(seqs))), "shuffled")[
+                : data.draw(st.integers(1, len(seqs)))]
+        spec = MaskSpec(rate=data.draw(st.sampled_from([0.05, 0.15, 0.3, 0.5, 0.9])),
+                        mean_span=data.draw(st.sampled_from([1.0, 2.5, 3.0, 8.0])),
+                        mode=data.draw(st.sampled_from(list(MaskMode))))
+        seed, epoch = data.draw(st.integers(-5, 2**40)), data.draw(st.integers(0, 3))
+        batch, reference = _batch_and_reference(seqs, indices, spec, seed, epoch, vocab)
+        assert batch == reference
+
+    def test_a_length_one_row_fails_as_make_example_does(self, sentinel_vocab):
+        batch, reference = _batch_and_reference([[3, 4, 5], [6]], range(2), MaskSpec(), 1, 0,
+                                                sentinel_vocab)
+        assert batch == reference == (
+            MaskingError, "sequence length must be at least 2, got 1")
+
+    def test_the_sentinel_budget_fails_as_make_example_does(self, sentinel_vocab):
+        spec = MaskSpec(rate=0.5, mode=MaskMode.IID)
+        batch, reference = _batch_and_reference([[3, 4, 5, 6], list(range(3, 23))], [1, 0],
+                                                spec, 1, 0, sentinel_vocab)
+        assert batch == reference
+        assert batch[0] is SentinelBudgetError
+
+    def test_lengths_give_what_padding_stats_reads(self, sentinel_vocab):
+        with tempfile.TemporaryDirectory() as tmp:
+            store = Path(tmp) / "s.seqs"
+            write_store([TokenSequence([3, 4, 5, 6, 7, 8]), TokenSequence([9, 10])], store)
+            batch = corrupt_batch(SequenceStoreReader(store), [0, 1], MaskSpec(), 2, 0,
+                                  sentinel_vocab)
+        padded = assemble(list(batch.examples()), micro=2, pad_id=0)
+        assert (batch.rows, batch.width_in, batch.width_tgt) == (
+            padded.rows, padded.width_in, padded.width_tgt)
+        assert padding_stats(batch) == padding_stats(padded)
