@@ -2,10 +2,10 @@
 
 Subcommands: transplant, prepare-corpus, sample-batches, lr-curve, memplan,
 stats. Each subcommand's options are declared once, in a table of `Option`
-rows. Every value can come from a `key = value` config file (--config) with
-command-line flags taking precedence; the seed falls back to the
-WARMSTART_SEED environment variable, then 0. Errors exit 1 with a single
-machine-parsable line on stderr.
+rows. Every value resolves the same way: command-line flag, then a
+`key = value` config file (--config), then the row's environment variable
+(--seed and --run-log have one), then the row's default. Errors exit 1 with
+a single machine-parsable line on stderr; bad flags are usage errors (exit 2).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from collections import deque
+from collections import Counter, deque
 from contextlib import ExitStack, closing
 from fractions import Fraction
 from itertools import chain, islice, pairwise
@@ -35,9 +35,7 @@ from .config import (
     parse_bool,
     parse_config_file,
     resolve_options,
-    resolve_seed,
     resolve_workers,
-    run_log_path,
 )
 from .corpus import (SequenceStoreReader, chunk_corpus, default_index_path, is_special_file,
                      replacing, store_writer, write_store)
@@ -92,32 +90,32 @@ def _store_files(flag: str, *stores) -> list:
     return [(flag, p) for s in stores if s is not None for p in (s, default_index_path(s))]
 
 
-def _parse_rate_limit(raw: str) -> float:
-    """Accept `N` or `N/s` request-per-second forms; the provider checks
-    the value."""
-    text = raw.strip()
-    if text.endswith("/s"):
-        text = text[: -len("/s")]
-    try:
-        return float(text)
-    except ValueError as e:
-        raise ConfigError(f"cannot parse rate limit {raw!r}") from e
+def per_second(raw: str) -> float:
+    """Requests per second, `N` or `N/s`; the provider checks the value."""
+    return float(raw.strip().removesuffix("/s"))
 
 
-def _parse_gib(raw: str) -> int:
-    """Gibibytes (possibly fractional) to an exact byte count."""
+def gibibytes(raw: str) -> int:
+    """Gibibytes (possibly fractional) to an exact byte count; positive."""
     try:
-        gib = Fraction(raw.strip())
-    except (ValueError, ZeroDivisionError) as e:
-        raise ConfigError(f"cannot parse memory size {raw!r}") from e
+        gib = Fraction(raw)
+    except ZeroDivisionError as e:
+        raise ValueError(str(e)) from e
     if gib <= 0:
-        raise ConfigError("memory size must be positive")
+        raise ValueError("memory size must be positive")
     return round(gib * 2**30)
 
 
 # One row per option: flag, default, converter, choices, required, help.
 # The config key is the argparse dest, so the same row drives the parser,
-# config-file resolution and the run-log hash.
+# config-file resolution and the run-log hash. Every subcommand's table
+# starts with RUN_OPTIONS: the run log records the seed in a field of its
+# own, and the log's path is set per run, never in a config file.
+RUN_OPTIONS = (
+    Option("--seed", 0, int, env="WARMSTART_SEED"),
+    Option("--run-log", "warmstart-runs.log", help="provenance log path", env="WARMSTART_RUN_LOG"),
+)
+
 VOCAB_OPTIONS = (
     Option("--pad-id", 0, int),
     Option("--eos-id", 1, int),
@@ -139,7 +137,7 @@ TRANSPLANT_OPTIONS = VOCAB_OPTIONS + (
     Option("--source-lang"),
     Option("--target-lang", "en"),
     Option("--retry-failed", False, parse_bool),
-    Option("--rate-limit", help="requests per second, N or N/s"),
+    Option("--rate-limit", convert=per_second, help="requests per second, N or N/s"),
     Option("--timeout-ms", 10000, int),
 )
 
@@ -183,8 +181,8 @@ MEMPLAN_OPTIONS = (
     Option("--precision", "fp32", choices=("fp32", "fp16", "bf16")),
     Option("--offload", False, parse_bool),
     Option("--gpus", 1, int),
-    Option("--gpu-mem", help="per-GPU memory, GiB"),
-    Option("--ram", help="system memory, GiB"),
+    Option("--gpu-mem", convert=gibibytes, help="per-GPU memory, GiB"),
+    Option("--ram", convert=gibibytes, help="system memory, GiB"),
     Option("--nvlink", False, parse_bool),
 )
 
@@ -196,12 +194,11 @@ def _build_provider(o: dict):
     if name == "dict":
         return DictionaryProvider.from_file(_require(o["dict_file"], "--dict-file"))
     if name == "remote":
-        rate_raw = o["rate_limit"]
         return RemoteTranslationProvider(
             url=_require(o["remote_url"], "--remote-url"),
             source_lang=o["source_lang"],
             target_lang=o["target_lang"],
-            rate_limit_per_s=None if rate_raw is None else _parse_rate_limit(rate_raw),
+            rate_limit_per_s=o["rate_limit"],
             timeout_ms=o["timeout_ms"],
         )
     return IdentityProvider()
@@ -211,7 +208,7 @@ def _load_vocab(path, o: dict) -> Vocabulary:
     return load_vocab(path, **{opt.key: o[opt.key] for opt in VOCAB_OPTIONS})
 
 
-def cmd_transplant(o: dict, seed: int) -> int:
+def cmd_transplant(o: dict) -> int:
     cache_path = o["cache"]
     _check_paths(o, [("--out", o["out"]), ("--report", o["report"]), ("--cache", cache_path)],
                  [("--src-emb", o["src_emb"]), ("--src-vocab", o["src_vocab"]),
@@ -242,7 +239,7 @@ def cmd_transplant(o: dict, seed: int) -> int:
     if o["report"] is not None:
         payload = {
             "report": report.as_dict(),
-            "seed": seed,
+            "seed": o["seed"],
             "provider": provider.name,
             "notes": [
                 "special tokens copied by role (pad, eos, unk, sentinel k)",
@@ -279,7 +276,7 @@ def _read_documents(input_path, vocab: Vocabulary):
             yield ids
 
 
-def cmd_prepare_corpus(o: dict, seed: int) -> int:
+def cmd_prepare_corpus(o: dict) -> int:
     seq_len, min_tail = o["seq_len"], o["min_tail"]
     _check_paths(o, _store_files("--out", o["out"]),
                  [("--vocab", o["vocab"]), ("--in", o["input"])])
@@ -401,8 +398,9 @@ def _ordered_map(fn, items: list, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-def cmd_sample_batches(o: dict, seed: int) -> int:
-    epoch, micro, out_path, report_path = o["epoch"], o["micro_batch"], o["out"], o["report"]
+def cmd_sample_batches(o: dict) -> int:
+    seed, epoch, micro = o["seed"], o["epoch"], o["micro_batch"]
+    out_path, report_path = o["out"], o["report"]
     text = o["format"] == "text"
     if not text and out_path is None:
         raise ConfigError("--out is required with --format binary")
@@ -417,14 +415,14 @@ def cmd_sample_batches(o: dict, seed: int) -> int:
     plan = plan_accumulation(o["effective_batch"], micro)
     reader = SequenceStoreReader(o["store"])
 
-    order = range(reader.count)
+    order = np.arange(reader.count)
     if o["sort_by_length"]:
-        order = sorted(order, key=reader.lengths().__getitem__)  # stable: ties keep store order
+        order = np.argsort(reader.lengths(), kind="stable")  # ties keep store order
     decimals = _Decimals(vocab.size) if text else None
 
     def render(b):
         """Micro-batch b: its text or rows, report line, real and total cells."""
-        indices = order[b * micro : (b + 1) * micro]
+        indices = order[b * micro : (b + 1) * micro].tolist()
         batch = corrupt_batch(reader, indices, spec, seed, epoch, vocab)
         stats = padding_stats(batch)
         line = None if report_path is None else (
@@ -444,7 +442,6 @@ def cmd_sample_batches(o: dict, seed: int) -> int:
             except (WarmstartError, OSError) as e:
                 done.append(e)
                 break
-        reader.release()
         return done
 
     # Micro-batch 0 alone, then runs of about RUN_SEQUENCES sequences, are
@@ -491,7 +488,7 @@ def cmd_sample_batches(o: dict, seed: int) -> int:
     return 0
 
 
-def cmd_lr_curve(o: dict, seed: int) -> int:
+def cmd_lr_curve(o: dict) -> int:
     total, out_path = o["total"], o["out"]
     _check_paths(o, [("--out", out_path)], _store_files("--store", o["store"]))
     if total is None:
@@ -530,7 +527,7 @@ def _print_memory_report(title: str, rep: MemoryReport) -> None:
         print(f"  headroom     {float(rep.headroom_fraction):.4f}")
 
 
-def cmd_memplan(o: dict, seed: int) -> int:
+def cmd_memplan(o: dict) -> int:
     params, offload, gpu_mem, ram = o["params"], o["offload"], o["gpu_mem"], o["ram"]
     precision = PrecisionMode.parse(o["precision"])
     model = ModelSpec(param_count=params)
@@ -540,8 +537,8 @@ def cmd_memplan(o: dict, seed: int) -> int:
             raise ConfigError("--gpus, --nvlink, --gpu-mem and --ram need both --gpu-mem and --ram")
         hardware = HardwareSpec(
             gpu_count=o["gpus"],
-            gpu_memory_bytes=_parse_gib(gpu_mem),
-            system_ram_bytes=_parse_gib(ram),
+            gpu_memory_bytes=gpu_mem,
+            system_ram_bytes=ram,
             nvlink_pairs=o["nvlink"],
         )
 
@@ -596,7 +593,7 @@ def cmd_memplan(o: dict, seed: int) -> int:
     return 0
 
 
-def cmd_stats(o: dict, seed: int) -> int:
+def cmd_stats(o: dict) -> int:
     _check_paths(o, [], _store_files("--store", o["store"]))
     reader = SequenceStoreReader(o["store"])
     lengths = reader.lengths()
@@ -605,34 +602,32 @@ def cmd_stats(o: dict, seed: int) -> int:
     if lengths:
         mean = sum(lengths) / len(lengths)
         print(f"length_min={min(lengths)} length_max={max(lengths)} length_mean={mean:.2f}")
-        hi = max(lengths)
-        width = max(1, math.ceil(hi / 8))
-        buckets: dict[int, int] = {}
-        for n in lengths:
-            buckets[(n - 1) // width] = buckets.get((n - 1) // width, 0) + 1
+        width = max(1, math.ceil(max(lengths) / 8))
+        buckets = Counter((n - 1) // width for n in lengths)
         for b in sorted(buckets):
-            lo_edge = b * width + 1
-            hi_edge = (b + 1) * width
-            print(f"len[{lo_edge},{hi_edge}]={buckets[b]}")
+            print(f"len[{b * width + 1},{(b + 1) * width}]={buckets[b]}")
     return 0
 
 
 SUBCOMMANDS = (
-    ("transplant", cmd_transplant, TRANSPLANT_OPTIONS, "build a warm-start embedding matrix"),
-    ("prepare-corpus", cmd_prepare_corpus, PREPARE_CORPUS_OPTIONS,
+    ("transplant", cmd_transplant, RUN_OPTIONS + TRANSPLANT_OPTIONS,
+     "build a warm-start embedding matrix"),
+    ("prepare-corpus", cmd_prepare_corpus, RUN_OPTIONS + PREPARE_CORPUS_OPTIONS,
      "chunk text into a sequence store"),
-    ("sample-batches", cmd_sample_batches, SAMPLE_BATCHES_OPTIONS,
+    ("sample-batches", cmd_sample_batches, RUN_OPTIONS + SAMPLE_BATCHES_OPTIONS,
      "draw masked batches for an epoch"),
-    ("lr-curve", cmd_lr_curve, LR_CURVE_OPTIONS, "emit the learning-rate schedule as CSV"),
-    ("memplan", cmd_memplan, MEMPLAN_OPTIONS, "training memory estimate and fit advice"),
-    ("stats", cmd_stats, STATS_OPTIONS, "sequence store statistics"),
+    ("lr-curve", cmd_lr_curve, RUN_OPTIONS + LR_CURVE_OPTIONS,
+     "emit the learning-rate schedule as CSV"),
+    ("memplan", cmd_memplan, RUN_OPTIONS + MEMPLAN_OPTIONS,
+     "training memory estimate and fit advice"),
+    ("stats", cmd_stats, RUN_OPTIONS + STATS_OPTIONS, "sequence store statistics"),
 )
 
-# Keys a config file may hold: any subcommand's, so one file can drive the
-# whole pipeline, plus the seed.
-CONFIG_KEYS = frozenset(["seed"]).union(
+# Keys a config file may hold: any subcommand's but the run log's, so one
+# file can drive the whole pipeline.
+CONFIG_KEYS = frozenset(
     opt.key for _, _, options, _ in SUBCOMMANDS for opt in options
-)
+) - {"run_log"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -646,10 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func, options, help_text in SUBCOMMANDS:
         p = subs.add_parser(name, help=help_text)
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--run-log", default=None, help="provenance log path")
         # Every default is None so resolve_options can tell a given flag
-        # from an absent one; the row's own default applies after config.
+        # from an absent one; the row's config, environment and default apply after.
         for opt in options:
             if opt.convert is parse_bool:
                 p.add_argument(opt.flag, dest=opt.key, action="store_true", default=None,
@@ -666,13 +659,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = {} if args.config is None else parse_config_file(args.config, CONFIG_KEYS)
-        seed = resolve_seed(args.seed, cfg)
         values = resolve_options(args.options, args, cfg)
-        run_log = run_log_path(args.run_log)
-        # Commands check the run log against their own files; it is not
-        # part of the configuration the log hashes.
-        code = args.func({**values, "run_log": run_log}, seed)
-        append_run_log(args.subcommand, values, seed, path=run_log)
+        code = args.func(values)
+        append_run_log(args.subcommand, values)
         return code
     except (WarmstartError, OSError) as e:
         print(f"warmstart: error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Run configuration: `key = value` files, flag precedence, provenance.
 
 Config files are line-oriented UTF-8: one `key = value` per line, full-line
-`#` comments, blank lines ignored. Command-line flags always win over config
-values, which win over built-in defaults. Every run appends a provenance
-record to a run log so artifacts can be traced to their inputs.
+`#` comments, blank lines ignored. Every option resolves the same way: its
+command-line flag, then the config file, then its environment variable if it
+has one, then its built-in default. Every run appends a provenance record to
+a run log so artifacts can be traced to their inputs.
 """
 
 from __future__ import annotations
@@ -17,10 +18,7 @@ from typing import Callable, Collection, Iterable, Optional
 
 from .errors import WarmstartError
 
-RUN_LOG_ENV = "WARMSTART_RUN_LOG"
-SEED_ENV = "WARMSTART_SEED"
 WORKERS_ENV = "WARMSTART_WORKERS"
-DEFAULT_RUN_LOG = "warmstart-runs.log"
 MAX_WORKERS = 8
 
 
@@ -69,8 +67,10 @@ class Option:
 
     The config key is the argparse dest: the flag without its leading dashes
     and with `-` as `_`, unless `dest` names it. `convert` parses a string
-    value (None keeps it a string); an option converted by `parse_bool` is a
-    switch that takes no value on the command line.
+    value (None keeps it a string) and raises ValueError on a bad one; an
+    option converted by `parse_bool` is a switch that takes no value on the
+    command line. `env` names an environment variable read when neither the
+    flag nor the config file gives a value.
     """
 
     flag: str
@@ -80,56 +80,46 @@ class Option:
     required: bool = False
     help: Optional[str] = None
     dest: Optional[str] = None
+    env: Optional[str] = None
 
     @property
     def key(self) -> str:
         return self.dest or self.flag[2:].replace("-", "_")
 
 
-def resolve_options(options: Iterable[Option], args, config: dict[str, str]) -> dict[str, object]:
-    """Effective value of every option: flag over config over default.
+def _convert(opt: Option, raw: str, source: str) -> object:
+    """A config or environment string through the option's converter and
+    choices, as argparse puts a flag's."""
+    try:
+        value = raw if opt.convert is None else opt.convert(raw)
+    except ValueError as e:
+        raise ConfigError(f"{source}: cannot parse {raw!r}: {e}") from e
+    if opt.choices is not None and value not in opt.choices:
+        raise ConfigError(f"{source}: {raw!r} is not one of {', '.join(opt.choices)}")
+    return value
 
-    Flags are pre-parsed and checked by argparse; config values are strings
-    and go through the option's converter and choices here, so a bad value
-    fails the same way wherever it came from.
+
+def resolve_options(options: Iterable[Option], args, config: dict[str, str]) -> dict[str, object]:
+    """Effective value of every option: flag, then config, then the option's
+    environment variable, then its default.
+
+    Flags are pre-parsed and checked by argparse; config and environment
+    values are strings and go through the option's converter and choices
+    here, so a bad value fails the same way wherever it came from.
     """
     values: dict[str, object] = {}
     for opt in options:
         value = getattr(args, opt.key)
         if value is None and opt.key in config:
-            raw = config[opt.key]
-            try:
-                value = raw if opt.convert is None else opt.convert(raw)
-            except ValueError as e:
-                raise ConfigError(f"config key {opt.key}: cannot parse {raw!r}: {e}") from e
-            if opt.choices is not None and value not in opt.choices:
-                raise ConfigError(
-                    f"config key {opt.key}: {raw!r} is not one of {', '.join(opt.choices)}"
-                )
+            value = _convert(opt, config[opt.key], f"config key {opt.key}")
+        if value is None and opt.env is not None and opt.env in os.environ:
+            value = _convert(opt, os.environ[opt.env], opt.env)
         if value is None:
             value = opt.default
         if value is None and opt.required:
             raise ConfigError(f"missing required value: {opt.flag}")
         values[opt.key] = value
     return values
-
-
-def resolve_seed(flag_value: Optional[int], config: dict[str, str]) -> int:
-    """Seed precedence: flag, config, WARMSTART_SEED env var, 0."""
-    if flag_value is not None:
-        return flag_value
-    if "seed" in config:
-        try:
-            return int(config["seed"])
-        except ValueError as e:
-            raise ConfigError(f"config key seed: {config['seed']!r} is not an integer") from e
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as e:
-            raise ConfigError(f"{SEED_ENV}={env!r} is not an integer") from e
-    return 0
 
 
 def resolve_workers() -> int:
@@ -149,42 +139,38 @@ def resolve_workers() -> int:
     return min(workers, MAX_WORKERS)
 
 
-def run_log_path(flag_value=None) -> str:
-    """Run-log precedence: --run-log, WARMSTART_RUN_LOG, ./warmstart-runs.log."""
-    if flag_value is not None:
-        return flag_value
-    return os.environ.get(RUN_LOG_ENV, DEFAULT_RUN_LOG)
-
-
 def config_hash(values: dict[str, object]) -> str:
     """Order-independent digest of the effective configuration."""
     lines = [f"{k}={values[k]!r}" for k in sorted(values)]
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
 
 
-def append_run_log(subcommand: str, values: dict[str, object], seed: int, path=None) -> None:
-    """One provenance record per run: when (UTC), what, which config, which seed.
+def append_run_log(subcommand: str, values: dict[str, object]) -> None:
+    """One provenance record per run, appended to `values["run_log"]`: when
+    (UTC), what, which config, which seed.
 
     `values` is the full effective option dict, defaults included, so two
-    runs that differ in any option log different hashes.
+    runs that differ in any option log different hashes. The seed has its
+    own field and the log's own path is not configuration, so neither is
+    hashed.
 
     Logging failures never fail the run; the log is best-effort bookkeeping.
     """
-    path = run_log_path(path)
     from . import __version__
 
+    config = {k: v for k, v in values.items() if k not in ("seed", "run_log")}
     record = "\t".join(
         [
             time.strftime("%Y-%m-%dT%H:%M:%S%z", time.gmtime()),
             subcommand,
-            f"config={config_hash(values)}",
-            f"seed={seed}",
+            f"config={config_hash(config)}",
+            f"seed={values['seed']}",
             f"warmstart={__version__}",
             f"python={sys.version_info.major}.{sys.version_info.minor}.{sys.version_info.micro}",
         ]
     )
     try:
-        with open(path, "a", encoding="utf-8") as f:
+        with open(values["run_log"], "a", encoding="utf-8") as f:
             f.write(record + "\n")
     except OSError:
         pass

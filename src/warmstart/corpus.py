@@ -28,6 +28,7 @@ STORE_VERSION = 1
 
 DEFAULT_SEQ_LEN = 512
 DEFAULT_MIN_TAIL = 16
+WINDOW_RECORDS = 4096  # length prefixes read between releases of the mapping
 
 
 class CorpusError(WarmstartError):
@@ -163,26 +164,32 @@ def _header_count(path, header: bytes, magic: bytes, kind: str) -> int:
 
 
 class SequenceStoreReader:
-    """Random and sequential access to a store file, mapped once as u32 words.
-    Every read copies its ids out of the mapping, so release() can drop the
-    mapped pages between reads.
+    """Random and sequential access to a store file.
 
     Sequence offsets come from the side index when present, checked to chain
     from the first record through each length prefix to inside the file;
-    otherwise one walk of the length prefixes finds them on first use.
+    otherwise one walk of the length prefixes finds them on first use. Either
+    pass reads the prefixes from the store mapped as u32 words, WINDOW_RECORDS
+    at a time, releasing the mapped pages after each window, and keeps the
+    offsets and lengths in memory. Ids are then read with one pread per
+    sequence, so the store is never resident as a whole: a page fault can map
+    far more of the file than the few words it reads.
     """
+
+    _file = None  # until __init__ opens the store
 
     def __init__(self, path):
         self.path = path
-        with open(path, "rb") as f:
-            self.count = _header_count(path, f.read(16), STORE_MAGIC, "sequence store")
-            self._map = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        self._file = open(path, "rb", buffering=0)
+        self.count = _header_count(path, self._file.read(16), STORE_MAGIC, "sequence store")
+        self._map = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
         self._words = np.frombuffer(self._map, dtype="<u4", count=len(self._map) // 4)
         self._starts: Optional[np.ndarray] = None  # word offset of each length prefix
+        self._lengths: Optional[np.ndarray] = None  # int64, the value of each prefix
         with suppress(FileNotFoundError):
-            self._starts = self._load_index(default_index_path(path))
+            self._load_index(default_index_path(path))
 
-    def _load_index(self, path) -> np.ndarray:
+    def _load_index(self, path) -> None:
         with open(path, "rb") as f:
             raw = f.read()
         count = _header_count(path, raw, INDEX_MAGIC, "store index")
@@ -195,53 +202,69 @@ class SequenceStoreReader:
         # Each offset must be the end of the record before it (the first
         # record starts at byte 16), and the last record must end in the file.
         starts, n = offsets // 4, len(self._words)
-        ends = starts + 1 + self._words[np.minimum(starts, n - 1)]
+        prefixes = np.empty(count, dtype=np.uint32)
+        for lo in range(0, count, WINDOW_RECORDS):
+            window = slice(lo, lo + WINDOW_RECORDS)
+            prefixes[window] = self._words[np.minimum(starts[window], n - 1)]
+            self.release()
+        ends = starts + 1 + prefixes
         if count and not (offsets[0] == 16 and ends[-1] <= n
                           and np.array_equal(offsets[1:], 4 * ends[:-1])):
             raise StoreFormatError(f"{path}: stale index, offsets do not chain through the store")
-        return starts
+        self._starts, self._lengths = starts.astype(np.int64), prefixes.astype(np.int64)
 
-    def _word_starts(self) -> np.ndarray:
-        """Offsets from the index, or else from one checked walk of the store."""
+    def _offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Word offset and length of every sequence: from the index, or else
+        from one checked walk of the store."""
         if self._starts is None:
-            starts = np.empty(self.count, dtype=np.uint64)
+            starts = np.empty(self.count, dtype=np.int64)
+            lengths = np.empty(self.count, dtype=np.int64)
             w, n = 4, len(self._words)
             for i in range(self.count):
                 if w >= n:
                     raise StoreFormatError(f"{self.path}: truncated store")
-                starts[i] = w
-                w += 1 + int(self._words[w])
+                starts[i], lengths[i] = w, self._words[w]
+                w += 1 + int(lengths[i])
                 if w > n:
                     raise StoreFormatError(f"{self.path}: truncated sequence {i}")
-            self._starts = starts
-        return self._starts
+                if i % WINDOW_RECORDS == WINDOW_RECORDS - 1:
+                    self.release()
+            self.release()
+            self._starts, self._lengths = starts, lengths
+        return self._starts, self._lengths
 
     def read(self, index: int) -> TokenSequence:
         if not 0 <= index < self.count:
             raise IndexError(f"sequence index {index} out of range (count={self.count})")
-        w = int(self._word_starts()[index]) + 1
-        ids = self._words[w : w + int(self._words[w - 1])].tolist()
-        return TokenSequence(ids=ids, seq_index=index)
+        return TokenSequence(ids=self.gather([index])[0].tolist(), seq_index=index)
 
     def gather(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """The ids of the given sequences, concatenated in that order, and
-        each one's length: one gather from the mapped words, no objects per
-        sequence."""
+        each one's length: each sequence is read straight into one array, no
+        objects per sequence."""
         indices = np.asarray(indices, dtype=np.int64)
         if len(indices) and not (indices.min() >= 0 and indices.max() < self.count):
             raise IndexError(f"sequence index out of range (count={self.count})")
-        starts = self._word_starts()[indices].astype(np.int64) + 1
-        lengths = self._words[starts - 1].astype(np.int64)
-        skips = starts - (np.cumsum(lengths) - lengths)  # word offset minus output offset
-        return self._words[np.arange(lengths.sum()) + np.repeat(skips, lengths)], lengths
+        starts, lengths = (a[indices] for a in self._offsets())
+        ids = np.empty(int(lengths.sum()), dtype="<u4")
+        fd, out, pos = self._file.fileno(), memoryview(ids).cast("B"), 0
+        for start, n in zip(starts.tolist(), lengths.tolist()):
+            if os.preadv(fd, [out[pos : pos + 4 * n]], 4 * start + 4) != 4 * n:
+                raise StoreFormatError(f"{self.path}: store changed while open")
+            pos += 4 * n
+        return ids, lengths
 
     def release(self) -> None:
         """Unmap the pages this process has read; the page cache keeps them
-        and later reads map them back in. Called after each run of reads, it
-        keeps earlier runs' pages from staying resident, or being counted
-        again in every worker forked later."""
+        and later reads map them back in. Called after each window of length
+        prefixes, it keeps earlier windows' pages from staying resident, or
+        being counted again in every worker forked later."""
         if hasattr(mmap, "MADV_DONTNEED"):
             self._map.madvise(mmap.MADV_DONTNEED)
+
+    def __del__(self):
+        if self._file is not None:
+            self._file.close()
 
     def __iter__(self) -> Iterator[TokenSequence]:
         return (self.read(i) for i in range(self.count))
@@ -251,7 +274,7 @@ class SequenceStoreReader:
 
     def lengths(self) -> list[int]:
         """Sequence lengths in order, without materializing ids."""
-        return self._words[self._word_starts()].tolist()
+        return self._offsets()[1].tolist()
 
 
 def read_store(path, index: int) -> TokenSequence:

@@ -15,6 +15,7 @@ arrays.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import struct
 from dataclasses import dataclass
@@ -51,8 +52,8 @@ class MaskSpec:
     def __post_init__(self):
         if not 0.0 < self.rate < 1.0:
             raise MaskingError(f"rate must be in (0, 1), got {self.rate}")
-        if not self.mean_span >= 1.0:  # also rejects NaN
-            raise MaskingError(f"mean_span must be at least 1, got {self.mean_span}")
+        if not 1.0 <= self.mean_span < math.inf:  # also rejects NaN
+            raise MaskingError(f"mean_span must be finite and at least 1, got {self.mean_span}")
 
 
 @dataclass(frozen=True)

@@ -94,13 +94,13 @@ class TranslationProvider(Protocol):
     def max_in_flight(self) -> int: ...
 
 
-_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
 _UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
 _ESCAPE_SEQUENCE = re.compile(r"\\(.?)", re.DOTALL)  # an empty group: backslash ends the field
 
 
 def _escape(field: str) -> str:
-    return "".join(_ESCAPES.get(ch, ch) for ch in field)
+    return field.translate(_ESCAPES)
 
 
 def _unescape(field: str) -> str:

@@ -303,11 +303,14 @@ class TestSampleBatches:
 
 
 class TestNonFiniteOptions:
-    def test_nan_mean_span_is_one_error_line(self, tmp_path, corpus_store, vocab_file, capsys):
+    @pytest.mark.parametrize("span", ["nan", "inf"])
+    def test_nan_mean_span_is_one_error_line(
+        self, span, tmp_path, corpus_store, vocab_file, capsys
+    ):
         out = tmp_path / "b.tsv"
         assert main([
             "sample-batches", "--store", str(corpus_store), "--vocab", str(vocab_file),
-            "--sentinel-count", "3", "--mean-span", "nan", "--out", str(out),
+            "--sentinel-count", "3", "--mean-span", span, "--out", str(out),
         ]) == 1
         err = capsys.readouterr().err
         assert err.startswith("warmstart: error: MaskingError:") and err.count("\n") == 1

@@ -7,7 +7,7 @@ from datetime import datetime, timezone
 
 import pytest
 
-from warmstart.cli import SAMPLE_BATCHES_OPTIONS, main
+from warmstart.cli import SAMPLE_BATCHES_OPTIONS, gibibytes, main, per_second
 
 from test_cli import (  # noqa: F401 (fixtures)
     _isolate_run_log,
@@ -87,6 +87,13 @@ class TestUnknownConfigKeys:
         assert main(["memplan", "--config", str(cfg)]) == 1
         _single_config_error(capsys, f"{cfg}:3", "'offlod'")
 
+    def test_run_log_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"run_log = {tmp_path / 'other.log'}\n", encoding="utf-8")
+        assert main(["memplan", "--params", "1000", "--config", str(cfg)]) == 1
+        _single_config_error(capsys, f"{cfg}:1", "unknown key 'run_log'")
+        assert not (tmp_path / "other.log").exists()
+
     def test_other_subcommands_keys_and_seed_are_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "pipeline.cfg"
         cfg.write_text(
@@ -96,6 +103,128 @@ class TestUnknownConfigKeys:
         )
         assert main(["memplan", "--config", str(cfg)]) == 0
         assert "weights_bytes=4000" in capsys.readouterr().out
+
+
+SOURCES = {"seed": "WARMSTART_SEED", "run_log": "WARMSTART_RUN_LOG"}
+
+
+@pytest.mark.parametrize("key, flag, config, env, expected", [
+    ("seed", "7", "5", "3", "7"),
+    ("seed", None, "5", "3", "5"),
+    ("seed", None, None, "3", "3"),
+    ("seed", None, None, None, "0"),
+    ("run_log", "flag.log", None, "env.log", "flag.log"),
+    ("run_log", None, None, "env.log", "env.log"),
+    ("run_log", None, None, None, "warmstart-runs.log"),
+])
+def test_flag_then_config_then_environment_then_default(
+    key, flag, config, env, expected, tmp_path, monkeypatch
+):
+    """--seed and --run-log resolve like every other option row."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(SOURCES[key], raising=False)
+    argv = ["memplan", "--params", "1000"]
+    if flag is not None:
+        argv += [f"--{key.replace('_', '-')}", flag]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(f"{key} = {config}\n", encoding="utf-8")
+        argv += ["--config", "run.cfg"]
+    if env is not None:
+        monkeypatch.setenv(SOURCES[key], env)
+    assert main(argv) == 0
+    if key == "seed":
+        assert _run_log(tmp_path)[-1][3] == f"seed={expected}"
+    else:
+        logs = {"flag.log", "env.log", "warmstart-runs.log"} & set(os.listdir(tmp_path))
+        assert logs == {expected}
+        assert (tmp_path / expected).read_text().count("\tmemplan\t") == 1
+
+
+@pytest.mark.parametrize("source", ["config", "environment"])
+def test_bad_seed_is_one_config_error_line(source, tmp_path, monkeypatch, capsys):
+    argv = ["memplan", "--params", "1000"]
+    if source == "config":
+        (tmp_path / "run.cfg").write_text("seed = five\n", encoding="utf-8")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    else:
+        monkeypatch.setenv("WARMSTART_SEED", "five")
+    assert main(argv) == 1
+    _single_config_error(capsys, "seed" if source == "config" else "WARMSTART_SEED", "'five'")
+
+
+@pytest.mark.parametrize("raw, value", [
+    ("5", 5.0), ("5/s", 5.0), (" 2.5/s ", 2.5), ("0.25", 0.25),
+])
+def test_rate_limit_converter(raw, value):
+    assert per_second(raw) == value
+
+
+@pytest.mark.parametrize("raw, value", [
+    ("40", 40 * 2**30), ("0.5", 2**29), ("1/3", round(2**30 / 3)), (" 8 ", 8 * 2**30),
+])
+def test_gibibytes_converter(raw, value):
+    assert gibibytes(raw) == value
+
+
+# Each bad typed value, with a missing --src-emb: had anything been opened,
+# the error would name that file instead.
+BAD_TYPED_VALUES = {
+    "rate-limit-garbage": ("transplant", "rate_limit", "garbage"),
+    "rate-limit-unit": ("transplant", "rate_limit", "5/min"),
+    "gpu-mem-zero": ("memplan", "gpu_mem", "0"),
+    "gpu-mem-negative": ("memplan", "gpu_mem", "-1"),
+    "ram-divide-by-zero": ("memplan", "ram", "1/0"),
+    "ram-words": ("memplan", "ram", "lots"),
+}
+
+
+def _typed_argv(subcommand, tmp_path, vocab_file):
+    if subcommand == "transplant":
+        return ["transplant", "--provider", "dict", "--dict-file", str(tmp_path / "none.tsv"),
+                "--src-emb", str(tmp_path / "missing.embt"), "--src-vocab", str(vocab_file),
+                "--tgt-vocab", str(vocab_file), "--out", str(tmp_path / "o.embt"),
+                "--sentinel-count", "3"]
+    return ["memplan", "--params", "1000", "--gpu-mem", "40", "--ram", "64"]
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TYPED_VALUES))
+def test_bad_typed_flag_is_a_usage_error(case, tmp_path, vocab_file, capsys):
+    subcommand, key, raw = BAD_TYPED_VALUES[case]
+    flag = f"--{key.replace('_', '-')}"
+    with pytest.raises(SystemExit) as exc:
+        main([*_typed_argv(subcommand, tmp_path, vocab_file), flag, raw])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "usage:" in err and f"argument {flag}:" in err
+    assert not (tmp_path / "runs.log").exists()
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TYPED_VALUES))
+def test_bad_typed_config_value_is_one_config_error_line(case, tmp_path, vocab_file, capsys):
+    subcommand, key, raw = BAD_TYPED_VALUES[case]
+    argv = _typed_argv(subcommand, tmp_path, vocab_file)
+    if key in ("gpu_mem", "ram"):  # drop the flag so the config value applies
+        i = argv.index(f"--{key.replace('_', '-')}")
+        del argv[i : i + 2]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {raw}\n", encoding="utf-8")
+    assert main([*argv, "--config", str(cfg)]) == 1
+    _single_config_error(capsys, f"config key {key}", repr(raw))
+    assert not (tmp_path / "runs.log").exists()
+
+
+# Taken from the run log at the commit before --seed and --run-log became
+# option rows: runs that set none of the typed flags keep their hashes.
+@pytest.mark.parametrize("argv, logged", [
+    (["sample-batches", "--store", "corpus.seqs", "--vocab", "vocab.txt", "--seed", "5",
+      "--micro-batch", "2", "--effective-batch", "8", "--sentinel-count", "3", "--out", "b.tsv"],
+     "config=afc0d26943acd1f7"),
+    (["lr-curve", "--total", "20000", "--stride", "5000"], "config=ceafba0e1b38376f"),
+])
+def test_logged_config_hash_is_pinned(argv, logged, tmp_path, corpus_store, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert _run_log(tmp_path)[-1][2] == logged
 
 
 # One value per sample-batches option that differs from the base run below.

@@ -1,10 +1,15 @@
+import os
 import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import warmstart
 from warmstart.corpus import (
     CorpusError,
     SequenceStoreReader,
@@ -243,3 +248,40 @@ def test_store_cut_mid_payload_is_rejected(tmp_path, access):
             list(reader)
         else:
             reader.read(0)
+
+
+# Opens a store, reads its lengths, gathers every sequence 16 at a time in
+# store order and then in length order, and prints how far that raised the
+# process's peak RSS (VmHWM), in bytes.
+PEAK_CHILD = """
+import sys
+from warmstart.corpus import SequenceStoreReader
+
+def peak():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) * 1024 for line in f if line.startswith("VmHWM:"))
+
+before = peak()
+reader = SequenceStoreReader(sys.argv[1])
+lengths = reader.lengths()
+for order in (range(reader.count), sorted(range(reader.count), key=lengths.__getitem__)):
+    for lo in range(0, reader.count, 16):
+        reader.gather(order[lo : lo + 16])
+print(peak() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_reading_a_whole_store_keeps_few_pages_resident(tmp_path):
+    path = tmp_path / "big.seqs"
+    rng = random.Random(3)
+    ids = list(range(1, 513))
+    write_store((TokenSequence(ids=ids[: rng.randrange(100, 513)]) for _ in range(40_000)), path)
+    size = path.stat().st_size
+    assert size > 45 * 2**20
+    src = str(Path(warmstart.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", PEAK_CHILD, str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < size / 4
