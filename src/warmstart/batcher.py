@@ -123,6 +123,9 @@ def block_efficiency(lengths: Sequence[int]) -> Fraction:
 
 
 def padding_stats(batch: PaddedBatch) -> PaddingStats:
+    """Real-cell fractions of a batch. Reads only `rows`, `width_in`,
+    `width_tgt` and the two length lists, so a masking.CorruptedBatch works
+    as well as a PaddedBatch."""
     in_real = sum(batch.input_lengths)
     in_total = batch.rows * batch.width_in
     tgt_real = sum(batch.target_lengths)

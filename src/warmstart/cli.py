@@ -213,10 +213,10 @@ def cmd_transplant(o: dict) -> int:
     _check_paths(o, [("--out", o["out"]), ("--report", o["report"]), ("--cache", cache_path)],
                  [("--src-emb", o["src_emb"]), ("--src-vocab", o["src_vocab"]),
                   ("--tgt-vocab", o["tgt_vocab"]), ("--dict-file", o["dict_file"])])
+    provider = _build_provider(o)  # a bad provider setting fails before any input is read
     src = _load_vocab(o["src_vocab"], o)
     tgt = _load_vocab(o["tgt_vocab"], o)
     src_emb = read_embeddings(o["src_emb"])
-    provider = _build_provider(o)
 
     if cache_path is not None and Path(cache_path).exists():
         table = TranslationTable.load(cache_path, persist=True)

@@ -57,6 +57,14 @@ class TranslationOutcome:
         return self.status is TranslationStatus.TRANSLATED
 
 
+def _outcome(token: str, translation) -> TranslationOutcome:
+    """The one rule for a translation: a non-empty string is TRANSLATED;
+    anything else is no translation, so FAILED carries the token's own text."""
+    if isinstance(translation, str) and translation:
+        return TranslationOutcome(TranslationStatus.TRANSLATED, translation)
+    return TranslationOutcome(TranslationStatus.FAILED, token)
+
+
 def normalize_token(token: str, boundary_marker: str = DEFAULT_BOUNDARY_MARKER) -> str:
     """Strip at most one leading boundary marker; the rest is kept verbatim."""
     if token.startswith(boundary_marker):
@@ -87,11 +95,9 @@ class TranslationProvider(Protocol):
     """
 
     name: str
+    max_in_flight: int
 
     def translate_batch(self, texts: Sequence[str]) -> list[TranslationOutcome]: ...
-
-    @property
-    def max_in_flight(self) -> int: ...
 
 
 _ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
@@ -134,7 +140,6 @@ class TranslationTable:
     def __init__(self, persist_path=None):
         self.persist_path = persist_path
         self._entries: dict[str, TranslationOutcome] = {}
-        self._provenance: dict[str, str] = {}
         self._lock = threading.RLock()
         # Serializes lookup_or_fetch so concurrent misses fetch once.
         self._fetch_lock = threading.Lock()
@@ -152,18 +157,10 @@ class TranslationTable:
         with self._lock:
             return self._entries.get(token)
 
-    def provenance(self, token: str) -> Optional[str]:
-        """Where the entry came from ("cache", "bypass", provider name).
+    def insert(self, token: str, outcome: TranslationOutcome) -> None:
+        self.insert_many({token: outcome})
 
-        In-memory bookkeeping only; it is not persisted.
-        """
-        with self._lock:
-            return self._provenance.get(token)
-
-    def insert(self, token: str, outcome: TranslationOutcome, provenance: str) -> None:
-        self.insert_many({token: outcome}, provenance)
-
-    def insert_many(self, outcomes: dict[str, TranslationOutcome], provenance: str) -> None:
+    def insert_many(self, outcomes: dict[str, TranslationOutcome]) -> None:
         """Record outcomes in memory, then persist them: appended as new
         lines, or, when any of them replaces an entry (which invalidates its
         earlier line), by rewriting the whole file once.
@@ -173,9 +170,7 @@ class TranslationTable:
         """
         with self._lock:
             rewrite = self._torn or any(token in self._entries for token in outcomes)
-            for token, outcome in outcomes.items():
-                self._entries[token] = outcome
-                self._provenance[token] = provenance
+            self._entries.update(outcomes)
             if self.persist_path is None:
                 return
             try:
@@ -199,13 +194,18 @@ class TranslationTable:
     def load(cls, path, persist: bool = False) -> "TranslationTable":
         """Read a cache file. With ``persist=True`` new inserts keep
         appending to the same file. A last line with no newline is an append
-        cut short: it is dropped, and the next insert rewrites the file."""
+        cut short: it is dropped, and the next insert rewrites the file. A
+        raw CR is never written (CR is escaped), so one fails the load."""
         table = cls(persist_path=path if persist else None)
         with open(path, encoding="utf-8", newline="\n") as f:
             for lineno, raw in enumerate(f, start=1):
                 table._torn = not raw.endswith("\n")
                 if table._torn or raw == "\n":
                     continue
+                if "\r" in raw:
+                    raise CacheFormatError(
+                        f"{path}:{lineno}: raw carriage return (CRLF line endings?)"
+                    )
                 fields = raw[:-1].split("\t")
                 if len(fields) != 3:
                     raise CacheFormatError(
@@ -220,7 +220,6 @@ class TranslationTable:
                     ) from None
                 text = _unescape(fields[2])
                 table._entries[token] = TranslationOutcome(status, text)
-                table._provenance[token] = "cache"
         return table
 
     def save(self, path) -> None:
@@ -278,11 +277,11 @@ def translate_all(
         if cached is not None and not (retry_failed and not cached.ok):
             continue
         if not needs_translation(normalized, boundary_marker):
-            bypassed[normalized] = TranslationOutcome(TranslationStatus.FAILED, normalized)
+            bypassed[normalized] = _outcome(normalized, None)
             continue
         todo.append(normalized)
     if bypassed:  # one write; bypasses precede fetched entries in the file
-        table.insert_many(bypassed, "bypass")
+        table.insert_many(bypassed)
     chunk = max(1, provider.max_in_flight)
     for start in range(0, len(todo), chunk):
         batch = todo[start : start + chunk]
@@ -291,32 +290,28 @@ def translate_all(
         except Exception:
             results = []  # fails like a result of the wrong length
         if len(results) != len(batch):
-            results = [TranslationOutcome(TranslationStatus.FAILED, t) for t in batch]
-        fixed: dict[str, TranslationOutcome] = {}
-        for token, outcome in zip(batch, results):
-            if outcome.ok and not outcome.text:
-                outcome = TranslationOutcome(TranslationStatus.FAILED, token)
-            fixed[token] = outcome
-        table.insert_many(fixed, provider.name)
+            results = [None] * len(batch)
+        table.insert_many({
+            token: _outcome(token, result.text if result and result.ok else None)
+            for token, result in zip(batch, results)
+        })
 
 
 class IdentityProvider:
     """Marks every token FAILED so its own text is used downstream."""
 
     name = "identity"
+    max_in_flight = 1024
 
     def translate_batch(self, texts: Sequence[str]) -> list[TranslationOutcome]:
-        return [TranslationOutcome(TranslationStatus.FAILED, t) for t in texts]
-
-    @property
-    def max_in_flight(self) -> int:
-        return 1024
+        return [_outcome(t, None) for t in texts]
 
 
 class DictionaryProvider:
     """Offline word list: token -> translation, misses FAIL to identity."""
 
     name = "dict"
+    max_in_flight = 4096
 
     def __init__(self, mapping: dict[str, str]):
         self.mapping = dict(mapping)
@@ -339,48 +334,35 @@ class DictionaryProvider:
         return cls(mapping)
 
     def translate_batch(self, texts: Sequence[str]) -> list[TranslationOutcome]:
-        out = []
-        for t in texts:
-            hit = self.mapping.get(t)
-            if hit:
-                out.append(TranslationOutcome(TranslationStatus.TRANSLATED, hit))
-            else:
-                out.append(TranslationOutcome(TranslationStatus.FAILED, t))
-        return out
-
-    @property
-    def max_in_flight(self) -> int:
-        return 4096
+        return [_outcome(t, self.mapping.get(t)) for t in texts]
 
 
 class RemoteTranslationProvider:
     """HTTP JSON translation service client.
 
     POSTs ``{"texts": [...], "source": ..., "target": ...}`` and expects
-    ``{"translations": [...]}`` with one string per input. Transport and
-    shape errors degrade to per-item FAILED/identity outcomes after retries
-    with exponential backoff. The HTTP POST callable, sleep and clock are
-    injectable for tests.
+    ``{"translations": [...]}`` with one string per input; an item that is
+    not a string is no translation. Transport and shape errors degrade to
+    per-item FAILED/identity outcomes after retries with exponential backoff.
+    The HTTP POST callable, sleep and clock are injectable for tests.
     """
 
     name = "remote"
+    batch_size = 64
+    max_retries = 3
+    backoff_base_s = 0.5
 
     def __init__(
         self,
         url: str,
         source_lang: Optional[str] = None,
         target_lang: str = "en",
-        batch_size: int = 64,
         rate_limit_per_s: Optional[float] = None,
         timeout_ms: int = 10000,
-        max_retries: int = 3,
-        backoff_base_s: float = 0.5,
         post: Optional[Callable] = None,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if batch_size < 1:
-            raise TranslationError("batch_size must be at least 1")
         if rate_limit_per_s is not None and not 0 < rate_limit_per_s < math.inf:
             raise TranslationError(
                 f"rate limit must be finite and positive, got {rate_limit_per_s}")
@@ -389,11 +371,8 @@ class RemoteTranslationProvider:
         self.url = url
         self.source_lang = source_lang
         self.target_lang = target_lang
-        self.batch_size = batch_size
         self.rate_limit_per_s = rate_limit_per_s
         self.timeout_ms = timeout_ms
-        self.max_retries = max_retries
-        self.backoff_base_s = backoff_base_s
         self._sleep = sleep
         self._clock = clock
         self._last_request_at: Optional[float] = None
@@ -423,7 +402,7 @@ class RemoteTranslationProvider:
                 now = self._clock()
         self._last_request_at = now
 
-    def _request(self, texts: Sequence[str]) -> Optional[list[str]]:
+    def _request(self, texts: Sequence[str]) -> Optional[list]:
         payload = {"texts": list(texts), "source": self.source_lang, "target": self.target_lang}
         for attempt in range(self.max_retries + 1):
             self._throttle()
@@ -432,7 +411,7 @@ class RemoteTranslationProvider:
                 translations = body["translations"]
                 if not isinstance(translations, list) or len(translations) != len(texts):
                     raise TranslationError("response shape mismatch")
-                return [str(t) for t in translations]
+                return translations
             except Exception:
                 if attempt < self.max_retries:
                     self._sleep(self.backoff_base_s * (2 ** attempt))
@@ -442,13 +421,6 @@ class RemoteTranslationProvider:
         out: list[TranslationOutcome] = []
         for start in range(0, len(texts), self.batch_size):
             chunk = list(texts[start : start + self.batch_size])
-            translations = self._request(chunk)
-            if translations is None:
-                out.extend(TranslationOutcome(TranslationStatus.FAILED, t) for t in chunk)
-                continue
-            for token, text in zip(chunk, translations):
-                if text:
-                    out.append(TranslationOutcome(TranslationStatus.TRANSLATED, text))
-                else:
-                    out.append(TranslationOutcome(TranslationStatus.FAILED, token))
+            translations = self._request(chunk) or [None] * len(chunk)
+            out.extend(_outcome(t, x) for t, x in zip(chunk, translations))
         return out

@@ -275,7 +275,7 @@ def test_criterion_09_round_trips_byte_identical(tmp_path, announce):
                 text = "".join(rng.choice(pool) for _ in range(rng.randrange(0, 8)))
                 status = (TranslationStatus.TRANSLATED if rng.random() < 0.5
                           else TranslationStatus.FAILED)
-                table.insert(token, TranslationOutcome(status, text), "test")
+                table.insert(token, TranslationOutcome(status, text))
             table.save(cache_a)
             reloaded = TranslationTable.load(cache_a)
             assert reloaded.items() == table.items()

@@ -135,6 +135,47 @@ class TestTransplantCommand:
         assert out.read_bytes() == first
 
 
+    @pytest.mark.parametrize("flags, error", [
+        (["--provider", "remote", "--remote-url", "http://localhost:9", "--rate-limit", "0"],
+         "TranslationError: rate limit must be finite and positive"),
+        (["--provider", "remote", "--remote-url", "http://localhost:9", "--timeout-ms", "0"],
+         "TranslationError: timeout_ms must be finite and positive"),
+        (["--provider", "dict"], "ConfigError: missing required value: --dict-file"),
+        (["--provider", "remote"], "ConfigError: missing required value: --remote-url"),
+    ], ids=["rate-limit-0", "timeout-ms-0", "dict-without-file", "remote-without-url"])
+    def test_bad_provider_setting_fails_before_any_input_is_read(
+        self, flags, error, tmp_path, vocab_file, capsys
+    ):
+        missing = tmp_path / "missing.embt"
+        code = main([
+            "transplant", "--src-emb", str(missing), "--src-vocab", str(vocab_file),
+            "--tgt-vocab", str(vocab_file), "--out", str(tmp_path / "out.embt"),
+            "--sentinel-count", "3", *flags,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"warmstart: error: {error}") and err.count("\n") == 1
+        assert [f.name for f in tmp_path.iterdir()] == ["vocab.txt"]
+
+    def test_crlf_cache_is_one_error_line_and_left_unchanged(
+        self, tmp_path, vocab_file, emb_file, capsys
+    ):
+        cache = tmp_path / "cache.tsv"
+        cache.write_bytes(b"red\tOK\tred\r\nblue\tOK\tblue\r\n")
+        out = tmp_path / "out.embt"
+        code = main([
+            "transplant", "--src-emb", str(emb_file), "--src-vocab", str(vocab_file),
+            "--tgt-vocab", str(vocab_file), "--out", str(out),
+            "--cache", str(cache), "--sentinel-count", "3",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"warmstart: error: CacheFormatError: {cache}:1: " \
+                      "raw carriage return (CRLF line endings?)\n"
+        assert cache.read_bytes() == b"red\tOK\tred\r\nblue\tOK\tblue\r\n"
+        assert not out.exists()
+
+
 class TestPrepareCorpusAndStats:
     def test_store_contents(self, corpus_store):
         reader = SequenceStoreReader(corpus_store)

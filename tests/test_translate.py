@@ -112,7 +112,6 @@ class TestLookupOrFetch:
         out = lookup_or_fetch(table, provider, "▁2022")
         assert out == TranslationOutcome(TranslationStatus.FAILED, "2022")
         assert provider.calls == 0
-        assert table.provenance("2022") == "bypass"
 
     def test_retry_failed_requeries(self):
         table = TranslationTable()
@@ -200,9 +199,9 @@ class TestTranslateAll:
         calls = []
         insert_many = TranslationTable.insert_many
 
-        def counted(table, outcomes, provenance):
+        def counted(table, outcomes):
             calls.append(len(outcomes))
-            insert_many(table, outcomes, provenance)
+            insert_many(table, outcomes)
 
         monkeypatch.setattr(TranslationTable, "insert_many", counted)
         cache = tmp_path / "cache.tsv"
@@ -225,9 +224,9 @@ class TestTranslateAll:
 class TestCacheFile:
     def test_round_trip_identical_bytes(self, tmp_path):
         table = TranslationTable()
-        table.insert("doktor", TranslationOutcome(TranslationStatus.TRANSLATED, "doctor"), "dict")
-        table.insert("Aarhus", TranslationOutcome(TranslationStatus.FAILED, "Aarhus"), "dict")
-        table.insert("odd\ttoken", TranslationOutcome(TranslationStatus.TRANSLATED, "a\nb\\c\rd"), "dict")
+        table.insert("doktor", TranslationOutcome(TranslationStatus.TRANSLATED, "doctor"))
+        table.insert("Aarhus", TranslationOutcome(TranslationStatus.FAILED, "Aarhus"))
+        table.insert("odd\ttoken", TranslationOutcome(TranslationStatus.TRANSLATED, "a\nb\\c\rd"))
         path = tmp_path / "cache.tsv"
         table.save(path)
         first = path.read_bytes()
@@ -240,8 +239,8 @@ class TestCacheFile:
     def test_persist_appends_on_insert(self, tmp_path):
         path = tmp_path / "cache.tsv"
         table = TranslationTable(persist_path=path)
-        table.insert("go", TranslationOutcome(TranslationStatus.FAILED, "go"), "identity")
-        table.insert("doktor", TranslationOutcome(TranslationStatus.TRANSLATED, "doctor"), "dict")
+        table.insert("go", TranslationOutcome(TranslationStatus.FAILED, "go"))
+        table.insert("doktor", TranslationOutcome(TranslationStatus.TRANSLATED, "doctor"))
         reloaded = TranslationTable.load(path)
         assert len(reloaded) == 2
         assert reloaded.get("doktor").text == "doctor"
@@ -269,6 +268,13 @@ class TestCacheFile:
             TranslationTable.load(path)
         assert str(exc.value) == message
 
+    def test_crlf_line_endings_rejected(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        path.write_bytes(b"hus\tOK\thouse\r\nbil\tOK\tcar\r\n")
+        with pytest.raises(CacheFormatError) as exc:
+            TranslationTable.load(path)
+        assert str(exc.value) == f"{path}:1: raw carriage return (CRLF line endings?)"
+
     def test_bad_escape_rejected(self, tmp_path):
         path = tmp_path / "cache.tsv"
         path.write_text("tok\tOK\tbad\\q\n", encoding="utf-8")
@@ -291,7 +297,7 @@ def test_cache_round_trip_property(entries, tmp_path_factory):
     table = TranslationTable()
     for token, ok, text in entries:
         status = TranslationStatus.TRANSLATED if ok else TranslationStatus.FAILED
-        table.insert(token, TranslationOutcome(status, text), "test")
+        table.insert(token, TranslationOutcome(status, text))
     path = tmp_path_factory.mktemp("cache") / "c.tsv"
     table.save(path)
     first = path.read_bytes()
@@ -301,13 +307,21 @@ def test_cache_round_trip_property(entries, tmp_path_factory):
     assert reloaded.items() == table.items()
 
 
+def _remote(post, **kw):
+    """A remote provider on `post`; the fixed class settings (`batch_size`,
+    `max_retries`, `backoff_base_s`) given here are set on the instance."""
+    fixed = {k: kw.pop(k) for k in ("batch_size", "max_retries", "backoff_base_s") if k in kw}
+    provider = RemoteTranslationProvider("http://svc/translate", post=post, **kw)
+    vars(provider).update(fixed)
+    return provider
+
+
 class TestRemoteProvider:
     def _provider(self, post, **kw):
         sleeps = []
         kw.setdefault("sleep", sleeps.append)
         kw.setdefault("clock", lambda: 0.0)
-        p = RemoteTranslationProvider("http://svc/translate", post=post, **kw)
-        return p, sleeps
+        return _remote(post, **kw), sleeps
 
     def test_happy_path(self):
         def post(url, json, timeout):
@@ -361,10 +375,7 @@ class TestRemoteProvider:
         def post(url, json, timeout):
             return {"translations": json["texts"]}
 
-        p = RemoteTranslationProvider(
-            "http://svc", post=post, sleep=sleep, clock=clock,
-            rate_limit_per_s=2.0, batch_size=1,
-        )
+        p = _remote(post, sleep=sleep, clock=clock, rate_limit_per_s=2.0, batch_size=1)
         p.translate_batch(["a"])
         p.translate_batch(["b"])
         assert waits == [pytest.approx(0.5)]
@@ -379,6 +390,22 @@ class TestRemoteProvider:
         p, _ = self._provider(post, batch_size=3)
         p.translate_batch([f"w{i}" for i in range(7)])
         assert sizes == [3, 3, 1]
+
+    def test_non_string_items_are_no_translation(self):
+        def post(url, json, timeout):
+            return {"translations": [None, 7, "house"]}
+
+        p, _ = self._provider(post)
+        assert p.translate_batch(["bil", "syv", "hus"]) == [
+            TranslationOutcome(TranslationStatus.FAILED, "bil"),
+            TranslationOutcome(TranslationStatus.FAILED, "syv"),
+            TranslationOutcome(TranslationStatus.TRANSLATED, "house"),
+        ]
+
+    def test_fixed_settings(self):
+        p = RemoteTranslationProvider("http://svc", post=lambda url, json, timeout: {})
+        assert (p.batch_size, p.max_retries, p.backoff_base_s) == (64, 3, 0.5)
+        assert p.max_in_flight == 64
 
     @pytest.mark.parametrize("kw", [
         {"timeout_ms": 0}, {"timeout_ms": -5}, {"timeout_ms": float("nan")},
@@ -410,6 +437,59 @@ class TestRemoteProvider:
         assert payloads[0]["target"] == "en"
 
 
+class _Fixed:
+    """A provider whose every batch gets `result(texts)`."""
+
+    name = "fixed"
+    max_in_flight = 8
+
+    def __init__(self, result):
+        self.result = result
+
+    def translate_batch(self, texts):
+        return self.result(texts)
+
+
+def _driven(result):
+    """What translate_all records for "hus" when each batch gets `result(texts)`."""
+    def run(tmp_path):
+        table = TranslationTable()
+        translate_all(table, _Fixed(result), ["▁hus"])
+        return table.get("hus")
+    return run
+
+
+def _raise(texts):
+    raise RuntimeError("down")
+
+
+def _down(url, json, timeout):
+    raise IOError("connection refused")
+
+
+def _dict_file_hus(tmp_path):
+    path = tmp_path / "dict.tsv"
+    path.write_text("hus\t\nbil\tcar\n", encoding="utf-8")
+    return DictionaryProvider.from_file(path).translate_batch(["hus"])[0]
+
+
+@pytest.mark.parametrize("outcome_for_hus", [
+    pytest.param(lambda _: IdentityProvider().translate_batch(["hus"])[0], id="identity"),
+    pytest.param(lambda _: DictionaryProvider({}).translate_batch(["hus"])[0], id="dict-miss"),
+    pytest.param(_dict_file_hus, id="dict-empty-column"),
+    pytest.param(lambda _: _remote(_down, max_retries=1, sleep=lambda s: None)
+                 .translate_batch(["hus"])[0], id="remote-chunk-failed"),
+    pytest.param(lambda _: _remote(lambda url, json, timeout: {"translations": [""]})
+                 .translate_batch(["hus"])[0], id="remote-empty"),
+    pytest.param(_driven(_raise), id="drive-raises"),
+    pytest.param(_driven(lambda texts: []), id="drive-wrong-length"),
+    pytest.param(_driven(lambda texts: [TranslationOutcome(TranslationStatus.TRANSLATED, "")]),
+                 id="drive-ok-empty"),
+])
+def test_no_usable_translation_is_failed_with_the_tokens_own_text(outcome_for_hus, tmp_path):
+    assert outcome_for_hus(tmp_path) == TranslationOutcome(TranslationStatus.FAILED, "hus")
+
+
 def test_retry_batch_mixing_a_replacement_with_new_tokens_saves_canonically(tmp_path):
     cache = tmp_path / "cache.tsv"
     table = TranslationTable(persist_path=cache)
@@ -430,7 +510,7 @@ def test_persistence_failure_carries_the_unwritten_outcomes(tmp_path):
         "hus": TranslationOutcome(TranslationStatus.FAILED, "hus"),
     }
     with pytest.raises(CachePersistenceError) as exc:
-        table.insert_many(outcomes, "dict")
+        table.insert_many(outcomes)
     assert exc.value.undelivered == outcomes
 
 
@@ -441,7 +521,7 @@ def test_torn_last_cache_line_is_dropped_and_rewritten_away(tmp_path):
     assert table.items() == [("hus", TranslationOutcome(TranslationStatus.TRANSLATED, "house"))]
     translate_all(table, CountingProvider({"bil": "car"}), ["bil"])
     assert cache.read_bytes() == b"hus\tOK\thouse\nbil\tOK\tcar\n"
-    table.insert("vej", TranslationOutcome(TranslationStatus.FAILED, "vej"), "dict")
+    table.insert("vej", TranslationOutcome(TranslationStatus.FAILED, "vej"))
     assert cache.read_bytes().endswith(b"bil\tOK\tcar\nvej\tFAIL\tvej\n")
     assert TranslationTable.load(cache).items() == table.items()
 

@@ -33,7 +33,7 @@ FAIL = TranslationStatus.FAILED
 def table_of(entries):
     table = TranslationTable()
     for token, outcome in entries.items():
-        table.insert(token, outcome, "test")
+        table.insert(token, outcome)
     return table
 
 
@@ -278,10 +278,10 @@ def _random_case(rng, case_seed):
             k = rng.randrange(1, 5)
             words = [rng.randrange(n_src_words) for _ in range(k)]
             text = " ".join(f"w{w}" for w in words)
-            table.insert(f"t{j}", TranslationOutcome(OK, text), "test")
+            table.insert(f"t{j}", TranslationOutcome(OK, text))
             expected_pieces[tgt_id] = [3 + w for w in words]
         else:
-            table.insert(f"t{j}", TranslationOutcome(FAIL, f"t{j}"), "test")
+            table.insert(f"t{j}", TranslationOutcome(FAIL, f"t{j}"))
             expected_pieces[tgt_id] = [tgt.unk_id]
     return src, tgt, src_emb, table, expected_pieces
 
