@@ -214,14 +214,14 @@ def cmd_transplant(o: dict) -> int:
                  [("--src-emb", o["src_emb"]), ("--src-vocab", o["src_vocab"]),
                   ("--tgt-vocab", o["tgt_vocab"]), ("--dict-file", o["dict_file"])])
     provider = _build_provider(o)  # a bad provider setting fails before any input is read
-    src = _load_vocab(o["src_vocab"], o)
-    tgt = _load_vocab(o["tgt_vocab"], o)
-    src_emb = read_embeddings(o["src_emb"])
-
+    # A bad cache fails before the vocabularies and the matrix are read.
     if cache_path is not None and Path(cache_path).exists():
         table = TranslationTable.load(cache_path, persist=True)
     else:
         table = TranslationTable(persist_path=cache_path)
+    src = _load_vocab(o["src_vocab"], o)
+    tgt = _load_vocab(o["tgt_vocab"], o)
+    src_emb = read_embeddings(o["src_emb"])
 
     specials = tgt.special_ids()
     pending = [tok for i, tok in enumerate(tgt.tokens) if i not in specials]

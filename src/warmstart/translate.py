@@ -211,14 +211,16 @@ class TranslationTable:
                     raise CacheFormatError(
                         f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
                     )
-                token = _unescape(fields[0])
                 try:
+                    token = _unescape(fields[0])
                     status = TranslationStatus(fields[1])
+                    text = _unescape(fields[2])
+                except CacheFormatError as e:
+                    raise CacheFormatError(f"{path}:{lineno}: {e}") from None
                 except ValueError:
                     raise CacheFormatError(
                         f"{path}:{lineno}: unknown status {fields[1]!r}"
                     ) from None
-                text = _unescape(fields[2])
                 table._entries[token] = TranslationOutcome(status, text)
         return table
 

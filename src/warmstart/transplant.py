@@ -24,6 +24,7 @@ from .vocab import Vocabulary, tokenize_greedy
 
 EMBEDDING_MAGIC = b"EMBT"
 EMBEDDING_VERSION = 1
+ROW_CHUNK = 256  # rows built per block; bounds the float64 temporaries
 
 
 class TransplantError(WarmstartError):
@@ -160,9 +161,12 @@ def transplant(
 ) -> tuple[EmbeddingMatrix, TransplantReport]:
     """Build the target embedding matrix and its per-path report.
 
-    Single-piece mappings copy the source row bit for bit. Multi-piece rows
-    are the mean computed in float64 and cast once to float32, which keeps
-    every coordinate inside the bounding box of the contributing rows.
+    One pass maps every target token to its source pieces. Rows are then
+    built in blocks of ``ROW_CHUNK`` rows per piece count. Single-piece rows
+    copy the source row bit for bit. Multi-piece rows keep the arithmetic
+    order of a per-row mean: float64 zeros plus each piece's row in turn,
+    one division by the piece count, one cast to float32. That keeps every
+    coordinate inside the bounding box of the contributing rows.
     Requires a table entry for every non-special target token.
     """
     if src_emb.rows != src.size:
@@ -175,15 +179,14 @@ def transplant(
             f"target needs {tgt.sentinel_count} sentinels but source has "
             f"only {src.sentinel_count}"
         )
-    out = np.empty((tgt.size, src_emb.dim), dtype=np.float32)
-    src_data = src_emb.data
-
     role_copy = {tgt.pad_id: src.pad_id, tgt.eos_id: src.eos_id, tgt.unk_id: src.unk_id}
     for k in range(tgt.sentinel_count):
         role_copy[tgt.sentinel_id(k)] = src.sentinel_id(k)
 
     translated = failed = bypassed = unk_only = 0
     pieces_total = 0
+    counts: list[int] = []  # piece count of each target row
+    flat: list[int] = []  # every row's pieces, concatenated in row order
     marker = tgt.boundary_marker
     for t in range(tgt.size):
         if t in role_copy:
@@ -207,16 +210,26 @@ def transplant(
             if pieces == [src.unk_id]:
                 unk_only += 1
             pieces_total += len(pieces)
-        if len(pieces) == 1:
-            out[t] = src_data[pieces[0]]
-        else:
-            # Sequential float64 accumulation, one rounding at the end: the
-            # result is reproducible exactly and stays inside the coordinate
-            # bounding box of the contributing rows.
-            acc = np.zeros(src_emb.dim, dtype=np.float64)
-            for p in pieces:
-                acc += src_data[p]
-            out[t] = (acc / len(pieces)).astype(np.float32)
+        counts.append(len(pieces))
+        flat.extend(pieces)
+
+    out = np.empty((tgt.size, src_emb.dim), dtype=np.float32)
+    src_data = src_emb.data
+    count_arr = np.array(counts, dtype=np.intp)
+    flat_arr = np.array(flat, dtype=np.intp)
+    starts = np.cumsum(count_arr) - count_arr
+    for k in sorted(set(counts)):
+        rows = np.flatnonzero(count_arr == k)
+        for lo in range(0, len(rows), ROW_CHUNK):
+            block = rows[lo:lo + ROW_CHUNK]
+            first = starts[block]
+            if k == 1:
+                out[block] = src_data[flat_arr[first]]
+                continue
+            acc = np.zeros((len(block), src_emb.dim), dtype=np.float64)
+            for j in range(k):
+                acc += src_data[flat_arr[first + j]]
+            out[block] = (acc / k).astype(np.float32)
 
     regular_total = tgt.size - len(role_copy)
     report = TransplantReport(

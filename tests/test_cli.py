@@ -175,6 +175,22 @@ class TestTransplantCommand:
         assert cache.read_bytes() == b"red\tOK\tred\r\nblue\tOK\tblue\r\n"
         assert not out.exists()
 
+    def test_bad_cache_reported_before_the_source_matrix_is_read(
+        self, tmp_path, vocab_file, capsys
+    ):
+        cache = tmp_path / "cache.tsv"
+        cache.write_bytes(b"hus\tOK\thouse\r\n")
+        code = main([
+            "transplant", "--src-emb", str(tmp_path / "missing.embt"),
+            "--src-vocab", str(vocab_file), "--tgt-vocab", str(vocab_file),
+            "--out", str(tmp_path / "out.embt"), "--cache", str(cache),
+            "--sentinel-count", "3",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"warmstart: error: CacheFormatError: {cache}:1: " \
+                      "raw carriage return (CRLF line endings?)\n"
+
 
 class TestPrepareCorpusAndStats:
     def test_store_contents(self, corpus_store):

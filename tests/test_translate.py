@@ -266,7 +266,7 @@ class TestCacheFile:
         path.write_text(f"tok\tOK\t{field}\n", encoding="utf-8")
         with pytest.raises(CacheFormatError) as exc:
             TranslationTable.load(path)
-        assert str(exc.value) == message
+        assert str(exc.value) == f"{path}:1: {message}"
 
     def test_crlf_line_endings_rejected(self, tmp_path):
         path = tmp_path / "cache.tsv"

@@ -6,14 +6,17 @@ import threading
 import numpy as np
 import pytest
 
+import warmstart.transplant as transplant_module
 from warmstart.translate import (
     IdentityProvider,
     TranslationOutcome,
     TranslationStatus,
     TranslationTable,
+    normalize_token,
     translate_all,
 )
 from warmstart.transplant import (
+    ROW_CHUNK,
     EmbeddingFormatError,
     EmbeddingMatrix,
     TransplantError,
@@ -338,3 +341,111 @@ def test_permutation_equivariance():
     out2, _ = transplant(src_emb, src, tgt2, table)
     for old, new in zip(regular, perm):
         assert (out2.data[new] == out.data[old]).all()
+
+
+def per_row_transplant(src_emb, src, tgt, table):
+    """The plain per-row loop: each row on its own, float64 zeros plus each
+    piece's row in turn, one division, one cast."""
+    role_copy = {tgt.pad_id: src.pad_id, tgt.eos_id: src.eos_id, tgt.unk_id: src.unk_id}
+    for k in range(tgt.sentinel_count):
+        role_copy[tgt.sentinel_id(k)] = src.sentinel_id(k)
+    out = np.empty((tgt.size, src_emb.dim), dtype=np.float32)
+    for t, token in enumerate(tgt.tokens):
+        if t in role_copy:
+            pieces = [role_copy[t]]
+        else:
+            outcome = table.get(normalize_token(token, tgt.boundary_marker))
+            pieces = map_token(token, outcome, src)
+        if len(pieces) == 1:
+            out[t] = src_emb.data[pieces[0]]
+        else:
+            acc = np.zeros(src_emb.dim, dtype=np.float64)
+            for p in pieces:
+                acc += src_emb.data[p]
+            out[t] = (acc / len(pieces)).astype(np.float32)
+    return out
+
+
+def _case_with_counts(counts, seed, sentinel_count=2, dim=7, data=None):
+    """A target with one regular token per entry of ``counts``: a count k > 0
+    translates to k random source words, 0 is a failed token that collapses
+    to the unknown row. ``data`` replaces the random source matrix."""
+    rng = random.Random(seed)
+    n_src_words = 40
+    sentinels = [f"<x{k}>" for k in range(sentinel_count - 1, -1, -1)]
+    src = Vocabulary(
+        ["<pad>", "</s>", "<unk>"] + [f"▁w{i}" for i in range(n_src_words)] + sentinels,
+        sentinel_count=sentinel_count,
+    )
+    tgt = Vocabulary(
+        ["<pad>", "</s>", "<unk>"] + [f"▁t{j}" for j in range(len(counts))] + sentinels,
+        sentinel_count=sentinel_count,
+    )
+    table = TranslationTable()
+    for j, k in enumerate(counts):
+        if k:
+            text = " ".join(f"w{rng.randrange(n_src_words)}" for _ in range(k))
+            table.insert(f"t{j}", TranslationOutcome(OK, text))
+        else:
+            table.insert(f"t{j}", TranslationOutcome(FAIL, f"t{j}"))
+    if data is None:
+        data = random_embedding(src.size, dim, seed)
+    return src, tgt, EmbeddingMatrix(data), table
+
+
+class TestBlockedRows:
+    """transplant() builds rows in blocks per piece count; every byte must
+    match the per-row loop."""
+
+    def _assert_matches_per_row(self, src, tgt, src_emb, table):
+        out, report = transplant(src_emb, src, tgt, table)
+        assert out.data.tobytes() == per_row_transplant(src_emb, src, tgt, table).tobytes()
+        return out, report
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_several_blocks_and_a_partial_one(self, k):
+        counts = [k] * (2 * ROW_CHUNK + 5)
+        src, tgt, src_emb, table = _case_with_counts(counts, seed=k)
+        out, report = self._assert_matches_per_row(src, tgt, src_emb, table)
+        assert report.mean_pieces_per_token == k
+
+    def test_every_piece_count_from_one_to_six(self):
+        counts = [k for k in range(1, 7) for _ in range(40)]
+        random.Random(6).shuffle(counts)
+        src, tgt, src_emb, table = _case_with_counts(counts, seed=6)
+        out, report = self._assert_matches_per_row(src, tgt, src_emb, table)
+        assert report.mean_pieces_per_token == sum(counts) / len(counts)
+
+    def test_negative_zero_rows_compared_as_bytes(self):
+        counts = [1, 2, 3, 1, 5]
+        src, tgt, src_emb, table = _case_with_counts(counts, seed=8, data=np.full(
+            (45, 7), -0.0, dtype=np.float32))
+        out, _ = self._assert_matches_per_row(src, tgt, src_emb, table)
+        positive, negative = np.zeros(7, np.float32).tobytes(), src_emb.data[3].tobytes()
+        # 0.0 + (-0.0) is +0.0: a mean starts from zeros, a copy keeps the sign.
+        assert [out.data[3 + j].tobytes() for j in range(len(counts))] == [
+            negative, positive, positive, negative, positive]
+
+    def test_unk_only_rows_and_role_copied_specials(self):
+        counts = [0, 2, 0, 1, 4, 0]
+        src, tgt, src_emb, table = _case_with_counts(counts, seed=3, sentinel_count=3)
+        out, report = self._assert_matches_per_row(src, tgt, src_emb, table)
+        assert report.unk_only_count == 3 and report.specials_copied == 6
+        for j in (0, 2, 5):
+            assert out.data[3 + j].tobytes() == src_emb.data[src.unk_id].tobytes()
+        for k in range(3):
+            assert out.data[tgt.sentinel_id(k)].tobytes() == \
+                src_emb.data[src.sentinel_id(k)].tobytes()
+
+    def test_map_token_called_once_per_regular_token(self, monkeypatch):
+        counts = [1, 2, 0, 3] * 80
+        src, tgt, src_emb, table = _case_with_counts(counts, seed=4)
+        calls = []
+
+        def counting_map_token(token, outcome, vocab):
+            calls.append(token)
+            return map_token(token, outcome, vocab)
+
+        monkeypatch.setattr(transplant_module, "map_token", counting_map_token)
+        transplant(src_emb, src, tgt, table)
+        assert calls == [f"▁t{j}" for j in range(len(counts))]
