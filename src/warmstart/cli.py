@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from array import array
 from collections import Counter, deque
 from contextlib import ExitStack, closing
 from fractions import Fraction
@@ -39,7 +40,7 @@ from .config import (
 )
 from .corpus import (SequenceStoreReader, chunk_corpus, default_index_path, is_special_file,
                      replacing, store_writer, write_store)
-from .errors import WarmstartError
+from .errors import WarmstartError, utf8_input
 from .masking import MaskMode, MaskSpec, corrupt_batch, make_example  # noqa: F401
 from .memplan import (
     HardwareSpec,
@@ -259,38 +260,64 @@ def cmd_transplant(o: dict) -> int:
     return 0
 
 
-def _read_documents(input_path, vocab: Vocabulary):
-    """Directory: each *.txt file (name-sorted) is one document. Single
-    file: blank-line-separated blocks are documents."""
+GROUP_BYTES = 256 * 1024  # about this much text is tokenized at a time
+
+
+def _read_text(path) -> str:
+    with utf8_input(path):
+        return Path(path).read_text(encoding="utf-8")
+
+
+def _read_documents(input_path, vocab: Vocabulary, workers: int):
+    """The ids of each non-empty document, in order, as compact arrays.
+    Directory: each *.txt file (name-sorted) is one document. Single file:
+    blank-line-separated blocks are documents.
+
+    Documents are tokenized in groups of about GROUP_BYTES of text, one
+    document at least, through _ordered_map: the first group here, which
+    fills the vocabulary's word memo that forked workers then inherit, and
+    the rest on `workers` processes. A file is read where its group is
+    tokenized."""
     p = Path(input_path)
     if p.is_dir():
-        files = sorted(p.glob("*.txt"))
-        if not files:
+        docs = sorted(p.glob("*.txt"))
+        if not docs:
             raise ConfigError(f"{input_path}: no *.txt files found")
-        texts = (path.read_text(encoding="utf-8") for path in files)  # one file at a time
+        sizes, read = [path.stat().st_size for path in docs], _read_text
     else:
-        texts = p.read_text(encoding="utf-8").split("\n\n")
-    for text in texts:
-        ids = tokenize_greedy(vocab, " ".join(text.split()))
-        if ids:
-            yield ids
+        docs = _read_text(p).split("\n\n")
+        sizes, read = map(len, docs), str  # a block is its own text
+    groups, start, size = [], 0, 0
+    for end, n in enumerate(sizes, start=1):
+        size += n
+        if size >= GROUP_BYTES or end == len(docs):
+            groups.append(docs[start:end])
+            start, size = end, 0
+
+    def tokenize_group(group) -> list:
+        ids = (tokenize_greedy(vocab, " ".join(read(doc).split())) for doc in group)
+        return [array("I", doc_ids) for doc_ids in ids if doc_ids]
+
+    for done in _ordered_map(tokenize_group, groups, workers):
+        yield from done
 
 
 def cmd_prepare_corpus(o: dict) -> int:
     seq_len, min_tail = o["seq_len"], o["min_tail"]
     _check_paths(o, _store_files("--out", o["out"]),
                  [("--vocab", o["vocab"]), ("--in", o["input"])])
+    workers = resolve_workers()
     vocab = _load_vocab(o["vocab"], o)
-    seqs = chunk_corpus(_read_documents(o["input"], vocab), seq_len, min_tail)
     total = 0
 
-    def counted():
+    def counted(seqs):
         nonlocal total
         for seq in seqs:
             total += len(seq.ids)
             yield seq
 
-    count = write_store(counted(), o["out"])
+    with closing(_read_documents(o["input"], vocab, workers)) as docs:
+        count = write_store(counted(chunk_corpus(docs, seq_len, min_tail)), o["out"])
     print(f"sequences={count} tokens={total} seq_len={seq_len} min_tail={min_tail}")
     return 0
 

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Optional
 
-from .errors import WarmstartError
+from .errors import WarmstartError, utf8_input
 
 WORKERS_ENV = "WARMSTART_WORKERS"
 MAX_WORKERS = 8
@@ -32,7 +32,7 @@ def parse_config_file(path, known_keys: Collection[str]) -> dict[str, str]:
     A key outside `known_keys` is an error, so a misspelt key cannot be
     silently ignored."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8") as f, utf8_input(path):
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Callable, Optional, Protocol, Sequence
 
 from .corpus import replacing
-from .errors import WarmstartError
+from .errors import WarmstartError, utf8_input
 from .vocab import DEFAULT_BOUNDARY_MARKER
 
 
@@ -197,7 +197,7 @@ class TranslationTable:
         cut short: it is dropped, and the next insert rewrites the file. A
         raw CR is never written (CR is escaped), so one fails the load."""
         table = cls(persist_path=path if persist else None)
-        with open(path, encoding="utf-8", newline="\n") as f:
+        with open(path, encoding="utf-8", newline="\n") as f, utf8_input(path):
             for lineno, raw in enumerate(f, start=1):
                 table._torn = not raw.endswith("\n")
                 if table._torn or raw == "\n":
@@ -322,7 +322,7 @@ class DictionaryProvider:
     def from_file(cls, path) -> "DictionaryProvider":
         """Two tab-separated columns per line; blank lines ignored."""
         mapping: dict[str, str] = {}
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8") as f, utf8_input(path):
             for lineno, raw in enumerate(f, start=1):
                 line = raw.rstrip("\n")
                 if not line:

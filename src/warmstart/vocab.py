@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import WarmstartError
+from .errors import WarmstartError, utf8_input
 
 DEFAULT_BOUNDARY_MARKER = "▁"  # "▁", marks word-initial pieces
 MEMO_MAX_WORDS = 65_536  # about 9 MB; past it new words are scanned, not stored
@@ -32,7 +32,9 @@ class Vocabulary:
     Matching structures are built once at construction. The one mutable part
     is the word memo of tokenize_greedy, a cache that never changes an
     output: threads that fill it at once store equal values, so instances are
-    safe to share across threads.
+    safe to share across threads. A forked worker inherits the memo as
+    filled so far and fills its own copy from there; words it adds do not
+    reach the parent or other workers.
     """
 
     def __init__(
@@ -142,7 +144,7 @@ def load_vocab(path, **layout) -> Vocabulary:
     horizontal tab on a line is ignored, so sentencepiece-style score columns
     are accepted and discarded.
     """
-    with open(path, encoding="utf-8", newline="") as f:
+    with open(path, encoding="utf-8", newline="") as f, utf8_input(path):
         lines = f.read().replace("\r\n", "\n").split("\n")
     if lines[-1] == "":  # the final newline ends the last line; it starts none
         lines.pop()

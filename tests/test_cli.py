@@ -548,3 +548,65 @@ class TestRunLog:
             assert fields[1] == "memplan"
             assert any(f.startswith("seed=") for f in fields)
             assert any(f.startswith("config=") for f in fields)
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 in any text input is one error line that
+    names the file, not a traceback."""
+
+    @staticmethod
+    def fails_on(capsys, path, argv):
+        assert main([str(a) for a in argv]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == (f"warmstart: error: InputEncodingError: {path}: not UTF-8 text "
+                       "(invalid start byte: ff)\n")
+
+    def prepare(self, vocab, source, out):
+        return ["prepare-corpus", "--vocab", vocab, "--in", source, "--out", out,
+                "--sentinel-count", "3"]
+
+    def transplant(self, vocab, emb, out, *extra):
+        return ["transplant", "--src-emb", emb, "--src-vocab", vocab, "--tgt-vocab", vocab,
+                "--out", out, "--sentinel-count", "3", *extra]
+
+    def test_directory_document(self, tmp_path, vocab_file, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.txt").write_text("red blue", encoding="utf-8")
+        (corpus / "b.txt").write_bytes(b"sun \xff moon")
+        out = tmp_path / "c.seqs"
+        self.fails_on(capsys, corpus / "b.txt", self.prepare(vocab_file, corpus, out))
+        assert not out.exists()
+
+    def test_single_file_corpus(self, tmp_path, vocab_file, capsys):
+        single = tmp_path / "single.txt"
+        single.write_bytes(b"red blue\n\nsun \xff moon\n")
+        self.fails_on(capsys, single, self.prepare(vocab_file, single, tmp_path / "c.seqs"))
+
+    def test_vocab(self, tmp_path, capsys):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_bytes("\n".join(VOCAB_TOKENS).encode() + b"\n\xffbad\n")
+        single = tmp_path / "single.txt"
+        single.write_text("red blue", encoding="utf-8")
+        self.fails_on(capsys, vocab, self.prepare(vocab, single, tmp_path / "c.seqs"))
+
+    def test_config(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"params = 1000\n# caf\xff\n")
+        self.fails_on(capsys, config, ["memplan", "--config", config])
+
+    def test_dict_file(self, tmp_path, vocab_file, emb_file, capsys):
+        dict_file = tmp_path / "dict.tsv"
+        dict_file.write_bytes(b"r\xffd\tred\n")
+        out = tmp_path / "out.embt"
+        self.fails_on(capsys, dict_file, self.transplant(
+            vocab_file, emb_file, out, "--provider", "dict", "--dict-file", dict_file))
+        assert not out.exists()
+
+    def test_cache(self, tmp_path, vocab_file, emb_file, capsys):
+        cache = tmp_path / "cache.tsv"
+        cache.write_bytes(b"red\tOK\tr\xffd\n")
+        out = tmp_path / "out.embt"
+        self.fails_on(capsys, cache, self.transplant(vocab_file, emb_file, out, "--cache", cache))
+        assert not out.exists() and cache.read_bytes() == b"red\tOK\tr\xffd\n"

@@ -2,7 +2,8 @@
 
 Each digest is the SHA-256 of one subcommand's stdout or of one file it
 wrote; they were computed before the CLI options moved into declarative
-tables, so a refactor that changes any byte of any artifact fails here.
+tables (the big-corpus ones before prepare-corpus tokenized on workers),
+so a refactor that changes any byte of any artifact fails here.
 Temporary directory paths are replaced by `<tmp>` before stdout is hashed.
 The option set each subcommand's parser accepts is pinned the same way.
 """
@@ -64,6 +65,7 @@ def collect_digests(tmp) -> dict[str, str]:
         "--seq-len", 4, "--min-tail", 2, "--sentinel-count", 3,
     ], [single_store])
     run("stats", ["stats", "--store", store])
+    _prepare_big_corpus(tmp, vocab, run)
 
     base = [
         "sample-batches", "--store", store, "--vocab", vocab, "--seed", 5,
@@ -169,6 +171,40 @@ def _sample_big_store(tmp, vocab, run):
     run("sample-big-sorted", [*base, "--sort-by-length", "--report", report], [report])
 
 
+def write_big_corpus(tmp):
+    """About 1.2 MB of text in 14 documents of 0 to 300 KiB, enough for
+    several groups of tokenizing work, as a directory of *.txt files and as
+    one file of the same documents in blank-line-separated blocks. Words are
+    vocabulary words and unknown strings, some non-ASCII, between runs of
+    spaces, tabs and single newlines."""
+    rng = random.Random(12)
+    unknown = ["".join(rng.choice("abdeilmnoprstuzø") for _ in range(rng.randint(1, 9)))
+               for _ in range(3000)]
+    corpus = tmp / "big-corpus"
+    corpus.mkdir()
+    docs = []
+    for d, kib in enumerate([40, 0, 130, 90, 300, 5, 250, 1, 60, 120, 80, 20, 70, 33]):
+        parts = []
+        for _ in range(kib * 1024 // 6):
+            parts.append(rng.choice(WORDS) if rng.random() < 0.8 else rng.choice(unknown))
+            parts.append(rng.choice([" "] * 12 + ["\n", "\t", "  ", " \n "]))
+        docs.append("".join(parts))
+        (corpus / f"doc{d:02d}.txt").write_text(docs[-1], encoding="utf-8")
+    single = tmp / "big-corpus.txt"
+    single.write_text("\n\n".join(docs), encoding="utf-8")
+    return corpus, single
+
+
+def _prepare_big_corpus(tmp, vocab, run):
+    corpus, single = write_big_corpus(tmp)
+    for name, source in (("prepare-big-dir", corpus), ("prepare-big-file", single)):
+        store = tmp / f"{name}.seqs"
+        run(name, [
+            "prepare-corpus", "--vocab", vocab, "--in", source, "--out", store,
+            "--seq-len", 64, "--min-tail", 5, "--sentinel-count", 3,
+        ], [store, tmp / f"{name}.seqs.idx"])
+
+
 GOLDEN = {
     'prepare-corpus:stdout': '097f754a45b0e61d0c619b5f7ca5f60fbf1afe0a764310d02f381422b1b219c6',
     'prepare-corpus:corpus.seqs': 'c348c85930b98887d4b58782778987f05795f5bc32f7c01715043a03869bdede',
@@ -176,6 +212,12 @@ GOLDEN = {
     'prepare-corpus-file:stdout': '7fc08c9c863633f2c362d712c1da1291b33d63a612e36eaedbc42dea1dccae65',
     'prepare-corpus-file:single.seqs': '6e79e8482e2774f2a13b75015e6bf40e617a353eee0f0355f5719c3fdf21e74c',
     'stats:stdout': 'c3348ba5e70b35e44e059dd27ca22a38ea745caa8db6e06bb0a50d6a2bd30240',
+    'prepare-big-dir:stdout': '54928242de1e49e8df887e43dd31d9e114a38ed3692dc403edb59e519d9ee580',
+    'prepare-big-dir:prepare-big-dir.seqs': '5b5fb9c3bac7799da354df3561d40cfff2f74471c8e3b638ea52513882b592a0',
+    'prepare-big-dir:prepare-big-dir.seqs.idx': 'fcd308d3ac10dc665d8c3e3ff9a692397bc5263ebfc6f840aa60098e7c7cb622',
+    'prepare-big-file:stdout': '54928242de1e49e8df887e43dd31d9e114a38ed3692dc403edb59e519d9ee580',
+    'prepare-big-file:prepare-big-file.seqs': '5b5fb9c3bac7799da354df3561d40cfff2f74471c8e3b638ea52513882b592a0',
+    'prepare-big-file:prepare-big-file.seqs.idx': 'fcd308d3ac10dc665d8c3e3ff9a692397bc5263ebfc6f840aa60098e7c7cb622',
     'sample-text-e0:stdout': '863696cfe8def6edf89512220267f6a6ec78e6157493dc15ef91089469b61c95',
     'sample-text-e0:e0.tsv': '0bf0700abbca274a23a4a1d26deb4785513dd19c2f613ec43d911dca533be8da',
     'sample-text-e0:e0.eff': '83cc16c2fb0a879a949832b8a2b681ce0bb459c761d0e0c4aea8eaf165235449',
@@ -342,6 +384,17 @@ def test_every_artifact_and_stdout_matches_the_pinned_digest(tmp_path):
     assert sorted(digests) == sorted(GOLDEN)
     changed = [name for name in GOLDEN if digests[name] != GOLDEN[name]]
     assert not changed, f"outputs differ from the pinned digests: {changed}"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_big_corpus_stores_match_the_pinned_digests_at_one_and_two_workers(
+    tmp_path, monkeypatch, workers
+):
+    monkeypatch.setenv("WARMSTART_WORKERS", workers)
+    digests: dict[str, str] = {}
+    vocab = write_vocab_file(tmp_path / "vocab.txt", VOCAB_TOKENS)
+    _prepare_big_corpus(tmp_path, vocab, _runner(tmp_path, digests))
+    assert digests == {k: v for k, v in GOLDEN.items() if k.startswith("prepare-big-")}
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
