@@ -172,7 +172,7 @@ def _sample_big_store(tmp, vocab, run):
 
 
 def write_big_corpus(tmp):
-    """About 1.2 MB of text in 14 documents of 0 to 300 KiB, enough for
+    """About 1.1 MB of text in 14 documents of 0 to 275 KB, enough for
     several groups of tokenizing work, as a directory of *.txt files and as
     one file of the same documents in blank-line-separated blocks. Words are
     vocabulary words and unknown strings, some non-ASCII, between runs of
