@@ -7,7 +7,7 @@ padding batch assembly with gradient accumulation, the warmup/decay
 learning-rate schedule, and a training-memory planner.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import WarmstartError
 

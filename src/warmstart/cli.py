@@ -38,8 +38,8 @@ from .config import (
     resolve_options,
     resolve_workers,
 )
-from .corpus import (SequenceStoreReader, chunk_corpus, default_index_path, is_special_file,
-                     replacing, store_writer, write_store)
+from .corpus import (SequenceStoreReader, check_chunking, chunk_corpus, default_index_path,
+                     is_special_file, replacing, store_writer, write_store)
 from .errors import WarmstartError, utf8_input
 from .masking import MaskMode, MaskSpec, corrupt_batch, make_example  # noqa: F401
 from .memplan import (
@@ -304,6 +304,7 @@ def _read_documents(input_path, vocab: Vocabulary, workers: int):
 
 def cmd_prepare_corpus(o: dict) -> int:
     seq_len, min_tail = o["seq_len"], o["min_tail"]
+    check_chunking(seq_len, min_tail)  # before any input is read
     _check_paths(o, _store_files("--out", o["out"]),
                  [("--vocab", o["vocab"]), ("--in", o["input"])])
     workers = resolve_workers()
@@ -351,9 +352,9 @@ class _Decimals:
 
     def rows(self, ids, lengths, end: str) -> tuple[str, list[int]]:
         """Each row's ids separated by spaces and closed by `end`, as one
-        string, and the offset in it where each row ends."""
+        string, and the offset in it where each row ends. No row is empty."""
         text = self._table[ids].view(np.uint8)[self._used[ids].view(bool)]
-        ends = np.cumsum(self._widths[ids])[np.cumsum(lengths) - 1]
+        ends = np.cumsum(np.add.reduceat(self._widths[ids], np.cumsum(lengths) - lengths))
         text[ends - 1] = ord(end)
         return text.tobytes().decode("ascii"), ends.tolist()
 
@@ -447,25 +448,33 @@ def cmd_sample_batches(o: dict) -> int:
         order = np.argsort(reader.lengths(), kind="stable")  # ties keep store order
     decimals = _Decimals(vocab.size) if text else None
 
-    def render(b):
-        """Micro-batch b: its text or rows, report line, real and total cells."""
-        indices = order[b * micro : (b + 1) * micro].tolist()
+    def render(run: range):
+        """The micro-batches of a run, corrupted at once: their text or rows,
+        report lines, and real and total cells."""
+        indices = order[run.start * micro : run.stop * micro].tolist()
         batch = corrupt_batch(reader, indices, spec, seed, epoch, vocab)
-        stats = padding_stats(batch)
-        line = None if report_path is None else (
-            f"batch={b} rows={batch.rows} width_in={batch.width_in} "
-            f"width_tgt={batch.width_tgt} input_eff={stats.input_efficiency} "
-            f"target_eff={stats.target_efficiency} combined={stats.combined}\n")
-        return (decimals.lines(indices, batch) if text else batch, line,
-                sum(batch.input_lengths) + sum(batch.target_lengths),
-                batch.rows * (batch.width_in + batch.width_tgt))
+        lines, total = [], 0
+        for b, part in zip(run, batch.split(micro)):
+            stats = padding_stats(part)
+            if report_path is not None:
+                lines.append(f"batch={b} rows={part.rows} width_in={part.width_in} "
+                             f"width_tgt={part.width_tgt} input_eff={stats.input_efficiency} "
+                             f"target_eff={stats.target_efficiency} combined={stats.combined}\n")
+            total += part.rows * (part.width_in + part.width_tgt)
+        return (decimals.lines(indices, batch) if text else batch, "".join(lines),
+                sum(batch.input_lengths) + sum(batch.target_lengths), total)
 
     def render_run(run: range) -> list:
-        """The micro-batches of a run; a failed one ends the list with its error."""
+        """The run rendered whole or, if that fails, micro-batch by micro-batch
+        up to the failed one, whose error ends the list."""
+        try:
+            return [render(run)]
+        except (WarmstartError, OSError):
+            pass
         done = []
         for b in run:
             try:
-                done.append(render(b))
+                done.append(render(range(b, b + 1)))
             except (WarmstartError, OSError) as e:
                 done.append(e)
                 break
@@ -490,9 +499,9 @@ def cmd_sample_batches(o: dict) -> int:
         for result in chain.from_iterable(results):
             if isinstance(result, Exception):
                 raise result
-            rows, line, real, total = result
-            if line is not None:
-                report.write(line)
+            rows, lines, real, total = result
+            if report_path is not None:
+                report.write(lines)
             if text:
                 out.write(rows)
             else:

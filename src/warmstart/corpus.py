@@ -49,6 +49,14 @@ class TokenSequence:
         return len(self.ids)
 
 
+def check_chunking(seq_len: int, min_tail: int) -> None:
+    """Fail unless chunk_corpus accepts this chunk length and tail minimum."""
+    if seq_len < 2:
+        raise CorpusError(f"seq_len must be at least 2, got {seq_len}")
+    if not 0 <= min_tail <= seq_len:
+        raise CorpusError(f"min_tail must be in [0, {seq_len}], got {min_tail}")
+
+
 def chunk_corpus(
     docs: Iterable[list[int]],
     seq_len: int = DEFAULT_SEQ_LEN,
@@ -60,10 +68,7 @@ def chunk_corpus(
     at least min_tail (set min_tail=0 to keep everything). Documents are
     never concatenated, so no sequence spans two of them.
     """
-    if seq_len < 2:
-        raise CorpusError(f"seq_len must be at least 2, got {seq_len}")
-    if not 0 <= min_tail <= seq_len:
-        raise CorpusError(f"min_tail must be in [0, {seq_len}], got {min_tail}")
+    check_chunking(seq_len, min_tail)
     seq_index = 0
     for doc_ordinal, doc in enumerate(docs):
         for start in range(0, len(doc), seq_len):

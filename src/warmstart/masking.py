@@ -1,26 +1,24 @@
 """Just-in-time span corruption with reproducible per-epoch masks.
 
-A mask is a pure function of (seed, epoch, seq_index), so any worker in any
-order regenerates the identical epoch-e mask without storing it. Exactly
-round(rate * len) tokens are masked (clamped to [1, len-1]); SPAN mode
-groups them into runs averaging mean_span tokens, IID mode masks single
-tokens. Masked runs become sentinels in the input; the target lists each
-sentinel with its original tokens, then a closing sentinel and eos.
+A mask is a pure function of (seed, epoch, seq_index), whose SHAKE-128
+(FIPS 202) stream keys the sequence, so any worker in any order, and in any
+run of sequences drawn together, regenerates the identical epoch-e mask
+without storing it. Exactly round(rate * len) tokens are masked (clamped to
+[1, len-1]); SPAN mode groups them into runs averaging mean_span tokens, IID
+mode masks single tokens. Masked runs become sentinels in the input; the
+target lists each sentinel with its original tokens, then a closing
+sentinel and eos.
 
 make_example corrupts one sequence and is the reference; corrupt_batch gives
-the same rows for a whole micro-batch, built with index arithmetic over flat
-arrays.
+the same rows for a whole run, built with index arithmetic over flat arrays.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import random
-import struct
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from hashlib import shake_128
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -58,12 +56,14 @@ class MaskSpec:
 
 @dataclass(frozen=True)
 class MaskKey:
+    """The key of one sequence, or of a run when seq_index is a sequence."""
+
     seed: int
     epoch: int
-    seq_index: int
+    seq_index: int | Sequence[int]
 
     def __post_init__(self):
-        if self.epoch < 0 or self.seq_index < 0:
+        if self.epoch < 0 or np.min(self.seq_index, initial=0) < 0:
             raise MaskingError("epoch and seq_index must be non-negative")
 
 
@@ -77,66 +77,70 @@ def mask_counts(length: int, spec: MaskSpec) -> tuple[int, int]:
     """(tokens to mask, spans to group them into) for one sequence."""
     if length < 2:
         raise MaskingError(f"sequence length must be at least 2, got {length}")
-    num_masked = round(spec.rate * length)
-    num_masked = max(1, min(num_masked, length - 1))
+    num_masked = max(1, min(round(spec.rate * length), length - 1))
     if spec.mode is MaskMode.IID:
         return num_masked, num_masked
-    num_spans = round(num_masked / spec.mean_span)
-    num_spans = max(1, min(num_spans, num_masked))
-    return num_masked, num_spans
+    return num_masked, max(1, min(round(num_masked / spec.mean_span), num_masked))
 
 
-def _rng_for(key: MaskKey) -> random.Random:
-    packed = struct.pack(
-        "<QQQ", key.seed & 0xFFFFFFFFFFFFFFFF, key.epoch, key.seq_index
-    )
-    digest = hashlib.blake2b(packed, digest_size=16).digest()
-    return random.Random(int.from_bytes(digest, "little"))
+@dataclass(frozen=True, eq=False)
+class Spans:
+    """A run's spans, row after row, and each row's count; iterates as Python-int pairs."""
+
+    bounds: np.ndarray
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.bounds)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return map(tuple, self.bounds.tolist())
 
 
-def _uniform_composition(rng: random.Random, total: int, parts: int) -> list[int]:
-    """Uniformly random split of `total` into `parts` non-negative cells.
-
-    Stars and bars: bar positions are a uniform (parts-1)-subset of the
-    total+parts-1 slots, so every composition is equally likely.
-    """
-    if parts == 1:
-        return [total]
-    bars = sorted(rng.sample(range(total + parts - 1), parts - 1))
-    cells = []
-    prev = -1
-    for b in bars:
-        cells.append(b - prev - 1)
-        prev = b
-    cells.append(total + parts - 1 - prev - 1)
-    return cells
-
-
-def draw_mask(length: int, spec: MaskSpec, key: MaskKey) -> list[tuple[int, int]]:
+def draw_mask(length, spec: MaskSpec, key: MaskKey) -> list[tuple[int, int]] | Spans:
     """Sorted, disjoint, non-adjacent inclusive (start, end) spans.
 
     Position 0 is never masked so the input always opens with a real token.
     When the requested span count cannot fit (each span needs a preceding
     unmasked token), the count is reduced to the largest feasible value.
-    The draw is uniform over valid configurations: span lengths and gap
-    sizes are independent uniform compositions.
+    The draw is uniform over valid configurations: with m of n tokens masked
+    in k spans, span lengths and gap sizes are independent uniform
+    compositions (stars and bars), whose k-1 and k bars are the slots of the
+    smallest keys among the first m-1 and the other n-m. Given arrays of
+    lengths and of key.seq_index, it draws a whole run and returns Spans.
     """
-    num_masked, num_spans = mask_counts(length, spec)
-    unmasked = length - num_masked
-    k = min(num_spans, unmasked)
-    rng = _rng_for(key)
-    span_lengths = [c + 1 for c in _uniform_composition(rng, num_masked - k, k)]
-    # k+1 gaps around the spans; the leading and k-1 inner gaps need >= 1
-    # unmasked token each, the trailing gap may be empty.
-    free = _uniform_composition(rng, unmasked - k, k + 1)
-    spans = []
-    cursor = 0
-    for i in range(k):
-        cursor += free[i] + 1
-        start = cursor
-        cursor += span_lengths[i]
-        spans.append((start, cursor - 1))
-    return spans
+    lengths, indices = np.atleast_1d(length).astype(np.int64), np.atleast_1d(key.seq_index)
+    if lengths.min() < 2:
+        raise MaskingError(f"sequence length must be at least 2, got {lengths.min()}")
+    masked = np.clip(np.round(spec.rate * lengths), 1, lengths - 1).astype(np.int64)
+    k = np.minimum(masked if spec.mode is MaskMode.IID else np.clip(
+        np.round(masked / spec.mean_span), 1, masked), lengths - masked).astype(np.int64)
+
+    # A slot's sort key is its word with bit 63 set for a gap slot, bit 62
+    # clear and the low bits (as many as the row's last slot needs) replaced
+    # by the slot, so each row's order is total and its padding sorts last.
+    head = (int(key.seed) % 2**64).to_bytes(8, "little") + int(key.epoch).to_bytes(8, "little")
+    words = np.frombuffer(b"".join(shake_128(head + i.to_bytes(8, "little")).digest(8 * n - 8)
+                                   for i, n in zip(indices.tolist(), lengths.tolist())), "<u8")
+    col, low = np.arange(lengths.max() - 1), np.frexp(lengths - 2)[1].astype(np.uint64)
+    keys = np.full((len(lengths), len(col)), np.iinfo(np.uint64).max, np.uint64)
+    keys[col < (lengths - 1)[:, None]] = words & np.repeat(
+        (np.uint64(1) << np.uint64(62)) - (np.uint64(1) << low), lengths - 1)
+    keys |= col.astype(np.uint64)
+    np.bitwise_or(keys, np.uint64(1 << 63), out=keys, where=col >= (masked - 1)[:, None])
+
+    # Bars from each row's smallest keys, ordered by slot within the row.
+    ranked, row = np.sort(keys, axis=1), np.repeat(np.arange(len(lengths)), k)
+    i = np.arange(len(row)) - np.repeat(np.cumsum(k) - k, k)  # span i of its row
+    first_gap, slot = masked[row] - 1, (np.uint64(1) << low[row]) - np.uint64(1)
+    span_bar = np.where(i < k[row] - 1, (ranked[row, i] & slot).astype(np.int64), first_gap)
+    gap_bar = (ranked[row, first_gap + i] & slot).astype(np.int64) - first_gap
+    span_bar, gap_bar = (np.sort(row << 32 | bar) & 0xFFFF_FFFF for bar in (span_bar, gap_bar))
+    # Span i ends at gap bar i + span bar i + 1 and starts at gap bar i +
+    # span bar i-1 + 2, where span bar -1 is -1 and span bar k-1 is m-1.
+    before = np.where(i == 0, -1, np.roll(span_bar, 1))
+    spans = Spans(np.stack([gap_bar + before + 2, gap_bar + span_bar + 1], axis=1), k)
+    return spans if np.ndim(length) else list(spans)
 
 
 def _validate_spans(spans: list[tuple[int, int]], length: int) -> None:
@@ -153,15 +157,12 @@ def _validate_spans(spans: list[tuple[int, int]], length: int) -> None:
 
 def _check_sentinel_budget(num_spans: int, vocab: Vocabulary) -> None:
     if num_spans + 1 > vocab.sentinel_count:
-        raise SentinelBudgetError(
-            f"{num_spans} spans need {num_spans + 1} sentinels but the "
-            f"vocabulary reserves only {vocab.sentinel_count}"
-        )
+        raise SentinelBudgetError(f"{num_spans} spans need {num_spans + 1} sentinels but the "
+                                  f"vocabulary reserves only {vocab.sentinel_count}")
 
 
-def apply_span_corruption(
-    seq: TokenSequence, spans: list[tuple[int, int]], vocab: Vocabulary
-) -> MaskedExample:
+def apply_span_corruption(seq: TokenSequence, spans: list[tuple[int, int]],
+                          vocab: Vocabulary) -> MaskedExample:
     """Replace each span with a sentinel; pair with the span-recovery target.
 
     Span k's sentinel is id vocab.size-1-k (ids descend as k ascends). The
@@ -188,9 +189,8 @@ def apply_span_corruption(
     return MaskedExample(input_ids=input_ids, target_ids=target_ids)
 
 
-def make_example(
-    seq: TokenSequence, spec: MaskSpec, key: MaskKey, vocab: Vocabulary
-) -> MaskedExample:
+def make_example(seq: TokenSequence, spec: MaskSpec, key: MaskKey,
+                 vocab: Vocabulary) -> MaskedExample:
     """Draw the mask for (spec, key) and corrupt the sequence with it."""
     spans = draw_mask(len(seq.ids), spec, key)
     return apply_span_corruption(seq, spans, vocab)
@@ -198,7 +198,7 @@ def make_example(
 
 @dataclass(frozen=True)
 class CorruptedBatch:
-    """The corrupted rows of one micro-batch as two flat id arrays.
+    """Corrupted rows as two flat id arrays.
 
     Row r's input is the input_lengths[r] ids of `inputs` that follow the
     rows before it, and likewise for its target. The lengths alone give what
@@ -222,6 +222,14 @@ class CorruptedBatch:
     def width_tgt(self) -> int:
         return max(self.target_lengths)
 
+    def split(self, size: int) -> Iterator[CorruptedBatch]:
+        """The rows in consecutive batches of `size` rows."""
+        n_in, n_tgt = self.input_lengths, self.target_lengths
+        cut_in, cut_tgt = (np.cumsum(n)[size - 1 : -1 : size] for n in (n_in, n_tgt))
+        for r, inputs, targets in zip(range(0, self.rows, size), np.split(self.inputs, cut_in),
+                                      np.split(self.targets, cut_tgt)):
+            yield CorruptedBatch(inputs, n_in[r : r + size], targets, n_tgt[r : r + size])
+
     def examples(self) -> Iterator[MaskedExample]:
         i = t = 0
         for n_in, n_tgt in zip(self.input_lengths, self.target_lengths):
@@ -236,11 +244,11 @@ def corrupt_batch(
 ) -> CorruptedBatch:
     """make_example for each stored sequence in `indices`, as one batch.
 
-    Each row's mask comes from draw_mask and is checked as in
-    apply_span_corruption, so a row fails with the same error; an id
-    outside the vocabulary fails first. The rows are then laid end to end,
-    each followed by two slots (closing sentinel, eos), and both sides are
-    cut out of that layout with masks.
+    The masks of all rows come from one draw_mask call, and a row fails
+    with the error make_example gives it; an id outside the vocabulary
+    fails first. The rows are then laid end to end, each followed by two
+    slots (closing sentinel, eos), and both sides are cut out of that
+    layout with masks.
     """
     if not len(indices):
         raise MaskingError("a batch needs at least one sequence")
@@ -250,30 +258,24 @@ def corrupt_batch(
         row = int(np.searchsorted(np.cumsum(lengths), bad, side="right"))
         raise StoreFormatError(f"{reader.path}: sequence {indices[row]} holds id "
                                f"{tokens[bad]}, outside a vocabulary of {vocab.size}")
-    spans: list[tuple[int, int]] = []
-    counts = []
-    for i, n in zip(indices, lengths.tolist()):
-        row_spans = draw_mask(n, spec, MaskKey(seed, epoch, i))
-        _validate_spans(row_spans, n)
-        _check_sentinel_budget(len(row_spans), vocab)
-        spans.extend(row_spans)
-        counts.append(len(row_spans))
+    spans = draw_mask(np.maximum(lengths, 2), spec, MaskKey(seed, epoch, indices))
+    for row in np.flatnonzero((lengths < 2) | (spans.counts >= vocab.sentinel_count))[:1]:
+        mask_counts(int(lengths[row]), spec)
+        _check_sentinel_budget(int(spans.counts[row]), vocab)
 
-    counts = np.array(counts)
-    first_span = np.cumsum(counts) - counts
-    span = np.fromiter(chain.from_iterable(spans), np.int64, 2 * len(spans)).reshape(-1, 2)
+    span, counts = spans.bounds, spans.counts
+    first_span, span_len = np.cumsum(counts) - counts, span[:, 1] - span[:, 0] + 1
     row_ends = np.cumsum(lengths)
     layout = np.insert(tokens.astype(np.int64), np.repeat(row_ends, 2),
                        np.tile([vocab.size - vocab.sentinel_count, vocab.eos_id], len(lengths)))
     close = row_ends + 2 * np.arange(len(lengths))  # each row's closing-sentinel slot
     base = close - lengths
-    starts = span[:, 0] + np.repeat(base, counts)
-    ends = span[:, 1] + np.repeat(base, counts)
+    starts, ends = (span + np.repeat(base, counts)[:, None]).T
     sentinels = vocab.size - 1 - (np.arange(len(span)) - np.repeat(first_span, counts))
     edges = np.zeros(len(layout) + 1, dtype=np.int8)
     edges[starts] = 1
     edges[ends + 1] = -1  # spans are non-adjacent, so no start shares this slot
-    masked = np.cumsum(edges[:-1]) > 0
+    masked = np.cumsum(edges[:-1], dtype=np.int8) > 0  # a running sum of 0 and 1
 
     keep_in = ~masked
     keep_in[starts] = True
@@ -282,12 +284,10 @@ def corrupt_batch(
     inputs[starts] = sentinels
     keep_tgt = masked
     keep_tgt[close] = keep_tgt[close + 1] = True
-    targets = np.insert(layout[keep_tgt], np.cumsum(keep_tgt)[starts] - 1, sentinels)
+    # A span's sentinel follows the spans before it and two slots per earlier row.
+    targets = np.insert(layout[keep_tgt], np.cumsum(span_len) - span_len + 2 * np.repeat(
+        np.arange(len(lengths)), counts), sentinels)
 
-    num_masked = np.add.reduceat(span[:, 1] - span[:, 0] + 1, first_span)
-    return CorruptedBatch(
-        inputs=inputs[keep_in],
-        input_lengths=(lengths - num_masked + counts + 1).tolist(),
-        targets=targets,
-        target_lengths=(num_masked + counts + 2).tolist(),
-    )
+    num_masked = np.add.reduceat(span_len, first_span)
+    return CorruptedBatch(inputs[keep_in], (lengths - num_masked + counts + 1).tolist(),
+                          targets, (num_masked + counts + 2).tolist())

@@ -1,11 +1,15 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import warmstart
 from warmstart.cli import main
 from warmstart.corpus import SequenceStoreReader, TokenSequence, write_store
 from warmstart.transplant import EmbeddingMatrix, write_embeddings
@@ -75,6 +79,19 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+    def test_python_m_warmstart_prints_the_one_declared_version(self):
+        """The package's __version__ is the only version source: pyproject.toml
+        reads it, and the run log's warmstart= field and --version print it."""
+        src = Path(warmstart.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-m", "warmstart", "--version"],
+                              capture_output=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0
+        assert proc.stdout.decode() == f"warmstart {warmstart.__version__}\n"
+        pyproject = (src.parent / "pyproject.toml").read_text(encoding="utf-8")
+        assert 'dynamic = ["version"]' in pyproject
+        assert 'version = {attr = "warmstart.__version__"}' in pyproject
 
 
 class TestTransplantCommand:

@@ -3,7 +3,9 @@
 Each digest is the SHA-256 of one subcommand's stdout or of one file it
 wrote; they were computed before the CLI options moved into declarative
 tables (the big-corpus ones before prepare-corpus tokenized on workers),
-so a refactor that changes any byte of any artifact fails here.
+so a refactor that changes any byte of any artifact fails here. The
+sample-* ids were re-pinned once, deliberately, when version 0.2.0 changed
+the mask stream to SHAKE-128 keys; lengths and reports did not change.
 Temporary directory paths are replaced by `<tmp>` before stdout is hashed.
 The option set each subcommand's parser accepts is pinned the same way.
 """
@@ -219,32 +221,32 @@ GOLDEN = {
     'prepare-big-file:prepare-big-file.seqs': '5b5fb9c3bac7799da354df3561d40cfff2f74471c8e3b638ea52513882b592a0',
     'prepare-big-file:prepare-big-file.seqs.idx': 'fcd308d3ac10dc665d8c3e3ff9a692397bc5263ebfc6f840aa60098e7c7cb622',
     'sample-text-e0:stdout': '863696cfe8def6edf89512220267f6a6ec78e6157493dc15ef91089469b61c95',
-    'sample-text-e0:e0.tsv': '0bf0700abbca274a23a4a1d26deb4785513dd19c2f613ec43d911dca533be8da',
+    'sample-text-e0:e0.tsv': '408e65eafd3956167a4c89fc7502c0f8906de17039271dc09cad7373076ae793',
     'sample-text-e0:e0.eff': '83cc16c2fb0a879a949832b8a2b681ce0bb459c761d0e0c4aea8eaf165235449',
     'sample-binary-e0:stdout': '863696cfe8def6edf89512220267f6a6ec78e6157493dc15ef91089469b61c95',
-    'sample-binary-e0:bin0.inputs.seqs': 'f5a6db4a781185abd33322248424dc08706515b17f0b7098598d27bbce9086b4',
+    'sample-binary-e0:bin0.inputs.seqs': 'a33dd3c42a5a032e3c461485df36664415210f2e0eae913cf9c90796166caa5f',
     'sample-binary-e0:bin0.inputs.seqs.idx': '668ba465e8d9600cd7d6d952094a4c8ec7b56f0d8fdbcd5be46031f4b22cdb9d',
-    'sample-binary-e0:bin0.targets.seqs': '696c1ab334510893983781cd98a396100232f9c19ce97599770fae2a9d2dfd16',
+    'sample-binary-e0:bin0.targets.seqs': '2d0a27c80b24f66e2c72373b54f7d26bff217a794a466e7b19102ac76cfb94a4',
     'sample-binary-e0:bin0.targets.seqs.idx': '03dce5ae621defab08b925e7a0443ab7c2be165274ea201c82cf8042c6907b34',
     'sample-text-e1:stdout': '1c1e8ae30686851584688e00d34d70449a5d213a0f28ad0c60e7c82ac4922ab7',
-    'sample-text-e1:e1.tsv': 'a3ac96086ea3ab8392d59cdff83c9b39689080462fedf3ef531b5fdae9c25de2',
+    'sample-text-e1:e1.tsv': '32128c1a6d3dba21648d42d2a86f7400a23075217c700611c65ebb24727f2792',
     'sample-text-e1:e1.eff': '83cc16c2fb0a879a949832b8a2b681ce0bb459c761d0e0c4aea8eaf165235449',
     'sample-binary-e1:stdout': '1c1e8ae30686851584688e00d34d70449a5d213a0f28ad0c60e7c82ac4922ab7',
-    'sample-binary-e1:bin1.inputs.seqs': 'c8f8c87b3ecabdd35d6c615f5475ebe4a14a5451c8fedd2f3515f63887e7737f',
+    'sample-binary-e1:bin1.inputs.seqs': '5401459de8a8a43255b6411e99068fcb74e82138f2fbde091b716a455ee5f284',
     'sample-binary-e1:bin1.inputs.seqs.idx': '668ba465e8d9600cd7d6d952094a4c8ec7b56f0d8fdbcd5be46031f4b22cdb9d',
-    'sample-binary-e1:bin1.targets.seqs': '6c03aa71db9bf624f1c09787177e4fbf1cfe3c7fdf9e56c75f8202e5ab777af0',
+    'sample-binary-e1:bin1.targets.seqs': '8e13fff50be00b2b814c6ba3cb6783fa6b1736d063fce0146b7b7630f2b5d7f8',
     'sample-binary-e1:bin1.targets.seqs.idx': '03dce5ae621defab08b925e7a0443ab7c2be165274ea201c82cf8042c6907b34',
-    'sample-stdout-iid-sorted:stdout': 'a24e1fc2e18345d3c905df2d86de78d6e6bf67353ccef659ebecc5403df23525',
+    'sample-stdout-iid-sorted:stdout': '724321dd7cc3f81f162d6f20dd63256559b122396a34be698429bc3f45fe241e',
     'sample-big-text:stdout': '3afa6663d66c0a649720dc074cd6b4374bbfb7ea860b9a761443eed8ab7def10',
-    'sample-big-text:big.tsv': 'fbecfa146d3c165839cc77ef1d8f220476c06b6cef2cf054ca84d7e4c40bf986',
+    'sample-big-text:big.tsv': '22e25914c020cf5820bc2bca614a0ee6df732f60d9e73a567e27df656635c0ec',
     'sample-big-text:big.eff': '51f4d0ebfe1eeef4339a8bad9f0969296e901f50fdcc4857c7cf0e16b147f151',
-    'sample-big-stdout:stdout': '1ddc0c4b9ecf11d4e8765c3f9190190079d6d20a3803f642d6cdbb1ea68acf06',
+    'sample-big-stdout:stdout': 'ef50c34b76cbd1c3160be6823d8d87bcca8bd8a7239240a18669fcc236b72eca',
     'sample-big-binary:stdout': '3afa6663d66c0a649720dc074cd6b4374bbfb7ea860b9a761443eed8ab7def10',
-    'sample-big-binary:bigbin.inputs.seqs': '0c43601db96b1a2eede9e5f699b7e0109f4cb0358f8076926e034463314d5e67',
+    'sample-big-binary:bigbin.inputs.seqs': '6845326f89e063952eb178255b26df63f5ff5c14da1ffa7e95669eeed417c7a3',
     'sample-big-binary:bigbin.inputs.seqs.idx': '34e494a0fae1fd59c27622971f34ed556450382fc26745fbf480b7380916de49',
-    'sample-big-binary:bigbin.targets.seqs': 'b74dc16d78536081a1d4fceb67ecee48f9050c21f20bb11c123f47da55c39972',
+    'sample-big-binary:bigbin.targets.seqs': 'd2fef7279843b7d34ea2ad47bf5dd6746e961f19cdaafb4309e44221f7c37f91',
     'sample-big-binary:bigbin.targets.seqs.idx': '14e0b5aabbab15a192e242131623cdf8f7d474a4141af42151421ed67060b4b8',
-    'sample-big-sorted:stdout': '982889abb1b8330b38fc0044c509d8da17f75ac45ffc53f4b7b40b38f4e48452',
+    'sample-big-sorted:stdout': 'a39e5dd1e4bf6ca9cde5387ab3e5ae8a387104755aa94355ba20fd71239538ac',
     'sample-big-sorted:big.eff': 'b775544635a1c88e9b3a96be348a4d5b681a3ba993a60467d7f491785def797e',
     'transplant-identity:stdout': '79e6ed72815a1ed79c318c977d4d471fe01f8843f6c1036c21e7969794ef4cee',
     'transplant-identity:identity.embt': '2ad3e549b834a6b4f3ec9b76d6e942a34f85bcd21a3fad097e0f14e249d0d4eb',

@@ -1,6 +1,11 @@
+import hashlib
+import math
 import tempfile
+from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -275,3 +280,128 @@ class TestCorruptBatch:
         assert (batch.rows, batch.width_in, batch.width_tgt) == (
             padded.rows, padded.width_in, padded.width_tgt)
         assert padding_stats(batch) == padding_stats(padded)
+
+
+def documented_draw(n: int, spec: MaskSpec, key: MaskKey) -> list[tuple[int, int]]:
+    """draw_mask for one row, read off its documentation in plain Python.
+
+    Slot j's word is the j-th little-endian u64 of SHAKE-128 over the packed
+    (seed, epoch, seq_index). Slots order by the word's bits above the low
+    (n-2).bit_length() bits and below bit 62, then by slot. The first m-1
+    slots hold the k-1 span bars and the other n-m the k gap bars.
+    """
+    m, s = mask_counts(n, spec)
+    k = min(s, n - m)
+    stream = hashlib.shake_128((key.seed % 2**64).to_bytes(8, "little")
+                               + key.epoch.to_bytes(8, "little")
+                               + key.seq_index.to_bytes(8, "little")).digest(8 * (n - 1))
+    words = [int.from_bytes(stream[8 * j : 8 * j + 8], "little") for j in range(n - 1)]
+    low = (n - 2).bit_length()
+
+    def smallest(slots, count):
+        return sorted(sorted(slots, key=lambda j: (words[j] % 2**62 >> low, j))[:count])
+
+    span_bars = smallest(range(m - 1), k - 1) + [m - 1]
+    gap_bars = [j - (m - 1) for j in smallest(range(m - 1, n - 1), k)]
+    spans, before = [], -1
+    for gap, bar in zip(gap_bars, span_bars):
+        spans.append((gap + before + 2, gap + bar + 1))
+        before = bar
+    return spans
+
+
+def _rows(spans) -> list[list[tuple[int, int]]]:
+    """The per-row span lists of a run draw."""
+    cuts = np.cumsum(spans.counts)[:-1]
+    return [[tuple(p) for p in row.tolist()] for row in np.split(spans.bounds, cuts)]
+
+
+SPECS = st.builds(MaskSpec, rate=st.sampled_from([0.05, 0.15, 0.3, 0.5, 0.9]),
+                  mean_span=st.sampled_from([1.0, 2.5, 3.0, 8.0]),
+                  mode=st.sampled_from(list(MaskMode)))
+
+
+class TestKeyedDraw:
+    """The SHAKE-128 keyed draw: its stream, its counts, its uniformity, and
+    its independence from the run a row is drawn in."""
+
+    @pytest.mark.parametrize("key", [MaskKey(1, 0, 0), MaskKey(*np.array([1, 0, 0]))])
+    def test_known_answer(self, key):
+        assert draw_mask(512, MaskSpec(), key) == [
+            (5, 9), (22, 28), (48, 50), (56, 59), (83, 85), (96, 96), (158, 160), (184, 194),
+            (197, 197), (223, 225), (247, 248), (253, 253), (274, 274), (310, 313),
+            (316, 318), (327, 328), (340, 341), (343, 347), (351, 351), (360, 360),
+            (376, 377), (405, 407), (427, 427), (442, 446), (477, 478), (509, 509)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 300), spec=SPECS, seed=st.integers(-5, 2**70),
+           epoch=st.integers(0, 2**64 - 1), index=st.integers(0, 2**64 - 1))
+    def test_draw_is_the_documented_stream(self, n, spec, seed, epoch, index):
+        key = MaskKey(seed, epoch, index)
+        spans = draw_mask(n, spec, key)
+        assert spans == documented_draw(n, spec, key)
+        assert all(type(v) is int for pair in spans for v in pair)
+
+    @pytest.mark.parametrize("spec", [
+        MaskSpec(),
+        MaskSpec(rate=0.5, mean_span=2.0),  # n/2 and m/2 tie at .5 for odd n and m
+        MaskSpec(rate=0.25, mean_span=2.5),
+        MaskSpec(rate=0.5, mode=MaskMode.IID),
+        MaskSpec(rate=0.9, mean_span=1.0),  # the span count is cut to what fits
+    ])
+    def test_run_counts_equal_mask_counts_for_every_length_to_4096(self, spec):
+        lengths = np.arange(2, 4097)
+        for lo in range(0, len(lengths), 256):
+            run = lengths[lo : lo + 256]
+            spans = draw_mask(run, spec, MaskKey(3, 1, range(lo, lo + len(run))))
+            bounds, counts = spans.bounds, spans.counts
+            first = np.cumsum(counts) - counts
+            masked = np.add.reduceat(bounds[:, 1] - bounds[:, 0] + 1, first)
+            expected = [mask_counts(n, spec) for n in run.tolist()]
+            assert masked.tolist() == [m for m, _ in expected]
+            assert counts.tolist() == [min(s, n - m) for n, (m, s) in zip(run.tolist(), expected)]
+            assert (bounds[:, 0] >= 1).all() and (bounds[:, 0] <= bounds[:, 1]).all()
+            assert (bounds[:, 1] < np.repeat(run, counts)).all()
+            apart = bounds[1:, 0] > bounds[:-1, 1] + 1
+            apart[first[1:] - 1] = True  # a row's first span follows another row's last
+            assert apart.all()
+
+    @pytest.mark.parametrize("n, spec", [
+        (10, MaskSpec(rate=0.4, mean_span=2.0)),  # 4 masked in 2 spans: 45 configurations
+        (7, MaskSpec(rate=0.5, mean_span=2.0)),  # round(3.5) = 4 masked in 2 spans: 9
+        (9, MaskSpec(rate=0.3, mode=MaskMode.IID)),  # 3 single tokens: 20
+        (8, MaskSpec(rate=0.6, mean_span=1.0)),  # 5 masked, 5 spans cut to 3: 6
+    ])
+    def test_every_valid_configuration_is_equally_likely(self, n, spec):
+        m, s = mask_counts(n, spec)
+        valid = {pos for pos in combinations(range(1, n), m)
+                 if 1 + sum(b > a + 1 for a, b in zip(pos, pos[1:])) == min(s, n - m)}
+        draws = 400 * len(valid)
+        seen = Counter()
+        for lo in range(0, draws, 2000):
+            size = min(2000, draws - lo)
+            run = draw_mask(np.full(size, n), spec, MaskKey(11, 2, range(lo, lo + size)))
+            for row in _rows(run):
+                seen[tuple(p for start, end in row for p in range(start, end + 1))] += 1
+        assert set(seen) == valid
+        expected = draws / len(valid)
+        chi2 = sum((c - expected) ** 2 / expected for c in seen.values())
+        df = len(valid) - 1
+        # Wilson-Hilferty upper quantile of chi-square at z = 4.265 (p about 1e-5)
+        assert chi2 < df * (1 - 2 / (9 * df) + 4.265 * math.sqrt(2 / (9 * df))) ** 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_a_rows_spans_do_not_depend_on_its_run(self, data):
+        lengths = data.draw(st.lists(st.integers(2, 300), min_size=1, max_size=40), "lengths")
+        spec, seed = data.draw(SPECS, "spec"), data.draw(st.integers(-5, 2**40), "seed")
+        alone = [draw_mask(n, spec, MaskKey(seed, 4, i)) for i, n in enumerate(lengths)]
+        if data.draw(st.booleans(), "--sort-by-length order"):
+            order = np.argsort(lengths, kind="stable")
+        else:
+            order = np.array(data.draw(st.permutations(range(len(lengths))), "order"))
+        cuts = sorted(data.draw(st.sets(st.integers(1, max(1, len(lengths) - 1))), "cuts"))
+        for run in np.split(order, [c for c in cuts if c < len(lengths)]):
+            spans = draw_mask([lengths[i] for i in run], spec, MaskKey(seed, 4, run.tolist()))
+            assert len(spans) == sum(spans.counts)
+            assert _rows(spans) == [alone[i] for i in run]

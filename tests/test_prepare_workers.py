@@ -88,3 +88,16 @@ def test_a_bad_setting_fails_before_any_document_is_read(
     assert proc.returncode == 1
     assert proc.stderr.decode() == f"warmstart: error: {error}\n"
     assert outputs(tmp_path) == []
+
+
+@pytest.mark.parametrize("extra, error", [
+    (["--seq-len", "1"], "CorpusError: seq_len must be at least 2, got 1"),
+    (["--min-tail", "65"], "CorpusError: min_tail must be in [0, 64], got 65"),
+])
+def test_a_bad_chunk_setting_fails_before_a_missing_vocabulary_is_read(
+    tmp_path, big_corpus, extra, error
+):
+    proc = cli(tmp_path, *prepare(tmp_path, tmp_path / "missing.txt", big_corpus, *extra))
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == f"warmstart: error: {error}\n"
+    assert outputs(tmp_path) == []
