@@ -38,8 +38,9 @@ from .config import (
     resolve_options,
     resolve_workers,
 )
-from .corpus import (SequenceStoreReader, check_chunking, chunk_corpus, default_index_path,
-                     is_special_file, replacing, store_writer, write_store)
+from .corpus import (DEFAULT_MIN_TAIL, DEFAULT_SEQ_LEN, SequenceStoreReader, check_chunking,
+                     chunk_corpus, default_index_path, is_special_file, replacing, store_writer,
+                     write_store)
 from .errors import WarmstartError, utf8_input
 from .masking import MaskMode, MaskSpec, corrupt_batch, make_example  # noqa: F401
 from .memplan import (
@@ -51,7 +52,7 @@ from .memplan import (
     interconnect_compare,
     recommend,
 )
-from .schedule import LrSchedule, iter_curve
+from .schedule import DEFAULT_PEAK, DEFAULT_WARMUP_STEPS, LrSchedule, iter_curve
 from .transplant import read_embeddings, transplant, write_embeddings
 from .translate import (
     DictionaryProvider,
@@ -146,8 +147,8 @@ PREPARE_CORPUS_OPTIONS = VOCAB_OPTIONS + (
     Option("--vocab", required=True),
     Option("--in", required=True, help="text file or directory of *.txt", dest="input"),
     Option("--out", required=True),
-    Option("--seq-len", 512, int),
-    Option("--min-tail", 16, int),
+    Option("--seq-len", DEFAULT_SEQ_LEN, int),
+    Option("--min-tail", DEFAULT_MIN_TAIL, int),
 )
 
 SAMPLE_BATCHES_OPTIONS = VOCAB_OPTIONS + (
@@ -166,8 +167,8 @@ SAMPLE_BATCHES_OPTIONS = VOCAB_OPTIONS + (
 )
 
 LR_CURVE_OPTIONS = (
-    Option("--peak", 4e-3, float),
-    Option("--warmup", 5000, int),
+    Option("--peak", DEFAULT_PEAK, float),
+    Option("--warmup", DEFAULT_WARMUP_STEPS, int),
     Option("--total", convert=int),
     Option("--shape", "linear", choices=("linear", "rsqrt")),
     Option("--stride", 1, int),
@@ -531,8 +532,11 @@ def cmd_lr_curve(o: dict) -> int:
         if o["store"] is None:
             raise ConfigError("need --total, or --store to derive it from")
         epochs, effective = o["epochs"], o["effective_batch"]
+        for flag, value in (("--epochs", epochs), ("--effective-batch", effective)):
+            if value < 1:
+                raise ConfigError(f"{flag} must be at least 1, got {value}")
         count = SequenceStoreReader(o["store"]).count
-        total = math.ceil(epochs * count / effective)
+        total = -(-epochs * count // effective)
         print(f"derived total={total} from {count} sequences x {epochs} epochs / {effective}")
 
     sched = LrSchedule(

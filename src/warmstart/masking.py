@@ -73,14 +73,17 @@ class MaskedExample:
     target_ids: list[int]
 
 
-def mask_counts(length: int, spec: MaskSpec) -> tuple[int, int]:
-    """(tokens to mask, spans to group them into) for one sequence."""
-    if length < 2:
-        raise MaskingError(f"sequence length must be at least 2, got {length}")
-    num_masked = max(1, min(round(spec.rate * length), length - 1))
-    if spec.mode is MaskMode.IID:
-        return num_masked, num_masked
-    return num_masked, max(1, min(round(num_masked / spec.mean_span), num_masked))
+def mask_counts(length, spec: MaskSpec) -> tuple:
+    """(tokens to mask, spans to group them into) for one sequence, as ints,
+    or for each of an array of lengths, as two arrays. Rounding is half to
+    even either way."""
+    lengths = np.asarray(length, dtype=np.int64)
+    if lengths.min() < 2:
+        raise MaskingError(f"sequence length must be at least 2, got {lengths.min()}")
+    masked = np.clip(np.round(spec.rate * lengths), 1, lengths - 1).astype(np.int64)
+    spans = masked if spec.mode is MaskMode.IID else np.clip(
+        np.round(masked / spec.mean_span), 1, masked).astype(np.int64)
+    return (masked, spans) if np.ndim(length) else (int(masked), int(spans))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,11 +113,8 @@ def draw_mask(length, spec: MaskSpec, key: MaskKey) -> list[tuple[int, int]] | S
     lengths and of key.seq_index, it draws a whole run and returns Spans.
     """
     lengths, indices = np.atleast_1d(length).astype(np.int64), np.atleast_1d(key.seq_index)
-    if lengths.min() < 2:
-        raise MaskingError(f"sequence length must be at least 2, got {lengths.min()}")
-    masked = np.clip(np.round(spec.rate * lengths), 1, lengths - 1).astype(np.int64)
-    k = np.minimum(masked if spec.mode is MaskMode.IID else np.clip(
-        np.round(masked / spec.mean_span), 1, masked), lengths - masked).astype(np.int64)
+    masked, k = mask_counts(lengths, spec)
+    k = np.minimum(k, lengths - masked)
 
     # A slot's sort key is its word with bit 63 set for a gap slot, bit 62
     # clear and the low bits (as many as the row's last slot needs) replaced

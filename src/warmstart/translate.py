@@ -89,15 +89,17 @@ def needs_translation(normalized: str, boundary_marker: str = DEFAULT_BOUNDARY_M
 class TranslationProvider(Protocol):
     """Anything that can translate a batch of normalized tokens.
 
-    ``translate_batch`` returns one outcome per input, in order. A provider
-    must degrade per item (FAILED outcome) rather than raise for routine
-    translation failures; raising is reserved for misconfiguration.
+    ``translate_batch`` gets at most ``batch_size`` texts and returns one
+    entry per text, in order: a translation string, or anything else (None)
+    for no translation. `translate_all` does the batching and turns each
+    entry into an outcome; a raise or a result of the wrong length counts as
+    no translation for the whole batch.
     """
 
     name: str
-    max_in_flight: int
+    batch_size: int
 
-    def translate_batch(self, texts: Sequence[str]) -> list[TranslationOutcome]: ...
+    def translate_batch(self, texts: Sequence[str]) -> list: ...
 
 
 _ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
@@ -148,10 +150,6 @@ class TranslationTable:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def __contains__(self, token: str) -> bool:
-        with self._lock:
-            return token in self._entries
 
     def get(self, token: str) -> Optional[TranslationOutcome]:
         with self._lock:
@@ -265,7 +263,7 @@ def translate_all(
 
     Tokens are deduplicated after normalization. Cache hits and bypasses are
     resolved locally; the remainder goes to the provider in chunks of
-    ``provider.max_in_flight``.
+    ``provider.batch_size``. This is the one place outcomes are built.
     """
     todo: list[str] = []
     bypassed: dict[str, TranslationOutcome] = {}
@@ -284,7 +282,7 @@ def translate_all(
         todo.append(normalized)
     if bypassed:  # one write; bypasses precede fetched entries in the file
         table.insert_many(bypassed)
-    chunk = max(1, provider.max_in_flight)
+    chunk = max(1, provider.batch_size)
     for start in range(0, len(todo), chunk):
         batch = todo[start : start + chunk]
         try:
@@ -293,27 +291,24 @@ def translate_all(
             results = []  # fails like a result of the wrong length
         if len(results) != len(batch):
             results = [None] * len(batch)
-        table.insert_many({
-            token: _outcome(token, result.text if result and result.ok else None)
-            for token, result in zip(batch, results)
-        })
+        table.insert_many({token: _outcome(token, x) for token, x in zip(batch, results)})
 
 
 class IdentityProvider:
-    """Marks every token FAILED so its own text is used downstream."""
+    """Translates nothing, so every token's own text is used downstream."""
 
     name = "identity"
-    max_in_flight = 1024
+    batch_size = 1024
 
-    def translate_batch(self, texts: Sequence[str]) -> list[TranslationOutcome]:
-        return [_outcome(t, None) for t in texts]
+    def translate_batch(self, texts: Sequence[str]) -> list[None]:
+        return [None] * len(texts)
 
 
 class DictionaryProvider:
-    """Offline word list: token -> translation, misses FAIL to identity."""
+    """Offline word list: token -> translation; a miss is no translation."""
 
     name = "dict"
-    max_in_flight = 4096
+    batch_size = 4096
 
     def __init__(self, mapping: dict[str, str]):
         self.mapping = dict(mapping)
@@ -335,8 +330,8 @@ class DictionaryProvider:
                 mapping[fields[0]] = fields[1]
         return cls(mapping)
 
-    def translate_batch(self, texts: Sequence[str]) -> list[TranslationOutcome]:
-        return [_outcome(t, self.mapping.get(t)) for t in texts]
+    def translate_batch(self, texts: Sequence[str]) -> list[Optional[str]]:
+        return [self.mapping.get(t) for t in texts]
 
 
 class RemoteTranslationProvider:
@@ -344,8 +339,8 @@ class RemoteTranslationProvider:
 
     POSTs ``{"texts": [...], "source": ..., "target": ...}`` and expects
     ``{"translations": [...]}`` with one string per input; an item that is
-    not a string is no translation. Transport and shape errors degrade to
-    per-item FAILED/identity outcomes after retries with exponential backoff.
+    not a string is no translation. After retries with exponential backoff,
+    a transport or shape error is no translation for every text of the batch.
     The HTTP POST callable, sleep and clock are injectable for tests.
     """
 
@@ -388,10 +383,6 @@ class RemoteTranslationProvider:
 
         self._post = post
 
-    @property
-    def max_in_flight(self) -> int:
-        return self.batch_size
-
     def _throttle(self) -> None:
         if self.rate_limit_per_s is None:
             return
@@ -419,10 +410,5 @@ class RemoteTranslationProvider:
                     self._sleep(self.backoff_base_s * (2 ** attempt))
         return None
 
-    def translate_batch(self, texts: Sequence[str]) -> list[TranslationOutcome]:
-        out: list[TranslationOutcome] = []
-        for start in range(0, len(texts), self.batch_size):
-            chunk = list(texts[start : start + self.batch_size])
-            translations = self._request(chunk) or [None] * len(chunk)
-            out.extend(_outcome(t, x) for t, x in zip(chunk, translations))
-        return out
+    def translate_batch(self, texts: Sequence[str]) -> list:
+        return self._request(texts) or [None] * len(texts)

@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,60 @@ class TestTransplantCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"warmstart: error: {error}") and err.count("\n") == 1
         assert [f.name for f in tmp_path.iterdir()] == ["vocab.txt"]
+
+    def test_remote_provider_over_real_http(self, tmp_path, vocab_file, emb_file, capsys,
+                                            monkeypatch):
+        """The default `requests` path: a 503 is retried, batches are 64, and
+        a null item is FAIL with the token's own text."""
+        posts = []  # (status, number of texts) per POST
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                texts = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["texts"]
+                status = 503 if not posts else 200
+                posts.append((status, len(texts)))
+                body = json.dumps(
+                    {"translations": [None if t == "ord7" else t for t in texts]}).encode()
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        class Server(ThreadingHTTPServer):
+            daemon_threads = False  # server_close joins every request thread
+
+        for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        tgt = write_vocab_file(tmp_path / "tgt.txt", ["<pad>", "</s>", "<unk>"]
+                               + [f"▁ord{i}" for i in range(131)] + ["<s2>", "<s1>", "<s0>"])
+        cache = tmp_path / "cache.tsv"
+        alive = threading.active_count()
+        server = Server(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever)
+        thread.start()
+        try:
+            code = main([
+                "transplant", "--src-emb", str(emb_file), "--src-vocab", str(vocab_file),
+                "--tgt-vocab", str(tgt), "--out", str(tmp_path / "out.embt"),
+                "--provider", "remote", "--remote-url", f"http://127.0.0.1:{server.server_port}/",
+                "--cache", str(cache), "--sentinel-count", "3",
+            ])
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join()
+        assert threading.active_count() == alive  # a leaked thread would stop later forks
+        assert code == 0
+        # 131 pending tokens in batches of 64: the first batch is retried once after the 503.
+        assert posts == [(503, 64), (200, 64), (200, 64), (200, 3)]
+        lines = cache.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 131 and "ord7\tFAIL\tord7" in lines and "ord8\tOK\tord8" in lines
+        assert capsys.readouterr().out == (
+            "transplanted 137 tokens: 130 translated, 1 failed, 0 bypassed, 6 specials copied\n")
 
     def test_crlf_cache_is_one_error_line_and_left_unchanged(
         self, tmp_path, vocab_file, emb_file, capsys
@@ -469,6 +524,18 @@ class TestLrCurve:
     def test_needs_total_or_store(self, capsys):
         assert main(["lr-curve"]) == 1
         assert "ConfigError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--epochs", "--effective-batch"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_epochs_or_effective_batch_below_1_is_one_error_line(
+        self, flag, value, corpus_store, tmp_path, capsys
+    ):
+        # The real store, then a missing one: the value is rejected before the store is opened.
+        for store in (corpus_store, tmp_path / "missing.seqs"):
+            assert main(["lr-curve", "--store", str(store), flag, str(value)]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"warmstart: error: ConfigError: {flag} must be at least 1, got {value}\n"
 
 
 class TestMemplanCommand:

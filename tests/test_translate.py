@@ -25,6 +25,7 @@ class CountingProvider:
     """Dictionary provider that counts translate_batch calls."""
 
     name = "counting"
+    batch_size = 8
 
     def __init__(self, mapping):
         self.mapping = mapping
@@ -34,17 +35,7 @@ class CountingProvider:
     def translate_batch(self, texts):
         self.calls += 1
         self.seen.extend(texts)
-        out = []
-        for t in texts:
-            if t in self.mapping:
-                out.append(TranslationOutcome(TranslationStatus.TRANSLATED, self.mapping[t]))
-            else:
-                out.append(TranslationOutcome(TranslationStatus.FAILED, t))
-        return out
-
-    @property
-    def max_in_flight(self):
-        return 8
+        return [self.mapping.get(t) for t in texts]
 
 
 class TestNormalize:
@@ -124,13 +115,10 @@ class TestLookupOrFetch:
     def test_provider_exception_degrades_to_identity(self):
         class Boom:
             name = "boom"
+            batch_size = 1
 
             def translate_batch(self, texts):
                 raise RuntimeError("down")
-
-            @property
-            def max_in_flight(self):
-                return 1
 
         table = TranslationTable()
         out = lookup_or_fetch(table, Boom(), "▁doktor")
@@ -161,10 +149,10 @@ class TestTranslateAll:
     def test_result_of_the_wrong_length_degrades_to_identity(self):
         class Short:
             name = "short"
-            max_in_flight = 2
+            batch_size = 2
 
             def translate_batch(self, texts):
-                return [TranslationOutcome(TranslationStatus.TRANSLATED, "x")]
+                return ["x"]
 
         table = TranslationTable()
         translate_all(table, Short(), ["▁doktor", "▁hus"])
@@ -179,7 +167,7 @@ class TestTranslateAll:
         translate_all(table, provider, ["▁go", "go", "▁go"])
         assert provider.seen == ["go"]
 
-    def test_batches_by_max_in_flight(self):
+    def test_batches_by_batch_size(self):
         table = TranslationTable()
         provider = CountingProvider({})
         tokens = [f"word{i}" for i in range(20)]
@@ -316,6 +304,13 @@ def _remote(post, **kw):
     return provider
 
 
+def _outcomes(provider, texts):
+    """The outcomes translate_all records for `texts` on a fresh table."""
+    table = TranslationTable()
+    translate_all(table, provider, texts)
+    return [table.get(t) for t in texts]
+
+
 class TestRemoteProvider:
     def _provider(self, post, **kw):
         sleeps = []
@@ -328,7 +323,7 @@ class TestRemoteProvider:
             return {"translations": [t.upper() for t in json["texts"]]}
 
         p, _ = self._provider(post)
-        out = p.translate_batch(["doktor", "go"])
+        out = _outcomes(p, ["doktor", "go"])
         assert [o.text for o in out] == ["DOKTOR", "GO"]
         assert all(o.ok for o in out)
 
@@ -337,7 +332,7 @@ class TestRemoteProvider:
             return {"translations": ["" for _ in json["texts"]]}
 
         p, _ = self._provider(post)
-        out = p.translate_batch(["doktor"])
+        out = _outcomes(p, ["doktor"])
         assert out[0] == TranslationOutcome(TranslationStatus.FAILED, "doktor")
 
     def test_retries_then_degrades(self):
@@ -348,7 +343,7 @@ class TestRemoteProvider:
             raise IOError("connection refused")
 
         p, sleeps = self._provider(post, max_retries=2, backoff_base_s=0.5)
-        out = p.translate_batch(["doktor"])
+        out = _outcomes(p, ["doktor"])
         assert out[0].status is TranslationStatus.FAILED
         assert len(calls) == 3
         assert sleeps == [0.5, 1.0]  # exponential backoff
@@ -358,7 +353,7 @@ class TestRemoteProvider:
             return {"translations": ["only one"]}
 
         p, _ = self._provider(post, max_retries=0)
-        out = p.translate_batch(["a", "b"])
+        out = _outcomes(p, ["a", "b"])
         assert all(not o.ok for o in out)
 
     def test_rate_limit_throttles(self):
@@ -376,8 +371,7 @@ class TestRemoteProvider:
             return {"translations": json["texts"]}
 
         p = _remote(post, sleep=sleep, clock=clock, rate_limit_per_s=2.0, batch_size=1)
-        p.translate_batch(["a"])
-        p.translate_batch(["b"])
+        translate_all(TranslationTable(), p, ["a", "b"])
         assert waits == [pytest.approx(0.5)]
 
     def test_batch_size_respected(self):
@@ -388,7 +382,7 @@ class TestRemoteProvider:
             return {"translations": json["texts"]}
 
         p, _ = self._provider(post, batch_size=3)
-        p.translate_batch([f"w{i}" for i in range(7)])
+        translate_all(TranslationTable(), p, [f"w{i}" for i in range(7)])
         assert sizes == [3, 3, 1]
 
     def test_non_string_items_are_no_translation(self):
@@ -396,7 +390,7 @@ class TestRemoteProvider:
             return {"translations": [None, 7, "house"]}
 
         p, _ = self._provider(post)
-        assert p.translate_batch(["bil", "syv", "hus"]) == [
+        assert _outcomes(p, ["bil", "syv", "hus"]) == [
             TranslationOutcome(TranslationStatus.FAILED, "bil"),
             TranslationOutcome(TranslationStatus.FAILED, "syv"),
             TranslationOutcome(TranslationStatus.TRANSLATED, "house"),
@@ -405,7 +399,6 @@ class TestRemoteProvider:
     def test_fixed_settings(self):
         p = RemoteTranslationProvider("http://svc", post=lambda url, json, timeout: {})
         assert (p.batch_size, p.max_retries, p.backoff_base_s) == (64, 3, 0.5)
-        assert p.max_in_flight == 64
 
     @pytest.mark.parametrize("kw", [
         {"timeout_ms": 0}, {"timeout_ms": -5}, {"timeout_ms": float("nan")},
@@ -441,7 +434,7 @@ class _Fixed:
     """A provider whose every batch gets `result(texts)`."""
 
     name = "fixed"
-    max_in_flight = 8
+    batch_size = 8
 
     def __init__(self, result):
         self.result = result
@@ -450,13 +443,17 @@ class _Fixed:
         return self.result(texts)
 
 
-def _driven(result):
-    """What translate_all records for "hus" when each batch gets `result(texts)`."""
+def _driven(provider_for):
+    """What translate_all records for "hus" with the provider `provider_for(tmp_path)`."""
     def run(tmp_path):
         table = TranslationTable()
-        translate_all(table, _Fixed(result), ["▁hus"])
+        translate_all(table, provider_for(tmp_path), ["▁hus"])
         return table.get("hus")
     return run
+
+
+def _fixed(result):
+    return _driven(lambda _: _Fixed(result))
 
 
 def _raise(texts):
@@ -467,24 +464,23 @@ def _down(url, json, timeout):
     raise IOError("connection refused")
 
 
-def _dict_file_hus(tmp_path):
+def _dict_file(tmp_path):
     path = tmp_path / "dict.tsv"
     path.write_text("hus\t\nbil\tcar\n", encoding="utf-8")
-    return DictionaryProvider.from_file(path).translate_batch(["hus"])[0]
+    return DictionaryProvider.from_file(path)
 
 
 @pytest.mark.parametrize("outcome_for_hus", [
-    pytest.param(lambda _: IdentityProvider().translate_batch(["hus"])[0], id="identity"),
-    pytest.param(lambda _: DictionaryProvider({}).translate_batch(["hus"])[0], id="dict-miss"),
-    pytest.param(_dict_file_hus, id="dict-empty-column"),
-    pytest.param(lambda _: _remote(_down, max_retries=1, sleep=lambda s: None)
-                 .translate_batch(["hus"])[0], id="remote-chunk-failed"),
-    pytest.param(lambda _: _remote(lambda url, json, timeout: {"translations": [""]})
-                 .translate_batch(["hus"])[0], id="remote-empty"),
-    pytest.param(_driven(_raise), id="drive-raises"),
-    pytest.param(_driven(lambda texts: []), id="drive-wrong-length"),
-    pytest.param(_driven(lambda texts: [TranslationOutcome(TranslationStatus.TRANSLATED, "")]),
-                 id="drive-ok-empty"),
+    pytest.param(_driven(lambda _: IdentityProvider()), id="identity"),
+    pytest.param(_driven(lambda _: DictionaryProvider({})), id="dict-miss"),
+    pytest.param(_driven(_dict_file), id="dict-empty-column"),
+    pytest.param(_driven(lambda _: _remote(_down, max_retries=1, sleep=lambda s: None)),
+                 id="remote-chunk-failed"),
+    pytest.param(_driven(lambda _: _remote(lambda url, json, timeout: {"translations": [""]})),
+                 id="remote-empty"),
+    pytest.param(_fixed(_raise), id="drive-raises"),
+    pytest.param(_fixed(lambda texts: []), id="drive-wrong-length"),
+    pytest.param(_fixed(lambda texts: [""]), id="drive-ok-empty"),
 ])
 def test_no_usable_translation_is_failed_with_the_tokens_own_text(outcome_for_hus, tmp_path):
     assert outcome_for_hus(tmp_path) == TranslationOutcome(TranslationStatus.FAILED, "hus")
