@@ -115,13 +115,6 @@ class PaddingStats:
     combined: Fraction
 
 
-def block_efficiency(lengths: Sequence[int]) -> Fraction:
-    """Real cells over total cells for one dynamically padded block."""
-    if not lengths:
-        raise BatcherError("no lengths given")
-    return Fraction(sum(lengths), len(lengths) * max(lengths))
-
-
 def padding_stats(batch: PaddedBatch) -> PaddingStats:
     """Real-cell fractions of a batch. Reads only `rows`, `width_in`,
     `width_tgt` and the two length lists, so a masking.CorruptedBatch works
@@ -135,8 +128,3 @@ def padding_stats(batch: PaddedBatch) -> PaddingStats:
         target_efficiency=Fraction(tgt_real, tgt_total),
         combined=Fraction(in_real + tgt_real, in_total + tgt_total),
     )
-
-
-def padding_efficiency(batch: PaddedBatch) -> Fraction:
-    """Combined real-cell fraction over the input and target blocks."""
-    return padding_stats(batch).combined

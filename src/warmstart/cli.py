@@ -42,7 +42,7 @@ from .corpus import (DEFAULT_MIN_TAIL, DEFAULT_SEQ_LEN, SequenceStoreReader, che
                      chunk_corpus, default_index_path, is_special_file, replacing, store_writer,
                      write_store)
 from .errors import WarmstartError, utf8_input
-from .masking import MaskMode, MaskSpec, corrupt_batch, make_example  # noqa: F401
+from .masking import MaskKey, MaskMode, MaskSpec, corrupt_batch, make_example  # noqa: F401
 from .memplan import (
     HardwareSpec,
     MemoryReport,
@@ -52,7 +52,7 @@ from .memplan import (
     interconnect_compare,
     recommend,
 )
-from .schedule import DEFAULT_PEAK, DEFAULT_WARMUP_STEPS, LrSchedule, iter_curve
+from .schedule import DEFAULT_PEAK, DEFAULT_WARMUP_STEPS, LrSchedule, check_curve, iter_curve
 from .transplant import read_embeddings, transplant, write_embeddings
 from .translate import (
     DictionaryProvider,
@@ -314,9 +314,9 @@ def cmd_prepare_corpus(o: dict) -> int:
 
     def counted(seqs):
         nonlocal total
-        for seq in seqs:
-            total += len(seq.ids)
-            yield seq
+        for ids in seqs:
+            total += len(ids)
+            yield ids
 
     with closing(_read_documents(o["input"], vocab, workers)) as docs:
         count = write_store(counted(chunk_corpus(docs, seq_len, min_tail)), o["out"])
@@ -434,7 +434,8 @@ def cmd_sample_batches(o: dict) -> int:
     if not text and out_path is None:
         raise ConfigError("--out is required with --format binary")
     spec = MaskSpec(rate=o["rate"], mean_span=o["mean_span"], mode=MaskMode(o["mode"]))
-    plan = plan_accumulation(o["effective_batch"], micro)  # both before any input is read
+    MaskKey(seed, epoch, 0)  # rejects a negative epoch as every draw would
+    plan = plan_accumulation(o["effective_batch"], micro)  # all three before any input is read
     stores = [] if text else [f"{out_path}.{part}.seqs" for part in ("inputs", "targets")]
     outputs = [("--out", out_path)] if text else _store_files("--out", *stores)
     _check_paths(o, outputs + [("--report", report_path)],
@@ -527,6 +528,7 @@ def cmd_sample_batches(o: dict) -> int:
 
 def cmd_lr_curve(o: dict) -> int:
     total, out_path = o["total"], o["out"]
+    check_curve(o["peak"], o["stride"])  # before the store is opened
     _check_paths(o, [("--out", out_path)], _store_files("--store", o["store"]))
     if total is None:
         if o["store"] is None:

@@ -1,10 +1,11 @@
 """Corpus chunking and the random-access sequence store.
 
-Documents are split into consecutive fixed-length chunks that never cross a
-document boundary; a short final tail is kept only when it reaches min_tail.
-Sequences are persisted in a length-prefixed binary store with a side index
-of byte offsets at `<store>.idx` for O(1) reads. Every artifact writer in
-warmstart opens its target through `replacing`, so a file appears only whole.
+Documents are split into consecutive fixed-length chunks of ids that never
+cross a document boundary; a short final tail is kept only when it reaches
+min_tail. Sequences are persisted as plain id sequences in a length-prefixed
+binary store with a side index of byte offsets at `<store>.idx` for O(1)
+reads. Every artifact writer in warmstart opens its target through
+`replacing`, so a file appears only whole.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import shutil
 import stat
 import struct
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -39,16 +39,6 @@ class StoreFormatError(CorpusError):
     pass
 
 
-@dataclass
-class TokenSequence:
-    ids: list[int]
-    source_doc: Optional[int] = None
-    seq_index: Optional[int] = None
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
 def check_chunking(seq_len: int, min_tail: int) -> None:
     """Fail unless chunk_corpus accepts this chunk length and tail minimum."""
     if seq_len < 2:
@@ -58,24 +48,23 @@ def check_chunking(seq_len: int, min_tail: int) -> None:
 
 
 def chunk_corpus(
-    docs: Iterable[list[int]],
+    docs: Iterable[Sequence[int]],
     seq_len: int = DEFAULT_SEQ_LEN,
     min_tail: int = DEFAULT_MIN_TAIL,
-) -> Iterator[TokenSequence]:
-    """Yield consecutive non-overlapping chunks of seq_len per document.
+) -> Iterator[Sequence[int]]:
+    """Yield consecutive non-overlapping chunks of seq_len ids per document,
+    each as a slice of its document.
 
     The final partial chunk of a document is yielded only when its length is
     at least min_tail (set min_tail=0 to keep everything). Documents are
     never concatenated, so no sequence spans two of them.
     """
     check_chunking(seq_len, min_tail)
-    seq_index = 0
-    for doc_ordinal, doc in enumerate(docs):
+    for doc in docs:
         for start in range(0, len(doc), seq_len):
             chunk = doc[start : start + seq_len]
             if len(chunk) >= min_tail:  # a full chunk always passes: min_tail <= seq_len
-                yield TokenSequence(ids=list(chunk), source_doc=doc_ordinal, seq_index=seq_index)
-                seq_index += 1
+                yield chunk
 
 
 def default_index_path(store_path) -> str:
@@ -129,7 +118,7 @@ def store_writer(path):
 
         def append(ids) -> int:
             nonlocal count
-            if not ids:
+            if not len(ids):  # ids may be a numpy array
                 raise CorpusError("cannot store an empty sequence")
             index.write(struct.pack("<Q", store.tell()))
             store.write(struct.pack(f"<I{len(ids)}I", len(ids), *ids))
@@ -142,8 +131,8 @@ def store_writer(path):
             f.write(struct.pack("<Q", count))
 
 
-def write_store(seqs: Iterable[TokenSequence], path) -> int:
-    """Stream sequences to a store file, returning the count written.
+def write_store(seqs: Iterable[Sequence[int]], path) -> int:
+    """Stream id sequences to a store file, returning the count written.
 
     Layout: "SEQS", u32 version, u64 count, then per sequence a u32 length
     followed by that many u32 ids, all little-endian. The count is patched
@@ -153,8 +142,8 @@ def write_store(seqs: Iterable[TokenSequence], path) -> int:
     """
     count = 0
     with store_writer(path) as append:
-        for seq in seqs:
-            count = append(seq.ids)
+        for ids in seqs:
+            count = append(ids)
     return count
 
 
@@ -238,10 +227,10 @@ class SequenceStoreReader:
             self._starts, self._lengths = starts, lengths
         return self._starts, self._lengths
 
-    def read(self, index: int) -> TokenSequence:
+    def read(self, index: int) -> list[int]:
         if not 0 <= index < self.count:
             raise IndexError(f"sequence index {index} out of range (count={self.count})")
-        return TokenSequence(ids=self.gather([index])[0].tolist(), seq_index=index)
+        return self.gather([index])[0].tolist()
 
     def gather(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """The ids of the given sequences, concatenated in that order, and
@@ -271,17 +260,9 @@ class SequenceStoreReader:
         if self._file is not None:
             self._file.close()
 
-    def __iter__(self) -> Iterator[TokenSequence]:
+    def __iter__(self) -> Iterator[list[int]]:
         return (self.read(i) for i in range(self.count))
-
-    def __len__(self) -> int:
-        return self.count
 
     def lengths(self) -> list[int]:
         """Sequence lengths in order, without materializing ids."""
         return self._offsets()[1].tolist()
-
-
-def read_store(path, index: int) -> TokenSequence:
-    """One-shot random read; prefer SequenceStoreReader for repeated access."""
-    return SequenceStoreReader(path).read(index)

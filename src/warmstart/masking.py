@@ -9,8 +9,9 @@ mode masks single tokens. Masked runs become sentinels in the input; the
 target lists each sentinel with its original tokens, then a closing
 sentinel and eos.
 
-make_example corrupts one sequence and is the reference; corrupt_batch gives
-the same rows for a whole run, built with index arithmetic over flat arrays.
+make_example corrupts one sequence, given as its ids, and is the reference;
+corrupt_batch gives the same rows for a whole run of stored sequences, built
+with index arithmetic over flat arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import SequenceStoreReader, StoreFormatError, TokenSequence
+from .corpus import SequenceStoreReader, StoreFormatError
 from .errors import WarmstartError
 from .vocab import Vocabulary
 
@@ -161,7 +162,7 @@ def _check_sentinel_budget(num_spans: int, vocab: Vocabulary) -> None:
                                   f"vocabulary reserves only {vocab.sentinel_count}")
 
 
-def apply_span_corruption(seq: TokenSequence, spans: list[tuple[int, int]],
+def apply_span_corruption(ids: Sequence[int], spans: list[tuple[int, int]],
                           vocab: Vocabulary) -> MaskedExample:
     """Replace each span with a sentinel; pair with the span-recovery target.
 
@@ -169,7 +170,6 @@ def apply_span_corruption(seq: TokenSequence, spans: list[tuple[int, int]],
     target closes with the last reserved sentinel, id vocab.size -
     sentinel_count, so num_spans + 1 sentinels must be available.
     """
-    ids = seq.ids
     _validate_spans(spans, len(ids))
     _check_sentinel_budget(len(spans), vocab)
     input_ids: list[int] = []
@@ -189,11 +189,11 @@ def apply_span_corruption(seq: TokenSequence, spans: list[tuple[int, int]],
     return MaskedExample(input_ids=input_ids, target_ids=target_ids)
 
 
-def make_example(seq: TokenSequence, spec: MaskSpec, key: MaskKey,
+def make_example(ids: Sequence[int], spec: MaskSpec, key: MaskKey,
                  vocab: Vocabulary) -> MaskedExample:
-    """Draw the mask for (spec, key) and corrupt the sequence with it."""
-    spans = draw_mask(len(seq.ids), spec, key)
-    return apply_span_corruption(seq, spans, vocab)
+    """Draw the mask for (spec, key) and corrupt the sequence `ids` with it."""
+    spans = draw_mask(len(ids), spec, key)
+    return apply_span_corruption(ids, spans, vocab)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,14 @@ class ScheduleError(WarmstartError):
     pass
 
 
+def check_curve(peak: float, stride: int = 1) -> None:
+    """Fail unless LrSchedule accepts this peak and iter_curve this stride."""
+    if not 0 < peak < math.inf:
+        raise ScheduleError(f"peak must be finite and positive, got {peak}")
+    if stride < 1:
+        raise ScheduleError(f"stride must be positive, got {stride}")
+
+
 @dataclass(frozen=True)
 class LrSchedule:
     total_steps: int
@@ -31,8 +39,7 @@ class LrSchedule:
     shape: str = "linear"
 
     def __post_init__(self):
-        if not 0 < self.peak < math.inf:
-            raise ScheduleError(f"peak must be finite and positive, got {self.peak}")
+        check_curve(self.peak)
         if not 0 < self.warmup_steps < self.total_steps:
             raise ScheduleError(
                 f"need 0 < warmup_steps < total_steps, got warmup "
@@ -56,8 +63,7 @@ def lr_at(s: LrSchedule, step: int) -> float:
 
 def iter_curve(s: LrSchedule, stride: int = 1) -> Iterator[tuple[int, float]]:
     """(step, rate) pairs at the given stride, always including total_steps."""
-    if stride < 1:
-        raise ScheduleError(f"stride must be positive, got {stride}")
+    check_curve(s.peak, stride)
     step = 0
     while step < s.total_steps:
         yield step, lr_at(s, step)

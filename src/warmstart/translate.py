@@ -143,8 +143,6 @@ class TranslationTable:
         self.persist_path = persist_path
         self._entries: dict[str, TranslationOutcome] = {}
         self._lock = threading.RLock()
-        # Serializes lookup_or_fetch so concurrent misses fetch once.
-        self._fetch_lock = threading.Lock()
         self._torn = False  # the file ends in a line cut short; rewrite, not append
 
     def __len__(self) -> int:
@@ -227,28 +225,6 @@ class TranslationTable:
             with replacing(path, "w", encoding="utf-8", newline="") as f:
                 for token, outcome in self._entries.items():
                     f.write(_format_line(token, outcome))
-
-
-def lookup_or_fetch(
-    table: TranslationTable,
-    provider: TranslationProvider,
-    token: str,
-    *,
-    boundary_marker: str = DEFAULT_BOUNDARY_MARKER,
-    retry_failed: bool = False,
-) -> TranslationOutcome:
-    """Resolve one raw vocabulary token to a translation outcome.
-
-    A one-token `translate_all` (cache, then bypass, then provider) run under
-    the table's fetch lock, so concurrent callers of the same missing token
-    trigger a single fetch. Provider exceptions and empty translations
-    become FAILED/identity outcomes; they are cached like any other result.
-    """
-    with table._fetch_lock:
-        translate_all(
-            table, provider, [token], boundary_marker=boundary_marker, retry_failed=retry_failed
-        )
-        return table.get(normalize_token(token, boundary_marker))
 
 
 def translate_all(

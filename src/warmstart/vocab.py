@@ -111,9 +111,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.tokens)
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
     def sentinel_id(self, k: int) -> int:
         """Id of sentinel k; sentinels descend from the top of the id space."""
         if not 0 <= k < self.sentinel_count:

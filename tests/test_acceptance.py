@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 import warmstart
-from warmstart.batcher import assemble, padding_efficiency, plan_accumulation
-from warmstart.corpus import SequenceStoreReader, TokenSequence, write_store
+from warmstart.batcher import assemble, padding_stats, plan_accumulation
+from warmstart.corpus import SequenceStoreReader, write_store
 from warmstart.masking import MaskKey, MaskSpec, MaskedExample, draw_mask, make_example
 from warmstart.memplan import (
     HardwareSpec,
@@ -34,7 +34,7 @@ from warmstart.translate import (
     TranslationOutcome,
     TranslationStatus,
     TranslationTable,
-    lookup_or_fetch,
+    normalize_token,
     translate_all,
 )
 from warmstart.transplant import (
@@ -128,8 +128,9 @@ def test_criterion_03_token_mapping_structure(announce):
             "▁værsgo": [3, 4, 5],
             "▁Aarhus": [2],
         }
+        translate_all(table, provider, list(expected))
         for token, pieces in expected.items():
-            outcome = lookup_or_fetch(table, provider, token)
+            outcome = table.get(normalize_token(token))
             assert map_token(token, outcome, src) == pieces, token
         # multi-word translations produced multi-piece means; the failure
         # fell back to the unknown-token path
@@ -145,12 +146,11 @@ def test_criterion_04_exact_mask_rate_and_reconstruction(announce):
         started = time.perf_counter()
         for i in range(10_000):
             ids = [rng.randrange(3, 200) for _ in range(512)]
-            seq = TokenSequence(ids=ids, seq_index=i)
             key = MaskKey(seed=99, epoch=0, seq_index=i)
             spans = draw_mask(512, spec, key)
             assert sum(e - s + 1 for s, e in spans) == 77
             assert len(spans) == 26
-            ex = make_example(seq, spec, key, vocab)
+            ex = make_example(ids, spec, key, vocab)
             assert reconstruct(ex, vocab) == ids
         elapsed = time.perf_counter() - started
         assert elapsed < 30.0, f"took {elapsed:.2f}s"
@@ -194,7 +194,7 @@ def test_criterion_06_batcher_width_plan_and_efficiency(announce):
             assert batch.width_tgt == max(tgt_lengths)
             real = sum(in_lengths) + sum(tgt_lengths)
             cells = n * (max(in_lengths) + max(tgt_lengths))
-            assert padding_efficiency(batch) == Fraction(real, cells)
+            assert padding_stats(batch).combined == Fraction(real, cells)
 
 
 def test_criterion_07_schedule_anchors_and_monotonicity(announce):
@@ -256,10 +256,10 @@ def test_criterion_09_round_trips_byte_identical(tmp_path, announce):
                 [rng.randrange(2**31) for _ in range(rng.randrange(1, 12))]
                 for _ in range(rng.randrange(0, 7))
             ]
-            write_store((TokenSequence(ids=ids) for ids in id_lists), store_a)
-            reread = [s.ids for s in SequenceStoreReader(store_a)]
+            write_store(id_lists, store_a)
+            reread = list(SequenceStoreReader(store_a))
             assert reread == id_lists
-            write_store((TokenSequence(ids=ids) for ids in reread), store_b)
+            write_store(reread, store_b)
             assert store_b.read_bytes() == store_a.read_bytes()
             assert (tmp_path / "b.seqs.idx").read_bytes() == (
                 tmp_path / "a.seqs.idx").read_bytes()

@@ -7,8 +7,6 @@ from warmstart.batcher import (
     BatcherError,
     NonDivisibleError,
     assemble,
-    block_efficiency,
-    padding_efficiency,
     padding_stats,
     plan_accumulation,
 )
@@ -50,12 +48,12 @@ class TestAssemble:
 
     def test_equal_lengths_no_padding(self):
         batch = assemble([ex(4), ex(4)], micro=2, pad_id=0)
-        assert padding_efficiency(batch) == 1
+        assert padding_stats(batch).combined == 1
 
     def test_single_example(self):
         batch = assemble([ex(7)], micro=16, pad_id=0)
         assert batch.width_in == 7
-        assert padding_efficiency(batch) == 1
+        assert padding_stats(batch).combined == 1
 
     def test_order_preserved_and_recoverable(self):
         examples = [ex(5, 3), ex(2, 6), ex(4, 4)]
@@ -82,11 +80,6 @@ class TestAssemble:
 
 
 class TestEfficiency:
-    def test_block_examples(self):
-        assert block_efficiency([5, 3, 4]) == Fraction(4, 5)
-        assert block_efficiency([512] * 16) == 1
-        assert block_efficiency([1, 512]) == Fraction(513, 1024)
-
     def test_combined_is_exact_rational(self):
         batch = assemble([ex(5, 3), ex(3, 3)], micro=2, pad_id=0)
         stats = padding_stats(batch)
@@ -106,4 +99,4 @@ class TestEfficiency:
             assert batch.width_tgt == max(tgt_lengths)
             real = sum(in_lengths) + sum(tgt_lengths)
             cells = n * (max(in_lengths) + max(tgt_lengths))
-            assert padding_efficiency(batch) == Fraction(real, cells)
+            assert padding_stats(batch).combined == Fraction(real, cells)

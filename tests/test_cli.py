@@ -12,7 +12,7 @@ import pytest
 
 import warmstart
 from warmstart.cli import main
-from warmstart.corpus import SequenceStoreReader, TokenSequence, write_store
+from warmstart.corpus import SequenceStoreReader, write_store
 from warmstart.transplant import EmbeddingMatrix, write_embeddings
 
 from conftest import write_vocab_file
@@ -271,13 +271,13 @@ class TestPrepareCorpusAndStats:
         reader = SequenceStoreReader(corpus_store)
         assert reader.lengths() == [8, 8, 4, 8]
         for seq in reader:
-            assert all(3 <= t <= 10 for t in seq.ids)
+            assert all(3 <= t <= 10 for t in seq)
 
     def test_stats_matches_recount(self, corpus_store, capsys):
         assert main(["stats", "--store", str(corpus_store)]) == 0
         out = capsys.readouterr().out
         reader = SequenceStoreReader(corpus_store)
-        brute_tokens = sum(len(s.ids) for s in reader)
+        brute_tokens = sum(len(s) for s in reader)
         assert f"sequences={reader.count}" in out
         assert f"tokens={brute_tokens}" in out
 
@@ -305,7 +305,7 @@ class TestPrepareCorpusAndStats:
         ])
         assert code == 0
         assert "sequences=2 " in capsys.readouterr().out
-        assert [s.ids for s in SequenceStoreReader(store)] == [[3, 3, 3], [4, 4, 4]]
+        assert list(SequenceStoreReader(store)) == [[3, 3, 3], [4, 4, 4]]
 
 
 class TestSampleBatches:
@@ -362,7 +362,7 @@ class TestSampleBatches:
         assert inputs.count == targets.count == 4
         eos = 1
         for seq in inputs:
-            assert seq.ids[-1] == eos
+            assert seq[-1] == eos
 
     def test_report_stream(self, tmp_path, corpus_store, vocab_file):
         out = tmp_path / "b.tsv"
@@ -390,7 +390,7 @@ class TestSampleBatches:
     def _store_ending_in_length_one(tmp_path):
         store = tmp_path / "tail.seqs"
         ids = [[3, 4, 5, 6], [7, 8, 9, 10], [3, 4, 5], [7]]  # masking needs length >= 2
-        write_store((TokenSequence(ids=seq) for seq in ids), store)
+        write_store(ids, store)
         return store
 
     def test_failed_epoch_writes_no_files(self, tmp_path, vocab_file, capsys):
@@ -424,7 +424,8 @@ class TestSampleBatches:
         (["--mean-span", "nan"], "MaskingError: mean_span must be finite and at least 1"),
         (["--micro-batch", "3", "--effective-batch", "8"],
          "NonDivisibleError: micro batch 3 does not divide effective batch 8"),
-    ], ids=["rate", "mean-span-nan", "micro-batch-3"])
+        (["--epoch", "-1"], "MaskingError: epoch and seq_index must be non-negative"),
+    ], ids=["rate", "mean-span-nan", "micro-batch-3", "epoch-negative"])
     def test_bad_setting_fails_before_any_input_is_read(
         self, flags, error, tmp_path, corpus_store, capsys
     ):
@@ -555,6 +556,21 @@ class TestLrCurve:
             out, err = capsys.readouterr()
             assert out == ""
             assert err == f"warmstart: error: ConfigError: {flag} must be at least 1, got {value}\n"
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--stride", "0"], "stride must be positive, got 0"),
+        (["--peak", "-1"], "peak must be finite and positive, got -1.0"),
+        (["--peak", "nan"], "peak must be finite and positive, got nan"),
+    ], ids=["stride-0", "peak-negative", "peak-nan"])
+    def test_bad_peak_or_stride_is_one_error_line(
+        self, flags, error, corpus_store, tmp_path, capsys
+    ):
+        # The real store, then a missing one: the value is rejected before the store is opened.
+        for store in (corpus_store, tmp_path / "missing.seqs"):
+            assert main(["lr-curve", "--store", str(store), *flags]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"warmstart: error: ScheduleError: {error}\n"
 
 
 class TestMemplanCommand:

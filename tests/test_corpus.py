@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,10 +15,8 @@ from warmstart.corpus import (
     CorpusError,
     SequenceStoreReader,
     StoreFormatError,
-    TokenSequence,
     chunk_corpus,
     default_index_path,
-    read_store,
     write_store,
 )
 
@@ -26,8 +25,8 @@ class TestChunkCorpus:
     def test_exact_division(self):
         seqs = list(chunk_corpus([list(range(1024))], seq_len=512))
         assert [len(s) for s in seqs] == [512, 512]
-        assert seqs[0].ids == list(range(512))
-        assert seqs[1].ids == list(range(512, 1024))
+        assert seqs[0] == list(range(512))
+        assert seqs[1] == list(range(512, 1024))
 
     def test_tail_kept_when_long_enough(self):
         seqs = list(chunk_corpus([list(range(600))], seq_len=512, min_tail=16))
@@ -47,13 +46,7 @@ class TestChunkCorpus:
         # every id carries its doc ordinal, so a mixed sequence would show
         docs = [[d] * n for d, n in enumerate([10, 3, 17])]
         for seq in chunk_corpus(docs, seq_len=4, min_tail=1):
-            assert len(set(seq.ids)) == 1
-            assert seq.ids[0] == seq.source_doc
-
-    def test_seq_index_is_global(self):
-        docs = [list(range(10)), list(range(9))]
-        seqs = list(chunk_corpus(docs, seq_len=4, min_tail=1))
-        assert [s.seq_index for s in seqs] == list(range(len(seqs)))
+            assert len(set(seq)) == 1
 
     def test_invalid_params(self):
         with pytest.raises(CorpusError):
@@ -87,23 +80,23 @@ class TestChunkCorpus:
 class TestStore:
     def _write(self, tmp_path, id_lists):
         path = tmp_path / "c.seqs"
-        write_store((TokenSequence(ids=list(ids)) for ids in id_lists), path)
+        write_store(id_lists, path)
         return path
 
     def test_round_trip_middle(self, tmp_path):
         path = self._write(tmp_path, [[1, 2, 3], [4, 5], [6]])
-        assert read_store(path, 1).ids == [4, 5]
+        assert SequenceStoreReader(path).read(1) == [4, 5]
 
     def test_index_out_of_range(self, tmp_path):
         path = self._write(tmp_path, [[1], [2], [3]])
         with pytest.raises(IndexError):
-            read_store(path, 3)
+            SequenceStoreReader(path).read(3)
 
     @pytest.mark.parametrize("indices", [[0, 1, 2], [1, 2], [2, 0, 2], []])
     def test_gather_is_the_reads_concatenated(self, tmp_path, indices):
         reader = SequenceStoreReader(self._write(tmp_path, [[1, 2, 3], [4, 5], [6]]))
         ids, lengths = reader.gather(indices)
-        assert ids.tolist() == [t for i in indices for t in reader.read(i).ids]
+        assert ids.tolist() == [t for i in indices for t in reader.read(i)]
         assert lengths.tolist() == [len(reader.read(i)) for i in indices]
 
     def test_reads_after_release_are_unchanged(self, tmp_path):
@@ -112,7 +105,7 @@ class TestStore:
         reader.release()
         assert ids.tolist() == [6, 1, 2, 3]
         assert reader.gather([2, 0])[0].tolist() == [6, 1, 2, 3]
-        assert [s.ids for s in reader] == [[1, 2, 3], [4, 5], [6]]
+        assert list(reader) == [[1, 2, 3], [4, 5], [6]]
 
     @pytest.mark.parametrize("index", [-1, 3])
     def test_gather_out_of_range(self, tmp_path, index):
@@ -129,14 +122,14 @@ class TestStore:
     def test_iteration_order(self, tmp_path):
         id_lists = [[1, 2], [3], [4, 5, 6]]
         path = self._write(tmp_path, id_lists)
-        assert [s.ids for s in SequenceStoreReader(path)] == id_lists
+        assert list(SequenceStoreReader(path)) == id_lists
 
     def test_scan_fallback_without_index(self, tmp_path):
         path = self._write(tmp_path, [[7, 8], [9]])
         default_idx = tmp_path / "c.seqs.idx"
         default_idx.unlink()
         reader = SequenceStoreReader(path)
-        assert reader.read(1).ids == [9]
+        assert reader.read(1) == [9]
 
     def test_corrupt_magic(self, tmp_path):
         path = tmp_path / "c.seqs"
@@ -163,7 +156,7 @@ class TestStore:
 
     def test_empty_sequence_rejected(self, tmp_path):
         with pytest.raises(CorpusError):
-            write_store([TokenSequence(ids=[])], tmp_path / "c.seqs")
+            write_store([[]], tmp_path / "c.seqs")
 
     def test_lengths(self, tmp_path):
         path = self._write(tmp_path, [[1, 2], [3], [4, 5, 6]])
@@ -177,11 +170,11 @@ class TestStore:
                 for _ in range(rng.randrange(0, 12))
             ]
             path = tmp_path / f"t{trial}.seqs"
-            write_store((TokenSequence(ids=ids) for ids in id_lists), path)
+            write_store(id_lists, path)
             reader = SequenceStoreReader(path)
-            assert [s.ids for s in reader] == id_lists
+            assert list(reader) == id_lists
             for i, ids in enumerate(id_lists):
-                assert reader.read(i).ids == ids
+                assert reader.read(i) == ids
 
     @pytest.mark.parametrize("offsets", [
         (16, 20, 32),  # read(1) would return [9]
@@ -210,34 +203,40 @@ class TestStore:
         (tmp_path / "c.seqs.idx").unlink()
         walked = SequenceStoreReader(path)
         assert indexed.lengths() == walked.lengths() == [3, 2, 1, 40]
-        assert [s.ids for s in indexed] == [s.ids for s in walked] == id_lists
+        assert list(indexed) == list(walked) == id_lists
 
     def test_failed_write_leaves_old_files(self, tmp_path):
         path = self._write(tmp_path, [[1, 2], [3]])
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
         def seqs():
-            yield TokenSequence(ids=[4, 5])
+            yield [4, 5]
             raise RuntimeError("source failed")
 
         with pytest.raises(RuntimeError):
             write_store(seqs(), path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_chunks_of_numpy_documents_are_stored(self, tmp_path):
+        path = tmp_path / "c.seqs"
+        docs = [np.arange(3, 9, dtype=np.uint32)]
+        assert write_store(chunk_corpus(docs, seq_len=4, min_tail=1), path) == 2
+        assert list(SequenceStoreReader(path)) == [[3, 4, 5, 6], [7, 8]]
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         id_lists = [[1, 2, 3], [4], [5, 6]]
         p1 = self._write(tmp_path, id_lists)
         first = p1.read_bytes()
-        reread = [s.ids for s in SequenceStoreReader(p1)]
+        reread = list(SequenceStoreReader(p1))
         p2 = tmp_path / "again.seqs"
-        write_store((TokenSequence(ids=ids) for ids in reread), p2)
+        write_store(reread, p2)
         assert p2.read_bytes() == first
 
 
 @pytest.mark.parametrize("access", ["lengths", "iterate", "read without index"])
 def test_store_cut_mid_payload_is_rejected(tmp_path, access):
     path = tmp_path / "c.seqs"
-    write_store((TokenSequence(ids=ids) for ids in [[1, 2], [3, 4, 5]]), path)
+    write_store([[1, 2], [3, 4, 5]], path)
     path.write_bytes(path.read_bytes()[:-6])  # the last sequence loses 1.5 ids
     (tmp_path / "c.seqs.idx").unlink()
     reader = SequenceStoreReader(path)
@@ -276,7 +275,7 @@ def test_reading_a_whole_store_keeps_few_pages_resident(tmp_path):
     path = tmp_path / "big.seqs"
     rng = random.Random(3)
     ids = list(range(1, 513))
-    write_store((TokenSequence(ids=ids[: rng.randrange(100, 513)]) for _ in range(40_000)), path)
+    write_store((ids[: rng.randrange(100, 513)] for _ in range(40_000)), path)
     size = path.stat().st_size
     assert size > 45 * 2**20
     src = str(Path(warmstart.__file__).resolve().parents[1])

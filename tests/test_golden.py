@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from warmstart.cli import build_parser, main
-from warmstart.corpus import TokenSequence, write_store
+from warmstart.corpus import write_store
 from warmstart.transplant import EmbeddingMatrix, write_embeddings
 
 from conftest import write_vocab_file
@@ -152,8 +152,8 @@ def write_big_store(path, count=320):
     """Sequences of 2 to 40 regular ids: enough micro-batches of 2 to make
     several runs for workers, and lengths that vary for --sort-by-length."""
     rng = random.Random(8)
-    write_store((TokenSequence([rng.randint(3, 10) for _ in range(rng.randint(2, 40))])
-                 for _ in range(count)), path)
+    write_store(([rng.randint(3, 10) for _ in range(rng.randint(2, 40))] for _ in range(count)),
+                path)
     return path
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warmstart.batcher import assemble, padding_stats
-from warmstart.corpus import SequenceStoreReader, TokenSequence, write_store
+from warmstart.corpus import SequenceStoreReader, write_store
 from warmstart.masking import (
     MaskKey,
     MaskMode,
@@ -148,37 +148,37 @@ class TestDrawMask:
 
 class TestApplySpanCorruption:
     def test_two_span_hand_trace(self, sentinel_vocab):
-        seq = TokenSequence(ids=[11, 12, 13, 14, 15, 16, 17, 18, 19, 20])
+        seq = [11, 12, 13, 14, 15, 16, 17, 18, 19, 20]
         ex = apply_span_corruption(seq, [(3, 4), (8, 8)], sentinel_vocab)
         assert ex.input_ids == [11, 12, 13, 29, 16, 17, 18, 28, 20, 1]
         assert ex.target_ids == [29, 14, 15, 28, 19, 27, 1]
 
     def test_single_span_hand_trace(self, sentinel_vocab):
-        ex = apply_span_corruption(TokenSequence(ids=[5, 6, 7]), [(1, 1)], sentinel_vocab)
+        ex = apply_span_corruption([5, 6, 7], [(1, 1)], sentinel_vocab)
         assert ex.input_ids == [5, 29, 7, 1]
         assert ex.target_ids == [29, 6, 27, 1]
 
     def test_zero_spans_rejected(self, sentinel_vocab):
         with pytest.raises(MaskingError):
-            apply_span_corruption(TokenSequence(ids=[5, 6, 7]), [], sentinel_vocab)
+            apply_span_corruption([5, 6, 7], [], sentinel_vocab)
 
     def test_sentinel_budget(self, sentinel_vocab):
-        seq = TokenSequence(ids=list(range(3, 13)))
+        seq = list(range(3, 13))
         # three spans need four sentinels; only three reserved
         with pytest.raises(SentinelBudgetError):
             apply_span_corruption(seq, [(1, 1), (3, 3), (5, 5)], sentinel_vocab)
 
     def test_adjacent_spans_rejected(self, sentinel_vocab):
-        seq = TokenSequence(ids=list(range(3, 13)))
+        seq = list(range(3, 13))
         with pytest.raises(MaskingError):
             apply_span_corruption(seq, [(1, 2), (3, 4)], sentinel_vocab)
 
     def test_out_of_range_rejected(self, sentinel_vocab):
         with pytest.raises(MaskingError):
-            apply_span_corruption(TokenSequence(ids=[5, 6]), [(1, 2)], sentinel_vocab)
+            apply_span_corruption([5, 6], [(1, 2)], sentinel_vocab)
 
     def test_input_sentinels_descend_in_id(self, sentinel_vocab):
-        seq = TokenSequence(ids=list(range(3, 13)))
+        seq = list(range(3, 13))
         ex = apply_span_corruption(seq, [(1, 1), (4, 5)], sentinel_vocab)
         sentinels = [t for t in ex.input_ids if t >= 27]
         assert sentinels == [29, 28]
@@ -194,12 +194,11 @@ class TestMakeExample:
         for i in range(300):
             length = rng.randrange(2, 200)
             ids = [rng.randrange(3, 50) for _ in range(length)]
-            seq = TokenSequence(ids=ids, seq_index=i)
-            ex = make_example(seq, spec, MaskKey(seed=4, epoch=0, seq_index=i), vocab)
+            ex = make_example(ids, spec, MaskKey(seed=4, epoch=0, seq_index=i), vocab)
             assert reconstruct(ex, vocab) == ids
 
     def test_target_starts_with_first_sentinel(self, sentinel_vocab):
-        seq = TokenSequence(ids=list(range(3, 13)))
+        seq = list(range(3, 13))
         ex = make_example(seq, MaskSpec(), MaskKey(0, 0, 0), sentinel_vocab)
         assert ex.target_ids[0] == sentinel_vocab.sentinel_id(0) == 29
 
@@ -219,7 +218,7 @@ def _outcome(rows):
 def _batch_and_reference(seqs, indices, spec, seed, epoch, vocab):
     with tempfile.TemporaryDirectory() as tmp:
         store = Path(tmp) / "s.seqs"
-        write_store((TokenSequence(ids) for ids in seqs), store)
+        write_store(seqs, store)
         reader = SequenceStoreReader(store)
         batch = _outcome(lambda: corrupt_batch(reader, indices, spec, seed, epoch, vocab)
                          .examples())
@@ -273,7 +272,7 @@ class TestCorruptBatch:
     def test_lengths_give_what_padding_stats_reads(self, sentinel_vocab):
         with tempfile.TemporaryDirectory() as tmp:
             store = Path(tmp) / "s.seqs"
-            write_store([TokenSequence([3, 4, 5, 6, 7, 8]), TokenSequence([9, 10])], store)
+            write_store([[3, 4, 5, 6, 7, 8], [9, 10]], store)
             batch = corrupt_batch(SequenceStoreReader(store), [0, 1], MaskSpec(), 2, 0,
                                   sentinel_vocab)
         padded = assemble(list(batch.examples()), micro=2, pad_id=0)

@@ -18,7 +18,7 @@ import pytest
 
 import warmstart
 from warmstart.cli import _Decimals, main
-from warmstart.corpus import TokenSequence, write_store
+from warmstart.corpus import write_store
 
 from conftest import write_vocab_file
 from test_cli import VOCAB_TOKENS, _isolate_run_log  # noqa: F401 (autouse fixture)
@@ -85,7 +85,7 @@ def test_a_failure_in_a_worker_keeps_earlier_lines_and_writes_no_files(tmp_path,
     ids = [[3 + (i + j) % 8 for j in range(2 + i % 9)] for i in range(320)]
     ids[200] = [7]  # micro-batch 100, inside the first run a worker handles
     store = tmp_path / "short.seqs"
-    write_store((TokenSequence(seq) for seq in ids), store)
+    write_store(ids, store)
     before = sorted(p.name for p in tmp_path.iterdir())
     argv = [*BASE, "--store", store, "--vocab", vocab]
 
@@ -159,7 +159,7 @@ def test_a_process_with_other_threads_runs_the_epoch_itself(tmp_path, vocab, big
 def test_an_id_outside_the_vocabulary_is_one_error_line(tmp_path, vocab, capsys):
     store = tmp_path / "wide.seqs"
     size = len(VOCAB_TOKENS)
-    write_store((TokenSequence(seq) for seq in [[3, 4, 5], [6, 7], [8, size, 9]]), store)
+    write_store([[3, 4, 5], [6, 7], [8, size, 9]], store)
     out = tmp_path / "b.tsv"
     assert main([*BASE, "--store", str(store), "--vocab", str(vocab),
                  "--out", str(out)]) == 1

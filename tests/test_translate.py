@@ -22,7 +22,6 @@ from warmstart.translate import (
     TranslationOutcome,
     TranslationStatus,
     TranslationTable,
-    lookup_or_fetch,
     needs_translation,
     normalize_token,
     translate_all,
@@ -80,47 +79,19 @@ class TestNeedsTranslation:
         assert needs_translation("▁") is False
 
 
-class TestLookupOrFetch:
-    def test_dictionary_hit(self):
+class TestTranslateAll:
+    @pytest.mark.parametrize("provider, token, outcome", [
+        (DictionaryProvider({"doktor": "doctor"}), "▁doktor",
+         TranslationOutcome(TranslationStatus.TRANSLATED, "doctor")),
+        (DictionaryProvider({}), "▁Aarhus", TranslationOutcome(TranslationStatus.FAILED, "Aarhus")),
+        (IdentityProvider(), "▁go", TranslationOutcome(TranslationStatus.FAILED, "go")),
+    ], ids=["dictionary-hit", "dictionary-miss-is-identity-failure", "identity"])
+    def test_one_token(self, provider, token, outcome):
         table = TranslationTable()
-        provider = DictionaryProvider({"doktor": "doctor"})
-        out = lookup_or_fetch(table, provider, "▁doktor")
-        assert out == TranslationOutcome(TranslationStatus.TRANSLATED, "doctor")
+        translate_all(table, provider, [token])
+        assert table.get(normalize_token(token)) == outcome
 
-    def test_dictionary_miss_is_identity_failure(self):
-        table = TranslationTable()
-        provider = DictionaryProvider({})
-        out = lookup_or_fetch(table, provider, "▁Aarhus")
-        assert out == TranslationOutcome(TranslationStatus.FAILED, "Aarhus")
-
-    def test_identity_provider(self):
-        table = TranslationTable()
-        out = lookup_or_fetch(table, IdentityProvider(), "▁go")
-        assert out == TranslationOutcome(TranslationStatus.FAILED, "go")
-
-    def test_cache_hit_skips_provider(self):
-        table = TranslationTable()
-        provider = CountingProvider({"doktor": "doctor"})
-        lookup_or_fetch(table, provider, "▁doktor")
-        lookup_or_fetch(table, provider, "▁doktor")
-        assert provider.calls == 1
-
-    def test_bypass_never_contacts_provider(self):
-        table = TranslationTable()
-        provider = CountingProvider({})
-        out = lookup_or_fetch(table, provider, "▁2022")
-        assert out == TranslationOutcome(TranslationStatus.FAILED, "2022")
-        assert provider.calls == 0
-
-    def test_retry_failed_requeries(self):
-        table = TranslationTable()
-        empty = CountingProvider({})
-        lookup_or_fetch(table, empty, "▁doktor")
-        better = CountingProvider({"doktor": "doctor"})
-        out = lookup_or_fetch(table, better, "▁doktor", retry_failed=True)
-        assert out.ok and out.text == "doctor"
-
-    def test_provider_exception_degrades_to_identity(self):
+    def test_provider_exception_degrades_to_identity_and_is_cached(self):
         class Boom:
             name = "boom"
             batch_size = 1
@@ -129,31 +100,18 @@ class TestLookupOrFetch:
                 raise RuntimeError("down")
 
         table = TranslationTable()
-        out = lookup_or_fetch(table, Boom(), "▁doktor")
-        assert out == TranslationOutcome(TranslationStatus.FAILED, "doktor")
-        # and the failure is cached
-        assert table.get("doktor") == out
+        translate_all(table, Boom(), ["▁doktor"])
+        assert table.get("doktor") == TranslationOutcome(TranslationStatus.FAILED, "doktor")
 
-    def test_concurrent_misses_fetch_once(self):
+    def test_retry_failed_requeries(self):
         table = TranslationTable()
-        provider = CountingProvider({"doktor": "doctor"})
-        results = []
-        barrier = threading.Barrier(8)
+        translate_all(table, CountingProvider({}), ["▁doktor"])
+        better = CountingProvider({"doktor": "doctor"})
+        translate_all(table, better, ["▁doktor"])
+        assert better.calls == 0  # a cached failure is a hit
+        translate_all(table, better, ["▁doktor"], retry_failed=True)
+        assert table.get("doktor") == TranslationOutcome(TranslationStatus.TRANSLATED, "doctor")
 
-        def worker():
-            barrier.wait()
-            results.append(lookup_or_fetch(table, provider, "▁doktor"))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert provider.calls == 1
-        assert all(r.text == "doctor" for r in results)
-
-
-class TestTranslateAll:
     def test_result_of_the_wrong_length_degrades_to_identity(self):
         class Short:
             name = "short"
@@ -174,6 +132,8 @@ class TestTranslateAll:
         provider = CountingProvider({"go": "go!"})
         translate_all(table, provider, ["▁go", "go", "▁go"])
         assert provider.seen == ["go"]
+        translate_all(table, provider, ["▁go"])  # a cache hit skips the provider
+        assert provider.calls == 1
 
     def test_batches_by_batch_size(self):
         table = TranslationTable()
@@ -188,8 +148,9 @@ class TestTranslateAll:
         tokens = ["▁doktor", "▁2022", "▁Aarhus"]
         translate_all(table, provider, tokens)
         assert table.get("doktor").ok
-        assert not table.get("2022").ok
+        assert table.get("2022") == TranslationOutcome(TranslationStatus.FAILED, "2022")
         assert not table.get("Aarhus").ok
+        assert provider.seen == ["doktor", "Aarhus"]  # a bypass never reaches the provider
 
     def test_bypasses_are_persisted_in_one_write(self, tmp_path, monkeypatch):
         calls = []

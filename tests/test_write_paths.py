@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import warmstart
-from warmstart.corpus import TokenSequence, write_store
+from warmstart.corpus import write_store
 from warmstart.translate import IdentityProvider, TranslationTable, translate_all
 from warmstart.transplant import EmbeddingMatrix, write_embeddings
 
@@ -100,7 +100,7 @@ def _write_embeddings(path, first):
 
 
 def _write_store(path, first):
-    write_store([TokenSequence(ids=[1, 2] if first else [3])], path)
+    write_store([[1, 2] if first else [3]], path)
 
 
 @pytest.mark.parametrize("name,write", [
