@@ -80,6 +80,14 @@ class TestAssemble:
 
 
 class TestEfficiency:
+    def test_block_examples(self):
+        for lengths, efficiency in [([5, 3, 4], Fraction(4, 5)),
+                                    ([512] * 16, 1),
+                                    ([1, 512], Fraction(513, 1024))]:
+            batch = assemble([ex(n) for n in lengths], micro=16, pad_id=0)
+            stats = padding_stats(batch)
+            assert stats.input_efficiency == stats.combined == efficiency
+
     def test_combined_is_exact_rational(self):
         batch = assemble([ex(5, 3), ex(3, 3)], micro=2, pad_id=0)
         stats = padding_stats(batch)
