@@ -19,16 +19,12 @@ from array import array
 from collections import Counter, deque
 from contextlib import ExitStack, closing
 from fractions import Fraction
+from importlib import import_module
 from itertools import chain, islice, pairwise
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
-# assemble and make_example are not called here; bench/layertrace.py patches
-# them on this module by name.
-from .batcher import assemble, padding_stats, plan_accumulation  # noqa: F401
 from .config import (
     ConfigError,
     Option,
@@ -42,7 +38,6 @@ from .corpus import (DEFAULT_MIN_TAIL, DEFAULT_SEQ_LEN, SequenceStoreReader, che
                      chunk_corpus, default_index_path, is_special_file, replacing, store_writer,
                      write_store)
 from .errors import WarmstartError, utf8_input
-from .masking import MaskKey, MaskMode, MaskSpec, corrupt_batch, make_example  # noqa: F401
 from .memplan import (
     HardwareSpec,
     MemoryReport,
@@ -53,7 +48,6 @@ from .memplan import (
     recommend,
 )
 from .schedule import DEFAULT_PEAK, DEFAULT_WARMUP_STEPS, LrSchedule, check_curve, iter_curve
-from .transplant import read_embeddings, transplant, write_embeddings
 from .translate import (
     DictionaryProvider,
     IdentityProvider,
@@ -62,6 +56,37 @@ from .translate import (
     translate_all,
 )
 from .vocab import DEFAULT_BOUNDARY_MARKER, Vocabulary, load_vocab, tokenize_greedy
+
+# The names taken from the modules that import numpy. Each module is
+# imported on first use, so a subcommand that runs no numpy code, such as
+# prepare-corpus, memplan or lr-curve --total, starts without numpy. A
+# subcommand binds its modules with _bind; an attribute access from outside,
+# such as `cli.padding_stats`, binds through __getattr__. assemble and
+# make_example are not called here; they are listed because
+# bench/layertrace.py patches them on this module by name.
+_NUMPY_NAMES = {
+    ".batcher": ("assemble", "padding_stats", "plan_accumulation"),
+    ".masking": ("MaskKey", "MaskMode", "MaskSpec", "corrupt_batch", "make_example"),
+    ".transplant": ("read_embeddings", "transplant", "write_embeddings"),
+}
+
+
+def _bind(*modules: str) -> None:
+    """Import the modules and bind the names taken from them here. A name
+    already bound keeps its value, so a wrapper patched in before the first
+    use stays in place."""
+    for module in modules:
+        found = import_module(module, __package__)
+        for name in _NUMPY_NAMES[module]:
+            globals().setdefault(name, getattr(found, name))
+
+
+def __getattr__(name: str):
+    for module, names in _NUMPY_NAMES.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _require(value, flag: str):
@@ -211,6 +236,7 @@ def _load_vocab(path, o: dict) -> Vocabulary:
 
 
 def cmd_transplant(o: dict) -> int:
+    _bind(".transplant")
     cache_path = o["cache"]
     _check_paths(o, [("--out", o["out"]), ("--report", o["report"]), ("--cache", cache_path)],
                  [("--src-emb", o["src_emb"]), ("--src-vocab", o["src_vocab"]),
@@ -337,6 +363,8 @@ class _Decimals:
     """
 
     def __init__(self, size: int):
+        import numpy as np
+
         ids = np.arange(size)
         width = len(str(size - 1)) + 1
         table = np.zeros((size, width), dtype=np.uint8)
@@ -354,6 +382,8 @@ class _Decimals:
     def rows(self, ids, lengths, end: str) -> tuple[str, list[int]]:
         """Each row's ids separated by spaces and closed by `end`, as one
         string, and the offset in it where each row ends. No row is empty."""
+        import numpy as np
+
         text = self._table[ids].view(np.uint8)[self._used[ids].view(bool)]
         ends = np.cumsum(np.add.reduceat(self._widths[ids], np.cumsum(lengths) - lengths))
         text[ends - 1] = ord(end)
@@ -428,6 +458,9 @@ def _ordered_map(fn, items: list, workers: int):
 
 
 def cmd_sample_batches(o: dict) -> int:
+    _bind(".batcher", ".masking")
+    import numpy as np
+
     seed, epoch, micro = o["seed"], o["epoch"], o["micro_batch"]
     out_path, report_path = o["out"], o["report"]
     text = o["format"] == "text"

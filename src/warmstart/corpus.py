@@ -18,8 +18,6 @@ import struct
 from contextlib import contextmanager, suppress
 from typing import Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from .errors import WarmstartError
 
 STORE_MAGIC = b"SEQS"
@@ -168,11 +166,16 @@ class SequenceStoreReader:
     offsets and lengths in memory. Ids are then read with one pread per
     sequence, so the store is never resident as a whole: a page fault can map
     far more of the file than the few words it reads.
+
+    The reader's methods import numpy where they use it; the writer needs
+    only `struct`, so writing a store never loads numpy.
     """
 
     _file = None  # until __init__ opens the store
 
     def __init__(self, path):
+        import numpy as np
+
         self.path = path
         self._file = open(path, "rb", buffering=0)
         self.count = _header_count(path, self._file.read(16), STORE_MAGIC, "sequence store")
@@ -184,6 +187,8 @@ class SequenceStoreReader:
             self._load_index(default_index_path(path))
 
     def _load_index(self, path) -> None:
+        import numpy as np
+
         with open(path, "rb") as f:
             raw = f.read()
         count = _header_count(path, raw, INDEX_MAGIC, "store index")
@@ -211,6 +216,8 @@ class SequenceStoreReader:
         """Word offset and length of every sequence: from the index, or else
         from one checked walk of the store."""
         if self._starts is None:
+            import numpy as np
+
             starts = np.empty(self.count, dtype=np.int64)
             lengths = np.empty(self.count, dtype=np.int64)
             w, n = 4, len(self._words)
@@ -236,6 +243,8 @@ class SequenceStoreReader:
         """The ids of the given sequences, concatenated in that order, and
         each one's length: each sequence is read straight into one array, no
         objects per sequence."""
+        import numpy as np
+
         indices = np.asarray(indices, dtype=np.int64)
         if len(indices) and not (indices.min() >= 0 and indices.max() < self.count):
             raise IndexError(f"sequence index out of range (count={self.count})")

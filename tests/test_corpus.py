@@ -254,6 +254,7 @@ def test_store_cut_mid_payload_is_rejected(tmp_path, access):
 # process's peak RSS (VmHWM), in bytes.
 PEAK_CHILD = """
 import sys
+import numpy  # loaded before the baseline, so only store pages count
 from warmstart.corpus import SequenceStoreReader
 
 def peak():

@@ -1,0 +1,102 @@
+"""Which subcommands start without numpy, and the names cli binds on first use.
+
+cli imports the modules that use numpy (batcher, masking and transplant)
+only when a subcommand reaches them, and binds the names it takes from them
+then. Each test runs in a fresh child process, where `sys.modules` shows
+what a run imported and no earlier test has bound a name.
+"""
+
+import json
+
+import pytest
+
+from test_cli import _isolate_run_log, corpus_store, emb_file, vocab_file  # noqa: F401
+from test_prepare_workers import POOL, big_corpus, prepare, vocab  # noqa: F401
+from test_sample_workers import cli
+
+RUN = (
+    "import sys\n"
+    "import warmstart.cli as cli\n"
+    f"{POOL}"
+    "assert cli.main(sys.argv[1:]) == 0\n"
+    "print('numpy' in sys.modules, pool())\n"
+)
+
+
+@pytest.mark.parametrize("workers, pooled", [("1", "[]"),
+                                             ("2", "['concurrent.futures', 'multiprocessing']")])
+def test_prepare_corpus_runs_without_numpy(tmp_path, vocab, big_corpus, workers, pooled):
+    proc = cli(tmp_path, "-c", RUN, *prepare(tmp_path, vocab, big_corpus), workers=workers)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines()[-1] == f"False {pooled}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["memplan", "--params", "1000000", "--gpu-mem", "16", "--ram", "64", "--gpus", "2"],
+    ["lr-curve", "--total", "10", "--warmup", "2"],
+])
+def test_subcommands_without_numpy_code_run_without_numpy(tmp_path, argv):
+    proc = cli(tmp_path, "-c", RUN, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines()[-1] == "False []"
+
+
+def test_every_lazy_name_is_the_layers_own_object(tmp_path):
+    code = (
+        "import sys\n"
+        "from importlib import import_module\n"
+        "import warmstart.cli as cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "for module, names in cli._NUMPY_NAMES.items():\n"
+        "    own = import_module(module, 'warmstart')\n"
+        "    for name in names:\n"
+        "        assert getattr(cli, name) is getattr(own, name), name\n"
+        "print(sum(map(len, cli._NUMPY_NAMES.values())))\n"
+    )
+    proc = cli(tmp_path, "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == "11\n"
+
+
+# Wraps names on cli before any subcommand has run, as bench/layertrace.py
+# does: the original is read with getattr, the wrapper set with setattr.
+TRACED = """
+import json, sys
+from collections import Counter
+import warmstart.cli as cli
+
+calls = Counter()
+
+def count(name):
+    raw = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return raw(*args, **kwargs)
+
+    setattr(cli, name, counted)
+
+count("padding_stats")
+count("transplant")
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0
+print(json.dumps(calls, sort_keys=True))
+"""
+
+
+def test_wrappers_set_before_the_first_run_are_the_ones_called(
+    tmp_path, corpus_store, vocab_file, emb_file
+):
+    runs = [
+        ["sample-batches", "--store", str(corpus_store), "--vocab", str(vocab_file),
+         "--micro-batch", "2", "--effective-batch", "4", "--sentinel-count", "3"],
+        ["transplant", "--src-emb", str(emb_file), "--src-vocab", str(vocab_file),
+         "--tgt-vocab", str(vocab_file), "--out", str(tmp_path / "out.embt"),
+         "--sentinel-count", "3"],
+    ]
+    proc = cli(tmp_path, "-c", TRACED, json.dumps(runs), workers="1")
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.decode().splitlines()
+    batches = next(line for line in out if line.startswith("batches=")).split()[0]
+    assert batches == "batches=2"
+    assert json.loads(out[-1]) == {"padding_stats": 2, "transplant": 1}
