@@ -34,9 +34,9 @@ from .config import (
     resolve_options,
     resolve_workers,
 )
-from .corpus import (DEFAULT_MIN_TAIL, DEFAULT_SEQ_LEN, SequenceStoreReader, check_chunking,
-                     chunk_corpus, default_index_path, is_special_file, replacing, store_writer,
-                     write_store)
+from .corpus import (DEFAULT_MIN_TAIL, DEFAULT_SEQ_LEN, STORE_MAGIC, SequenceStoreReader,
+                     _header_count, check_chunking, chunk_corpus, default_index_path,
+                     is_special_file, replacing, store_writer, write_store)
 from .errors import WarmstartError, utf8_input
 from .memplan import (
     HardwareSpec,
@@ -356,38 +356,26 @@ RUN_SEQUENCES = 256  # about this many sequences go to a worker at a time
 class _Decimals:
     """Ids as decimal text, encoded a whole micro-batch at a time.
 
-    Row i of the table holds the digits of i and a space, zero-padded to
-    one width, and the mask row marks the bytes in use. Both are built once,
-    arithmetically, and viewed as one opaque item per row, so encoding is
-    a gather and a masked select over flat arrays.
+    Row i of the table holds b"%d " % i, NUL-padded to one width, so
+    encoding is a gather and one replace that drops the padding. That is
+    exact: the digits and the space never contain a NUL byte.
     """
 
     def __init__(self, size: int):
         import numpy as np
 
-        ids = np.arange(size)
-        width = len(str(size - 1)) + 1
-        table = np.zeros((size, width), dtype=np.uint8)
-        self._widths = np.empty(size, dtype=np.int64)
-        for n in range(1, width):  # the ids of n digits are one range
-            lo, hi = 10 ** (n - 1) if n > 1 else 0, min(10**n, size)
-            for k in range(n):  # the k-th digit from the right
-                table[lo:hi, n - 1 - k] = ord("0") + ids[lo:hi] // 10**k % 10
-            table[lo:hi, n] = ord(" ")
-            self._widths[lo:hi] = n + 1
-        used = np.arange(width) < self._widths[:, None]
-        self._table = table.view(f"V{width}").ravel()
-        self._used = used.view(f"V{width}").ravel()
+        self._table = np.array([b"%d " % i for i in range(size)])
+        self._widths = np.char.str_len(self._table)
 
     def rows(self, ids, lengths, end: str) -> tuple[str, list[int]]:
         """Each row's ids separated by spaces and closed by `end`, as one
         string, and the offset in it where each row ends. No row is empty."""
         import numpy as np
 
-        text = self._table[ids].view(np.uint8)[self._used[ids].view(bool)]
+        text = bytearray(self._table[ids].tobytes().replace(b"\0", b""))
         ends = np.cumsum(np.add.reduceat(self._widths[ids], np.cumsum(lengths) - lengths))
-        text[ends - 1] = ord(end)
-        return text.tobytes().decode("ascii"), ends.tolist()
+        np.frombuffer(text, np.uint8)[ends - 1] = ord(end)
+        return text.decode("ascii"), ends.tolist()
 
     def lines(self, indices, batch) -> str:
         """`index TAB input ids TAB target ids` per row, each byte as
@@ -570,7 +558,8 @@ def cmd_lr_curve(o: dict) -> int:
         for flag, value in (("--epochs", epochs), ("--effective-batch", effective)):
             if value < 1:
                 raise ConfigError(f"{flag} must be at least 1, got {value}")
-        count = SequenceStoreReader(o["store"]).count
+        with open(o["store"], "rb") as f:  # the count is in the header; the index is not read
+            count = _header_count(o["store"], f.read(16), STORE_MAGIC, "sequence store")
         total = -(-epochs * count // effective)
         print(f"derived total={total} from {count} sequences x {epochs} epochs / {effective}")
 

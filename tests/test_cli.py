@@ -541,6 +541,27 @@ class TestLrCurve:
         # ceil(10 * 4 / 2) == 20
         assert "derived total=20" in capsys.readouterr().out
 
+    def test_total_derived_from_the_store_header_alone(self, corpus_store, capsys):
+        # The side index is never read, so one cut short does not fail the curve.
+        index = Path(f"{corpus_store}.idx")
+        index.write_bytes(index.read_bytes()[:20])
+        assert main(["lr-curve", "--store", str(corpus_store), "--epochs", "10",
+                     "--effective-batch", "2", "--warmup", "5", "--stride", "7"]) == 0
+        assert "derived total=20" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("header, error", [
+        (b"XXXX" + struct.pack("<IQ", 1, 4), "not a sequence store (bad magic)"),
+        (b"SEQS" + struct.pack("<IQ", 9, 4), "unsupported version 9"),
+        (b"SEQS", "not a sequence store (bad magic)"),
+    ], ids=["magic", "version", "short"])
+    def test_bad_store_header_is_one_error_line(self, header, error, tmp_path, capsys):
+        store = tmp_path / "bad.seqs"
+        store.write_bytes(header)
+        assert main(["lr-curve", "--store", str(store), "--warmup", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"warmstart: error: StoreFormatError: {store}: {error}\n"
+
     def test_needs_total_or_store(self, capsys):
         assert main(["lr-curve"]) == 1
         assert "ConfigError" in capsys.readouterr().err

@@ -9,6 +9,7 @@ stdout a buffered pipe that a forked worker could write twice.
 import contextlib
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ import pytest
 
 import warmstart
 from warmstart.cli import _Decimals, main
-from warmstart.corpus import write_store
+from warmstart.corpus import STORE_VERSION, write_store
 
 from conftest import write_vocab_file
 from test_cli import VOCAB_TOKENS, _isolate_run_log  # noqa: F401 (autouse fixture)
@@ -167,6 +168,26 @@ def test_an_id_outside_the_vocabulary_is_one_error_line(tmp_path, vocab, capsys)
     assert err == (f"warmstart: error: StoreFormatError: {store}: sequence 2 holds id "
                    f"{size}, outside a vocabulary of {size}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["stdout", "out", "report", "binary"])
+def test_an_empty_store_is_an_empty_epoch(tmp_path, vocab, capsys, case):
+    store = tmp_path / "empty.seqs"
+    write_store([], store)
+    extra = {"stdout": [], "out": ["--out", tmp_path / "e.tsv"],
+             "report": ["--report", tmp_path / "e.eff"],
+             "binary": ["--format", "binary", "--out", tmp_path / "bin"]}[case]
+    assert main([*BASE, "--store", str(store), "--vocab", str(vocab), *map(str, extra)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and out[0].startswith("plan: ")
+    assert out[1] == "batches=0 sequences=0 epoch=0 mode=span seed=9"
+    if case == "binary":
+        empty = struct.pack("<IQ", STORE_VERSION, 0)
+        for part in ("inputs", "targets"):
+            assert (tmp_path / f"bin.{part}.seqs").read_bytes() == b"SEQS" + empty
+            assert (tmp_path / f"bin.{part}.seqs.idx").read_bytes() == b"SEQI" + empty
+    elif extra:
+        assert extra[1].read_bytes() == b""
 
 
 class TestRunLogCollisions:

@@ -34,8 +34,10 @@ def test_prepare_corpus_runs_without_numpy(tmp_path, vocab, big_corpus, workers,
 @pytest.mark.parametrize("argv", [
     ["memplan", "--params", "1000000", "--gpu-mem", "16", "--ram", "64", "--gpus", "2"],
     ["lr-curve", "--total", "10", "--warmup", "2"],
+    ["lr-curve", "--store", "<corpus_store>", "--warmup", "1", "--effective-batch", "1"],
 ])
-def test_subcommands_without_numpy_code_run_without_numpy(tmp_path, argv):
+def test_subcommands_without_numpy_code_run_without_numpy(tmp_path, argv, corpus_store):
+    argv = [str(corpus_store) if arg == "<corpus_store>" else arg for arg in argv]
     proc = cli(tmp_path, "-c", RUN, *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().splitlines()[-1] == "False []"
