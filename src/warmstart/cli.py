@@ -34,9 +34,9 @@ from .config import (
     resolve_options,
     resolve_workers,
 )
-from .corpus import (DEFAULT_MIN_TAIL, DEFAULT_SEQ_LEN, STORE_MAGIC, SequenceStoreReader,
-                     _header_count, check_chunking, chunk_corpus, default_index_path,
-                     is_special_file, replacing, store_writer, write_store)
+from .corpus import (DEFAULT_MIN_TAIL, DEFAULT_SEQ_LEN, SequenceStoreReader, check_chunking,
+                     chunk_corpus, default_index_path, is_special_file, replacing,
+                     store_count, store_writer, write_store)
 from .errors import WarmstartError, utf8_input
 from .memplan import (
     HardwareSpec,
@@ -558,22 +558,21 @@ def cmd_lr_curve(o: dict) -> int:
         for flag, value in (("--epochs", epochs), ("--effective-batch", effective)):
             if value < 1:
                 raise ConfigError(f"{flag} must be at least 1, got {value}")
-        with open(o["store"], "rb") as f:  # the count is in the header; the index is not read
-            count = _header_count(o["store"], f.read(16), STORE_MAGIC, "sequence store")
+        count = store_count(o["store"])
         total = -(-epochs * count // effective)
         print(f"derived total={total} from {count} sequences x {epochs} epochs / {effective}")
 
     sched = LrSchedule(
         total_steps=total, peak=o["peak"], warmup_steps=o["warmup"], shape=o["shape"]
     )
-    rows = [f"step,lr\n"]
-    rows.extend(f"{step},{rate:.17g}\n" for step, rate in iter_curve(sched, o["stride"]))
-    if out_path is None:
-        sys.stdout.writelines(rows)
-    else:
-        with replacing(out_path, "w", encoding="utf-8") as f:
-            f.writelines(rows)
-        print(f"wrote {len(rows) - 1} points to {out_path}")
+    with ExitStack() as files:  # rows are written as they come, so memory stays flat
+        out = sys.stdout if out_path is None else files.enter_context(
+            replacing(out_path, "w", encoding="utf-8"))
+        out.write("step,lr\n")
+        for points, (step, rate) in enumerate(iter_curve(sched, o["stride"]), 1):
+            out.write(f"{step},{rate:.17g}\n")
+    if out_path is not None:
+        print(f"wrote {points} points to {out_path}")
     return 0
 
 

@@ -155,6 +155,12 @@ def _header_count(path, header: bytes, magic: bytes, kind: str) -> int:
     return count
 
 
+def store_count(path) -> int:
+    """The sequence count in a store's 16-byte header; nothing else is read."""
+    with open(path, "rb") as f:
+        return _header_count(path, f.read(16), STORE_MAGIC, "sequence store")
+
+
 class SequenceStoreReader:
     """Random and sequential access to a store file.
 

@@ -66,6 +66,8 @@ class MaskKey:
     def __post_init__(self):
         if self.epoch < 0 or np.min(self.seq_index, initial=0) < 0:
             raise MaskingError("epoch and seq_index must be non-negative")
+        if self.epoch >= 2**64:  # the draw keys on its 8 bytes
+            raise MaskingError(f"epoch must be below 2**64, got {self.epoch}")
 
 
 @dataclass(frozen=True)

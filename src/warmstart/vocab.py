@@ -29,11 +29,12 @@ class Vocabulary:
     """Immutable token inventory; every operation on it gives the same output
     for the same input.
 
-    Matching structures are built once at construction. The one mutable part
-    is the word memo of tokenize_greedy, a cache that never changes an
-    output: threads that fill it at once store equal values, so instances are
-    safe to share across threads. A forked worker inherits the memo as
-    filled so far and fills its own copy from there; words it adds do not
+    Loading keeps the tokens and checks the layout; the tokenizer state is
+    built once, on the first tokenize_greedy call. Its one mutable part is
+    the word memo, a cache that never changes an output: threads that fill it
+    at once store equal values, so instances are safe to share across
+    threads. A forked worker inherits the state as built and the memo as
+    filled so far, and fills its own copy from there; words it adds do not
     reach the parent or other workers.
     """
 
@@ -54,30 +55,21 @@ class Vocabulary:
         self.boundary_marker = boundary_marker
         self._validate()
 
-        reserved = self.special_ids()
-        # Greedy matching never yields reserved ids; unk is only ever produced
-        # by the no-match fallback, so its string is excluded here too.
-        matchable = {
-            tok: i for i, tok in enumerate(self.tokens) if i not in reserved
-        }
-        self._match_ids = matchable
-        maxlen: dict[str, int] = {}
-        for tok in matchable:
-            if tok:
-                first = tok[0]
-                if len(tok) > maxlen.get(first, 0):
-                    maxlen[first] = len(tok)
-        self._maxlen_by_first = maxlen
-
     @cached_property
-    def _word_memo(self) -> Optional[dict[str, tuple[int, ...]]]:
-        """Word -> ids memo of tokenize_greedy, or None when it would not be
-        exact: a matchable token holding the marker past position 0 can match
-        across a word boundary. Checked on first use, not at load time."""
+    def _matcher(self) -> tuple[dict[str, int], dict[str, int], Optional[dict]]:
+        """The tokenizer state, built on first use: matchable token -> id (no
+        reserved id; unk comes only from the no-match fallback), first
+        character -> longest match length, and the word memo, None when it
+        would not be exact (a matchable token holds the marker past position 0)."""
+        reserved = self.special_ids()
+        match_ids = {tok: i for i, tok in enumerate(self.tokens) if i not in reserved}
+        maxlen: dict[str, int] = {}
+        for tok in match_ids:
+            if tok and len(tok) > maxlen.get(tok[0], 0):
+                maxlen[tok[0]] = len(tok)
         marker = self.boundary_marker
-        if any(marker in tok[1:] for tok in self._match_ids):
-            return None
-        return {}
+        memo = None if any(marker in tok[1:] for tok in match_ids) else {}
+        return match_ids, maxlen, memo
 
     def _validate(self) -> None:
         if len(self.boundary_marker) != 1:
@@ -161,13 +153,13 @@ def tokenize_greedy(vocab: Vocabulary, text: str) -> list[int]:
     The marked text is the concatenation of marker + word for each word of
     text.split(" "), empty words included. Unless a token holds the marker
     past position 0, no match crosses into the next word's marker, so the
-    scan splits into per-word scans and each word's ids are memoized on the
-    vocabulary (at most MEMO_MAX_WORDS words).
+    scan splits into per-word scans and each word's ids are memoized (at most
+    MEMO_MAX_WORDS words) in the tables the first call builds on the vocabulary.
     """
     if not text:
         return []
     marker = vocab.boundary_marker
-    memo = vocab._word_memo
+    _, _, memo = vocab._matcher
     if memo is None:
         return _scan(vocab, marker + text.replace(" ", marker))
     out: list[int] = []
@@ -184,8 +176,7 @@ def tokenize_greedy(vocab: Vocabulary, text: str) -> list[int]:
 def _scan(vocab: Vocabulary, s: str) -> list[int]:
     """The greedy longest-match scan of an already marked string."""
     marker = vocab.boundary_marker
-    match_ids = vocab._match_ids
-    maxlen_by_first = vocab._maxlen_by_first
+    match_ids, maxlen_by_first, _ = vocab._matcher
     out: list[int] = []
     i = 0
     n = len(s)

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import warmstart
+import warmstart.cli as cli
 from warmstart.cli import main
 from warmstart.corpus import SequenceStoreReader, write_store
 from warmstart.transplant import EmbeddingMatrix, write_embeddings
+from warmstart.vocab import load_vocab
 
 from conftest import write_vocab_file
 
@@ -328,6 +330,18 @@ class TestSampleBatches:
             assert all(tok.isdigit() for tok in inputs.split())
             assert all(tok.isdigit() for tok in targets.split())
 
+    def test_never_builds_the_tokenizer_state(self, tmp_path, corpus_store, vocab_file,
+                                              monkeypatch):
+        loaded = []
+
+        def spy(*args, **kwargs):
+            loaded.append(load_vocab(*args, **kwargs))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_vocab", spy)
+        assert self._run(corpus_store, vocab_file, tmp_path / "batches.tsv") == 0
+        assert len(loaded) == 1 and "_matcher" not in vars(loaded[0])
+
     def test_rerun_byte_identical(self, tmp_path, corpus_store, vocab_file):
         out = tmp_path / "batches.tsv"
         assert self._run(corpus_store, vocab_file, out) == 0
@@ -436,6 +450,16 @@ class TestSampleBatches:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"warmstart: error: {error}") and err.count("\n") == 1
+
+    def test_epoch_past_8_bytes_fails_before_any_input_is_read(self, tmp_path, vocab_file, capsys):
+        assert main([
+            "sample-batches", "--store", str(tmp_path / "missing.seqs"),
+            "--vocab", str(vocab_file), "--sentinel-count", "3", "--epoch", str(2**64),
+        ]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("warmstart: error: MaskingError: epoch must be below 2**64, "
+                       "got 18446744073709551616\n")
 
     def test_out_to_a_fifo(self, tmp_path, corpus_store, vocab_file):
         regular = tmp_path / "b.tsv"
@@ -592,6 +616,38 @@ class TestLrCurve:
             out, err = capsys.readouterr()
             assert out == ""
             assert err == f"warmstart: error: ScheduleError: {error}\n"
+
+
+LR_CURVE_PEAK_CHILD = """
+import sys
+from warmstart.cli import main
+
+def peak():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) * 1024 for line in f if line.startswith("VmHWM:"))
+
+before = peak()
+code = main(["lr-curve", "--total", "500000", "--warmup", "10", "--out", sys.argv[1]])
+print(code, peak() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_lr_curve_writes_rows_as_they_come(tmp_path):
+    # A list of the 500,001 rows would hold about 45 MB; written one at a
+    # time, the peak barely moves.
+    out = tmp_path / "curve.csv"
+    src = str(Path(warmstart.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", LR_CURVE_PEAK_CHILD, str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, grown = map(int, proc.stdout.split()[-2:])
+    assert code == 0
+    assert grown < 8 * 2**20
+    assert proc.stdout.startswith(f"wrote 500001 points to {out}\n")
+    lines = out.read_text().splitlines()
+    assert lines[0] == "step,lr" and lines[-1] == "500000,0" and len(lines) == 500002
 
 
 class TestMemplanCommand:

@@ -205,6 +205,9 @@ class TestMakeExample:
     def test_key_validation(self):
         with pytest.raises(MaskingError):
             MaskKey(seed=0, epoch=-1, seq_index=0)
+        with pytest.raises(MaskingError, match=r"epoch must be below 2\*\*64"):
+            MaskKey(seed=0, epoch=2**64, seq_index=0)
+        MaskKey(seed=0, epoch=2**64 - 1, seq_index=0)
 
 
 def _outcome(rows):

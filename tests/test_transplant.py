@@ -1,12 +1,15 @@
+import functools
 import math
 import os
 import random
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import warmstart.transplant as transplant_module
+import warmstart.vocab as vocab_module
 from warmstart.translate import (
     IdentityProvider,
     TranslationOutcome,
@@ -449,3 +452,31 @@ class TestBlockedRows:
         monkeypatch.setattr(transplant_module, "map_token", counting_map_token)
         transplant(src_emb, src, tgt, table)
         assert calls == [f"▁t{j}" for j in range(len(counts))]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("marker", ["▁", "_"])
+def test_readme_library_use_runs(marker, tmp_path, monkeypatch, capsys):
+    """The code block under README's "Library use" runs on tiny files of the
+    names it uses; the "_" case loads both vocabularies with that marker."""
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    sentinels = [f"<extra_id_{k}>" for k in range(99, -1, -1)]
+    src_tokens = ["<pad>", "</s>", "<unk>", f"{marker}house", f"{marker}hu", "s", *sentinels]
+    tgt_tokens = ["<pad>", "</s>", "<unk>", f"{marker}hus", "42", *sentinels]
+    for name, tokens in (("en-vocab.txt", src_tokens), ("vocab.txt", tgt_tokens)):
+        (tmp_path / name).write_text("\n".join(tokens) + "\n", encoding="utf-8")
+    (tmp_path / "da-en.tsv").write_text("hus\thouse\n", encoding="utf-8")
+    src = EmbeddingMatrix(random_embedding(len(src_tokens), 4, seed=5))
+    write_embeddings(src, tmp_path / "en.embt")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(vocab_module, "load_vocab",
+                        functools.partial(vocab_module.load_vocab, boundary_marker=marker))
+    exec(compile(code, str(README), "exec"), {})
+    warm = read_embeddings(tmp_path / "warm.embt")
+    assert warm.rows == len(tgt_tokens)
+    assert np.array_equal(warm.data[3], src.data[3])  # hus -> house -> marker + "house"
+    out = capsys.readouterr().out
+    assert "'translated_count': 1," in out and "'bypassed_count': 1," in out

@@ -170,6 +170,23 @@ def _whole_scan(v, text):
     return _scan(v, marker + text.replace(" ", marker))
 
 
+def test_tokenizer_state_is_built_once_on_first_tokenize(tmp_path, monkeypatch):
+    builds = []
+    build = Vocabulary._matcher.func
+
+    def spy(v):
+        builds.append(v)
+        return build(v)
+
+    monkeypatch.setattr(Vocabulary._matcher, "func", spy)
+    v = load_vocab(write_vocab_file(tmp_path / "v.txt", TOY_TOKENS), sentinel_count=0)
+    assert "_matcher" not in vars(v) and builds == []
+    assert tokenize_greedy(v, "here you go") == [3, 4, 5]
+    assert builds == [v]
+    assert tokenize_greedy(v, "the doctor") == [8, 6, 7]
+    assert builds == [v] and list(v._matcher[2]) == ["here", "you", "go", "the", "doctor"]
+
+
 class TestWordMemo:
     def test_cross_word_token_is_still_emitted(self):
         # "a▁b" holds the marker past position 0, so it can match across the
@@ -177,7 +194,7 @@ class TestWordMemo:
         v = Vocabulary(["<pad>", "</s>", "<unk>", "a▁b", "a", "b"], sentinel_count=0)
         assert tokenize_greedy(v, "a b") == [3]
         assert tokenize_greedy(v, "a b a b") == [3, 3]
-        assert v._word_memo is None
+        assert v._matcher[2] is None
 
     def test_returned_list_is_the_callers_own(self, toy_vocab):
         first = tokenize_greedy(toy_vocab, "here you here")
@@ -190,7 +207,7 @@ class TestWordMemo:
         text = "the doctor document here you go zz doc  tor "
         for _ in range(2):
             assert tokenize_greedy(toy_vocab, text) == _whole_scan(toy_vocab, text)
-        assert list(toy_vocab._word_memo) == ["the", "doctor"]
+        assert list(toy_vocab._matcher[2]) == ["the", "doctor"]
 
 
 _MEMO_ALPHABET = "ab▁"
