@@ -37,7 +37,7 @@ from .config import (
 from .corpus import (DEFAULT_MIN_TAIL, DEFAULT_SEQ_LEN, SequenceStoreReader, check_chunking,
                      chunk_corpus, default_index_path, is_special_file, replacing,
                      store_count, store_writer, write_store)
-from .errors import WarmstartError, utf8_input
+from .errors import WarmstartError, WorkerError, utf8_input
 from .memplan import (
     HardwareSpec,
     MemoryReport,
@@ -431,6 +431,7 @@ def _ordered_map(fn, items: list, workers: int):
         yield from map(fn, rest)
         return
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                                initializer=_set_worker_fn, initargs=(fn,))
@@ -441,6 +442,8 @@ def _ordered_map(fn, items: list, workers: int):
             result = pending.popleft().result()
             pending.extend(pool.submit(_call_worker_fn, item) for item in islice(todo, 1))
             yield result
+    except BrokenProcessPool:
+        raise WorkerError("a worker process died (killed, or out of memory?)") from None
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -528,9 +531,9 @@ def cmd_sample_batches(o: dict) -> int:
             if text:
                 out.write(rows)
             else:
-                for ex in rows.examples():
-                    append_in(ex.input_ids)
-                    append_tgt(ex.target_ids)
+                for append, ids, lengths in ((append_in, rows.inputs, rows.input_lengths),
+                                             (append_tgt, rows.targets, rows.target_lengths)):
+                    append(np.split(ids.astype("<u4"), np.cumsum(lengths)[:-1]))
             real_cells += real
             total_cells += total
 

@@ -105,44 +105,43 @@ def replacing(path, mode="wb", **kwargs):
 
 @contextmanager
 def store_writer(path):
-    """Yield `append(ids)`, which streams one sequence into the store and its
-    side index and returns the count so far. Both replace their targets only
-    when the block succeeds; see write_store for the layout."""
+    """Yield `append(rows)`, which streams rows into the store and its side
+    index and returns the count so far. A row is one sequence's ids as
+    little-endian u32 in a contiguous buffer (`bytes` or a `<u4` numpy view);
+    an empty row, or a size not a multiple of 4, is a CorpusError. Both files
+    replace their targets only when the block succeeds; see write_store."""
     head = struct.pack("<IQ", STORE_VERSION, 0)
     with replacing(path) as store, replacing(default_index_path(path)) as index:
         store.write(STORE_MAGIC + head)
         index.write(INDEX_MAGIC + head)
-        count = 0
 
-        def append(ids) -> int:
-            nonlocal count
-            if not len(ids):  # ids may be a numpy array
-                raise CorpusError("cannot store an empty sequence")
-            index.write(struct.pack("<Q", store.tell()))
-            store.write(struct.pack(f"<I{len(ids)}I", len(ids), *ids))
-            count += 1
-            return count
+        def append(rows) -> int:
+            for row in rows:
+                size = memoryview(row).nbytes
+                if not size or size % 4:
+                    raise CorpusError(f"cannot store a sequence of {size} bytes")
+                index.write(struct.pack("<Q", store.tell()))
+                store.writelines((struct.pack("<I", size // 4), row))
+            return (index.tell() - 16) // 8  # one u64 offset per sequence after the header
 
         yield append
+        count = struct.pack("<Q", append(()))  # appending no rows gives the count
         for f in (store, index):
             f.seek(8)
-            f.write(struct.pack("<Q", count))
+            f.write(count)
 
 
 def write_store(seqs: Iterable[Sequence[int]], path) -> int:
     """Stream id sequences to a store file, returning the count written.
 
     Layout: "SEQS", u32 version, u64 count, then per sequence a u32 length
-    followed by that many u32 ids, all little-endian. The count is patched
-    into the header after streaming so the input can be a generator. A side
-    index ("SEQI", version, count, u64 absolute offsets) is written next to
-    the store, at default_index_path(path).
+    followed by that many u32 ids, all little-endian, packed here for
+    store_writer. The count is patched in after streaming, so the input can
+    be a generator. A side index ("SEQI", version, count, u64 absolute
+    offsets) is written next to the store, at default_index_path(path).
     """
-    count = 0
     with store_writer(path) as append:
-        for ids in seqs:
-            count = append(ids)
-    return count
+        return append(struct.pack(f"<{len(ids)}I", *ids) for ids in seqs)
 
 
 def _header_count(path, header: bytes, magic: bytes, kind: str) -> int:

@@ -11,6 +11,10 @@ class InputEncodingError(WarmstartError):
     """A text input that is not UTF-8."""
 
 
+class WorkerError(WarmstartError):
+    """A worker process that died, such as one the kernel killed for memory."""
+
+
 @contextmanager
 def utf8_input(path):
     """Decoding `path` as UTF-8 inside this block fails as one

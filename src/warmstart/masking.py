@@ -233,6 +233,8 @@ class CorruptedBatch:
             yield CorruptedBatch(inputs, n_in[r : r + size], targets, n_tgt[r : r + size])
 
     def examples(self) -> Iterator[MaskedExample]:
+        """Each row as a MaskedExample of two id lists: the per-row view
+        that tests compare the flat arrays against."""
         i = t = 0
         for n_in, n_tgt in zip(self.input_lengths, self.target_lengths):
             yield MaskedExample(self.inputs[i : i + n_in].tolist(),

@@ -17,6 +17,7 @@ from warmstart.corpus import (
     StoreFormatError,
     chunk_corpus,
     default_index_path,
+    store_writer,
     write_store,
 )
 
@@ -231,6 +232,66 @@ class TestStore:
         p2 = tmp_path / "again.seqs"
         write_store(reread, p2)
         assert p2.read_bytes() == first
+
+
+ID_LISTS = [[1, 2, 3], [4], [5, 6], [2**32 - 1, 0], list(range(7, 40))]
+
+
+def packed(ids) -> bytes:
+    return struct.pack(f"<{len(ids)}I", *ids)
+
+
+def u4_views(id_lists) -> list:
+    """Each id list as a view of one flat `<u4` array, as a corrupted run
+    hands them to the store writer."""
+    flat = np.array([t for ids in id_lists for t in ids], dtype="<u4")
+    return np.split(flat, np.cumsum([len(ids) for ids in id_lists])[:-1])
+
+
+def store_files(path) -> tuple[bytes, bytes]:
+    return Path(path).read_bytes(), Path(default_index_path(path)).read_bytes()
+
+
+class TestStoreWriter:
+    """append takes rows as u32 buffers of any kind, and writes what
+    write_store writes for the same id lists."""
+
+    @pytest.mark.parametrize("kind", ["bytes", "views", "mixed"])
+    def test_buffers_write_the_store_of_write_store(self, tmp_path, kind):
+        write_store(ID_LISTS, tmp_path / "ref.seqs")
+        views = u4_views(ID_LISTS)
+        assert all(isinstance(v, np.ndarray) and v.base is not None for v in views)
+        rows = {"bytes": lambda: (packed(ids) for ids in ID_LISTS),
+                "views": lambda: iter(views),
+                "mixed": lambda: (packed(ids) if i % 2 else view
+                                  for i, (ids, view) in enumerate(zip(ID_LISTS, views)))}[kind]()
+        path = tmp_path / "c.seqs"
+        with store_writer(path) as append:
+            assert append(rows) == len(ID_LISTS)
+        assert store_files(path) == store_files(tmp_path / "ref.seqs")
+        assert list(SequenceStoreReader(path)) == ID_LISTS
+
+    def test_each_append_returns_the_count_so_far(self, tmp_path):
+        write_store(ID_LISTS, tmp_path / "ref.seqs")
+        views = u4_views(ID_LISTS)
+        path = tmp_path / "c.seqs"
+        with store_writer(path) as append:
+            assert append(views[:2]) == 2
+            assert append([]) == 2
+            assert append(packed(ids) for ids in ID_LISTS[2:]) == len(ID_LISTS)
+        assert store_files(path) == store_files(tmp_path / "ref.seqs")
+
+    @pytest.mark.parametrize("bad", [b"", b"\x01" * 6, np.zeros(0, "<u4"), np.zeros(3, "<u2")],
+                             ids=["empty", "6 bytes", "empty view", "6-byte view"])
+    @pytest.mark.parametrize("at", [0, 2, len(ID_LISTS)])
+    def test_a_bad_row_anywhere_fails_and_leaves_no_files(self, tmp_path, bad, at):
+        rows = [packed(ids) for ids in ID_LISTS]
+        rows.insert(at, bad)
+        size = memoryview(bad).nbytes
+        with pytest.raises(CorpusError, match=f"^cannot store a sequence of {size} bytes$"):
+            with store_writer(tmp_path / "c.seqs") as append:
+                append(iter(rows))
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("access", ["lengths", "iterate", "read without index"])

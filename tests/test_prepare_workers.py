@@ -13,7 +13,7 @@ import pytest
 
 from test_cli import VOCAB_TOKENS, WORDS, _isolate_run_log  # noqa: F401 (autouse fixture)
 from test_golden import GOLDEN, write_big_corpus
-from test_sample_workers import cli
+from test_sample_workers import WORKER_DIED, cli, files_in, killing_worker
 from conftest import write_vocab_file
 
 POOL = "pool = lambda: [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
@@ -101,3 +101,12 @@ def test_a_bad_chunk_setting_fails_before_a_missing_vocabulary_is_read(
     assert proc.returncode == 1
     assert proc.stderr.decode() == f"warmstart: error: {error}\n"
     assert outputs(tmp_path) == []
+
+
+def test_a_worker_that_dies_is_one_error_line_and_leaves_no_files(tmp_path, vocab, big_corpus):
+    before = files_in(tmp_path)
+    proc = cli(tmp_path, "-c", killing_worker("tokenize_greedy"),
+               *prepare(tmp_path, vocab, big_corpus), workers="2")
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert proc.stderr == WORKER_DIED
+    assert files_in(tmp_path) == before

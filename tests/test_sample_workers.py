@@ -19,7 +19,7 @@ import pytest
 
 import warmstart
 from warmstart.cli import _Decimals, main
-from warmstart.corpus import STORE_VERSION, write_store
+from warmstart.corpus import STORE_VERSION, SequenceStoreReader, write_store
 
 from conftest import write_vocab_file
 from test_cli import VOCAB_TOKENS, _isolate_run_log  # noqa: F401 (autouse fixture)
@@ -103,6 +103,57 @@ def test_a_failure_in_a_worker_keeps_earlier_lines_and_writes_no_files(tmp_path,
         assert proc.returncode == 1 and proc.stdout == b""
         assert proc.stderr.count(b"\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def killing_worker(name: str) -> str:
+    """Code that runs the CLI with `cli.<name>` wrapped so that a call in
+    any process but the main one kills that process with SIGKILL, as the
+    kernel's out-of-memory killer would."""
+    return (
+        "import os, signal, sys\n"
+        "import warmstart.cli as cli\n"
+        f"main_pid, real = os.getpid(), getattr(cli, {name!r})\n"
+        "def dying(*args, **kwargs):\n"
+        "    if os.getpid() != main_pid:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return real(*args, **kwargs)\n"
+        f"setattr(cli, {name!r}, dying)\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+
+
+WORKER_DIED = b"warmstart: error: WorkerError: a worker process died (killed, or out of memory?)\n"
+
+
+def files_in(path: Path) -> dict:
+    return {p.name: p.read_bytes() for p in path.iterdir() if p.is_file()}
+
+
+@pytest.mark.parametrize("extra", [["--out", "b.tsv", "--report", "b.eff"],
+                                   ["--format", "binary", "--out", "bin"]])
+def test_a_worker_that_dies_is_one_error_line_and_writes_no_files(
+    tmp_path, vocab, big_store, extra
+):
+    before = files_in(tmp_path)
+    proc = cli(tmp_path, "-c", killing_worker("corrupt_batch"), *BASE, "--store", big_store,
+               "--vocab", vocab, *extra, workers="2")
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert proc.stderr == WORKER_DIED
+    assert files_in(tmp_path) == before
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("sort", [[], ["--sort-by-length"]])
+def test_binary_stores_hold_the_rows_of_the_text_output(tmp_path, vocab, big_store, workers, sort):
+    argv = [*BASE, "--store", big_store, "--vocab", vocab, *sort]
+    for extra in (["--out", "b.tsv"], ["--format", "binary", "--out", "bin"]):
+        proc = cli(tmp_path, *argv, *extra, workers=workers)
+        assert proc.returncode == 0, proc.stderr
+    lines = (tmp_path / "b.tsv").read_text(encoding="utf-8").splitlines()
+    for side, part in ((1, "inputs"), (2, "targets")):
+        stored = list(SequenceStoreReader(tmp_path / f"bin.{part}.seqs"))
+        assert stored == [list(map(int, line.split("\t")[side].split())) for line in lines]
+    assert len(lines) == SequenceStoreReader(big_store).count
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "x"])
