@@ -258,6 +258,44 @@ class TestCacheFile:
         with pytest.raises(CacheFormatError):
             TranslationTable.load(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("tok\tOK", "expected 3 tab-separated fields, got 2"),
+        ("tok\tMAYBE\ttext", "unknown status 'MAYBE'"),
+        ("tok\tOK\tte\rxt", "raw carriage return (CRLF line endings?)"),
+        ("tok\tOK\tbad\\q", "unknown escape sequence \\q"),
+    ])
+    def test_a_bad_line_after_a_blank_line_names_its_own_line(self, tmp_path, line, message):
+        path = tmp_path / "cache.tsv"
+        path.write_bytes(f"hus\tOK\thouse\n\n{line}\nbil\tOK\tcar\n".encode())
+        with pytest.raises(CacheFormatError) as exc:
+            TranslationTable.load(path)
+        assert str(exc.value) == f"{path}:3: {message}"
+
+    def test_blank_lines_are_skipped_and_a_later_line_wins(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        path.write_bytes(b"\nhus\tFAIL\thus\n\n\nbil\tOK\tcar\nhus\tOK\thouse\n")
+        assert TranslationTable.load(path).items() == [
+            ("hus", TranslationOutcome(TranslationStatus.TRANSLATED, "house")),
+            ("bil", TranslationOutcome(TranslationStatus.TRANSLATED, "car")),
+        ]
+
+
+class TestDictionaryFile:
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_any_newline_ends_a_line_and_a_later_line_wins(self, tmp_path, newline):
+        path = tmp_path / "dict.tsv"
+        path.write_bytes(newline.join(["hus\thome", "", "bil\tcar", "hus\thouse"]).encode())
+        assert DictionaryProvider.from_file(path).mapping == {"hus": "house", "bil": "car"}
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_a_line_with_three_fields_after_a_blank_line_names_its_line(self, tmp_path, newline):
+        path = tmp_path / "dict.tsv"
+        lines = ["hus\thouse", "bil\tcar", "", "vej\troad\textra", "sol\tsun", ""]
+        path.write_bytes(newline.join(lines).encode())
+        with pytest.raises(TranslationError) as exc:
+            DictionaryProvider.from_file(path)
+        assert str(exc.value) == f"{path}:4: expected 2 tab-separated fields, got 3"
+
 
 @settings(max_examples=200)
 @given(

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +92,63 @@ class TestLoadVocab:
         )
         with pytest.raises(DuplicateTokenError):
             load_vocab(path, sentinel_count=0)
+
+    @pytest.mark.parametrize("score", ["", "\t-3.2"])
+    def test_duplicate_names_the_first_repeated_pair(self, tmp_path, score):
+        # <unk> repeats too, but at a later id than ▁go's repeat.
+        path = tmp_path / "v.txt"
+        lines = ["<pad>", "</s>", "<unk>", "▁go", "▁go", "<unk>", "▁here", "▁here"]
+        path.write_text("".join(f"{line}{score}\n" for line in lines), encoding="utf-8")
+        with pytest.raises(DuplicateTokenError) as exc:
+            load_vocab(path, sentinel_count=0)
+        assert str(exc.value) == "duplicate token '▁go' at ids 3 and 4"
+
+
+def _reference_tokens(data: bytes) -> list[str]:
+    """Line by line: only "\\n" ends a line, a "\\r" right before it is part
+    of the ending, and the token is what comes before the line's first tab."""
+    tokens = []
+    for line in io.StringIO(data.decode("utf-8"), newline="\n"):
+        if line.endswith("\n"):
+            line = line[:-1].removesuffix("\r")
+        tokens.append(line.split("\t", 1)[0])
+    return tokens
+
+
+def _reference_duplicate(tokens: list[str]):
+    seen: dict[str, int] = {}
+    for i, tok in enumerate(tokens):
+        if tok in seen:
+            return f"duplicate token {tok!r} at ids {seen[tok]} and {i}"
+        seen[tok] = i
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tokens=st.lists(st.text(st.sampled_from("ab▁\r\x0b"), max_size=4), min_size=4, max_size=12),
+    scored=st.lists(st.booleans(), min_size=12, max_size=12),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    final=st.booleans(),
+    plant=st.one_of(st.none(), st.tuples(st.integers(0, 11), st.integers(0, 12))),
+)
+def test_load_vocab_matches_a_line_by_line_parse(tokens, scored, newline, final, plant,
+                                                tmp_path_factory):
+    if plant is not None:  # a copy of one token at another position
+        src, dst = plant
+        tokens.insert(dst % (len(tokens) + 1), tokens[src % len(tokens)])
+    lines = [tok + ("\t-1.5\tx" if score else "") for tok, score in zip(tokens, scored * 2)]
+    data = (newline.join(lines) + (newline if final else "")).encode()
+    path = tmp_path_factory.mktemp("vocab") / "v.txt"
+    path.write_bytes(data)
+    expected = _reference_tokens(data)
+    duplicate = _reference_duplicate(expected)
+    if duplicate is None:
+        assert load_vocab(path, sentinel_count=0).tokens == tuple(expected)
+    else:
+        with pytest.raises(DuplicateTokenError) as exc:
+            load_vocab(path, sentinel_count=0)
+        assert str(exc.value) == duplicate
 
 
 class TestTokenizeGreedy:
