@@ -11,14 +11,12 @@ a single machine-parsable line on stderr; bad flags are usage errors (exit 2).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from array import array
 from collections import Counter, deque
 from contextlib import ExitStack, closing
-from fractions import Fraction
 from importlib import import_module
 from itertools import chain, islice, pairwise
 from pathlib import Path
@@ -38,35 +36,24 @@ from .corpus import (DEFAULT_MIN_TAIL, DEFAULT_SEQ_LEN, SequenceStoreReader, che
                      chunk_corpus, default_index_path, is_special_file, replacing,
                      store_count, store_writer, write_store)
 from .errors import WarmstartError, WorkerError, utf8_input
-from .memplan import (
-    HardwareSpec,
-    MemoryReport,
-    ModelSpec,
-    PrecisionMode,
-    estimate,
-    interconnect_compare,
-    recommend,
-)
 from .schedule import DEFAULT_PEAK, DEFAULT_WARMUP_STEPS, LrSchedule, check_curve, iter_curve
-from .translate import (
-    DictionaryProvider,
-    IdentityProvider,
-    RemoteTranslationProvider,
-    TranslationTable,
-    translate_all,
-)
 from .vocab import DEFAULT_BOUNDARY_MARKER, Vocabulary, load_vocab, tokenize_greedy
 
-# The names taken from the modules that import numpy. Each module is
-# imported on first use, so a subcommand that runs no numpy code, such as
-# prepare-corpus, memplan or lr-curve --total, starts without numpy. A
-# subcommand binds its modules with _bind; an attribute access from outside,
-# such as `cli.padding_stats`, binds through __getattr__. assemble and
-# make_example are not called here; they are listed because
-# bench/layertrace.py patches them on this module by name.
-_NUMPY_NAMES = {
+# The names taken from the layers that some subcommand never reaches: those
+# that import numpy (batcher, masking, transplant), and memplan and
+# translate. Each module is imported on first use, so prepare-corpus and
+# lr-curve start without any of them, and without numpy. A subcommand binds
+# its modules with _bind; an attribute access from outside, such as
+# `cli.padding_stats`, binds through __getattr__. assemble and make_example
+# are not called here; they are listed because bench/layertrace.py patches
+# them on this module by name.
+_LAZY_NAMES = {
     ".batcher": ("assemble", "padding_stats", "plan_accumulation"),
     ".masking": ("MaskKey", "MaskMode", "MaskSpec", "corrupt_batch", "make_example"),
+    ".memplan": ("HardwareSpec", "MemoryReport", "ModelSpec", "PrecisionMode", "estimate",
+                 "interconnect_compare", "recommend"),
+    ".translate": ("DictionaryProvider", "IdentityProvider", "RemoteTranslationProvider",
+                   "TranslationTable", "translate_all"),
     ".transplant": ("read_embeddings", "transplant", "write_embeddings"),
 }
 
@@ -77,12 +64,12 @@ def _bind(*modules: str) -> None:
     use stays in place."""
     for module in modules:
         found = import_module(module, __package__)
-        for name in _NUMPY_NAMES[module]:
+        for name in _LAZY_NAMES[module]:
             globals().setdefault(name, getattr(found, name))
 
 
 def __getattr__(name: str):
-    for module, names in _NUMPY_NAMES.items():
+    for module, names in _LAZY_NAMES.items():
         if name in names:
             _bind(module)
             return globals()[name]
@@ -124,6 +111,8 @@ def per_second(raw: str) -> float:
 
 def gibibytes(raw: str) -> int:
     """Gibibytes (possibly fractional) to an exact byte count; positive."""
+    from fractions import Fraction
+
     try:
         gib = Fraction(raw)
     except ZeroDivisionError as e:
@@ -236,7 +225,9 @@ def _load_vocab(path, o: dict) -> Vocabulary:
 
 
 def cmd_transplant(o: dict) -> int:
-    _bind(".transplant")
+    import json
+
+    _bind(".translate", ".transplant")
     cache_path = o["cache"]
     _check_paths(o, [("--out", o["out"]), ("--report", o["report"]), ("--cache", cache_path)],
                  [("--src-emb", o["src_emb"]), ("--src-vocab", o["src_vocab"]),
@@ -449,8 +440,11 @@ def _ordered_map(fn, items: list, workers: int):
 
 
 def cmd_sample_batches(o: dict) -> int:
-    _bind(".batcher", ".masking")
+    from fractions import Fraction
+
     import numpy as np
+
+    _bind(".batcher", ".masking")
 
     seed, epoch, micro = o["seed"], o["epoch"], o["micro_batch"]
     out_path, report_path = o["out"], o["report"]
@@ -594,6 +588,7 @@ def _print_memory_report(title: str, rep: MemoryReport) -> None:
 
 
 def cmd_memplan(o: dict) -> int:
+    _bind(".memplan")
     params, offload, gpu_mem, ram = o["params"], o["offload"], o["gpu_mem"], o["ram"]
     precision = PrecisionMode.parse(o["precision"])
     model = ModelSpec(param_count=params)

@@ -15,6 +15,7 @@ import time
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Callable, Optional, Protocol, Sequence
 
 from .corpus import replacing
@@ -45,6 +46,9 @@ class CacheFormatError(TranslationError):
 class TranslationStatus(Enum):
     TRANSLATED = "OK"
     FAILED = "FAIL"
+
+
+_STATUSES = {status.value: status for status in TranslationStatus}
 
 
 @dataclass(frozen=True)
@@ -124,6 +128,18 @@ def _unescape_one(m: re.Match) -> str:
     return _UNESCAPES[nxt]
 
 
+def _columns(lines: list[str], width: int) -> Optional[list[list[str]]]:
+    """The tab-separated fields of the non-blank lines, split all at once, as
+    `width` columns; None when a non-blank line does not hold `width` fields."""
+    filled = len(lines) - lines.count("")
+    if list(map(str.count, lines, repeat("\t"))).count(width - 1) != filled:
+        return None
+    if filled < len(lines):
+        lines = list(filter(None, lines))
+    fields = "\t".join(lines).split("\t") if lines else []
+    return [fields[i::width] for i in range(width)]
+
+
 def _format_line(token: str, outcome: TranslationOutcome) -> str:
     return f"{_escape(token)}\t{outcome.status.value}\t{_escape(outcome.text)}\n"
 
@@ -194,30 +210,41 @@ class TranslationTable:
         raw CR is never written (CR is escaped), so one fails the load."""
         table = cls(persist_path=path if persist else None)
         with open(path, encoding="utf-8", newline="\n") as f, utf8_input(path):
-            for lineno, raw in enumerate(f, start=1):
-                table._torn = not raw.endswith("\n")
-                if table._torn or raw == "\n":
-                    continue
-                if "\r" in raw:
-                    raise CacheFormatError(
-                        f"{path}:{lineno}: raw carriage return (CRLF line endings?)"
-                    )
-                fields = raw[:-1].split("\t")
-                if len(fields) != 3:
-                    raise CacheFormatError(
-                        f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                    )
-                try:
-                    token = _unescape(fields[0])
-                    status = TranslationStatus(fields[1])
-                    text = _unescape(fields[2])
-                except CacheFormatError as e:
-                    raise CacheFormatError(f"{path}:{lineno}: {e}") from None
-                except ValueError:
-                    raise CacheFormatError(
-                        f"{path}:{lineno}: unknown status {fields[1]!r}"
-                    ) from None
-                table._entries[token] = TranslationOutcome(status, text)
+            whole, _, torn = f.read().rpartition("\n")
+        table._torn = bool(torn)
+        lines = whole.split("\n")
+        # A file with no escape, no CR, and three fields and a known status
+        # on every line is read in bulk; any other goes line by line, so an
+        # error names its line.
+        columns = None if "\\" in whole or "\r" in whole else _columns(lines, 3)
+        if columns is not None and set(columns[1]) <= _STATUSES.keys():
+            tokens, statuses, texts = columns
+            table._entries.update(
+                zip(tokens, map(TranslationOutcome, map(_STATUSES.get, statuses), texts)))
+            return table
+        for lineno, line in enumerate(lines, start=1):
+            if not line:
+                continue
+            if "\r" in line:
+                raise CacheFormatError(
+                    f"{path}:{lineno}: raw carriage return (CRLF line endings?)"
+                )
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise CacheFormatError(
+                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
+                )
+            try:
+                token = _unescape(fields[0])
+                status = TranslationStatus(fields[1])
+                text = _unescape(fields[2])
+            except CacheFormatError as e:
+                raise CacheFormatError(f"{path}:{lineno}: {e}") from None
+            except ValueError:
+                raise CacheFormatError(
+                    f"{path}:{lineno}: unknown status {fields[1]!r}"
+                ) from None
+            table._entries[token] = TranslationOutcome(status, text)
         return table
 
     def save(self, path) -> None:
@@ -292,19 +319,17 @@ class DictionaryProvider:
     @classmethod
     def from_file(cls, path) -> "DictionaryProvider":
         """Two tab-separated columns per line; blank lines ignored."""
-        mapping: dict[str, str] = {}
         with open(path, encoding="utf-8") as f, utf8_input(path):
-            for lineno, raw in enumerate(f, start=1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
+            lines = f.read().split("\n")
+        columns = _columns(lines, 2)
+        if columns is None:  # name the first line that is not two fields
+            for lineno, line in enumerate(lines, start=1):
+                count = line.count("\t") + 1
+                if line and count != 2:
                     raise TranslationError(
-                        f"{path}:{lineno}: expected 2 tab-separated fields, got {len(fields)}"
+                        f"{path}:{lineno}: expected 2 tab-separated fields, got {count}"
                     )
-                mapping[fields[0]] = fields[1]
-        return cls(mapping)
+        return cls(dict(zip(*columns)))
 
     def translate_batch(self, texts: Sequence[str]) -> list[Optional[str]]:
         return [self.mapping.get(t) for t in texts]

@@ -82,13 +82,13 @@ class Vocabulary:
                 f"vocabulary of size {size} cannot hold 3 special tokens "
                 f"plus {self.sentinel_count} sentinels"
             )
-        seen: dict[str, int] = {}
-        for i, tok in enumerate(self.tokens):
-            if tok in seen:
-                raise DuplicateTokenError(
-                    f"duplicate token {tok!r} at ids {seen[tok]} and {i}"
-                )
-            seen[tok] = i
+        if len(set(self.tokens)) != size:  # walk the ids only to name the first repeat
+            first: dict[str, int] = {}
+            for i, tok in enumerate(self.tokens):
+                if first.setdefault(tok, i) != i:
+                    raise DuplicateTokenError(
+                        f"duplicate token {tok!r} at ids {first[tok]} and {i}"
+                    )
         specials = (self.pad_id, self.eos_id, self.unk_id)
         if len(set(specials)) != 3:
             raise VocabularyError("pad_id, eos_id and unk_id must be distinct")
@@ -134,10 +134,13 @@ def load_vocab(path, **layout) -> Vocabulary:
     are accepted and discarded.
     """
     with open(path, encoding="utf-8", newline="") as f, utf8_input(path):
-        lines = f.read().replace("\r\n", "\n").split("\n")
+        text = f.read().replace("\r\n", "\n")
+    lines = text.split("\n")
     if lines[-1] == "":  # the final newline ends the last line; it starts none
         lines.pop()
-    return Vocabulary([line.split("\t", 1)[0] for line in lines], **layout)
+    if "\t" in text:
+        lines = [line.split("\t", 1)[0] for line in lines]
+    return Vocabulary(lines, **layout)
 
 
 def tokenize_greedy(vocab: Vocabulary, text: str) -> list[int]:

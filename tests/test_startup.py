@@ -1,9 +1,11 @@
-"""Which subcommands start without numpy, and the names cli binds on first use.
+"""Which subcommands start without numpy or the layers they never run, and
+the names cli binds on first use.
 
-cli imports the modules that use numpy (batcher, masking and transplant)
-only when a subcommand reaches them, and binds the names it takes from them
-then. Each test runs in a fresh child process, where `sys.modules` shows
-what a run imported and no earlier test has bound a name.
+cli imports the modules that use numpy (batcher, masking and transplant),
+memplan and translate only when a subcommand reaches them, and binds the
+names it takes from them then. Each test runs in a fresh child process,
+where `sys.modules` shows what a run imported and no earlier test has bound
+a name.
 """
 
 import json
@@ -14,11 +16,15 @@ from test_cli import _isolate_run_log, corpus_store, emb_file, vocab_file  # noq
 from test_prepare_workers import POOL, big_corpus, prepare, vocab  # noqa: F401
 from test_sample_workers import cli
 
+# Modules that only some subcommands need.
+DEFERRED = ("decimal", "fractions", "json", "warmstart.memplan", "warmstart.translate")
+
 RUN = (
     "import sys\n"
     "import warmstart.cli as cli\n"
     f"{POOL}"
     "assert cli.main(sys.argv[1:]) == 0\n"
+    f"print(sorted(set({DEFERRED!r}) & sys.modules.keys()))\n"
     "print('numpy' in sys.modules, pool())\n"
 )
 
@@ -28,7 +34,7 @@ RUN = (
 def test_prepare_corpus_runs_without_numpy(tmp_path, vocab, big_corpus, workers, pooled):
     proc = cli(tmp_path, "-c", RUN, *prepare(tmp_path, vocab, big_corpus), workers=workers)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.decode().splitlines()[-1] == f"False {pooled}"
+    assert proc.stdout.decode().splitlines()[-2:] == ["[]", f"False {pooled}"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -40,7 +46,14 @@ def test_subcommands_without_numpy_code_run_without_numpy(tmp_path, argv, corpus
     argv = [str(corpus_store) if arg == "<corpus_store>" else arg for arg in argv]
     proc = cli(tmp_path, "-c", RUN, *argv)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.decode().splitlines()[-1] == "False []"
+    deferred = "['decimal', 'fractions', 'warmstart.memplan']" if argv[0] == "memplan" else "[]"
+    assert proc.stdout.decode().splitlines()[-2:] == [deferred, "False []"]
+
+
+def test_stats_loads_no_deferred_module(tmp_path, corpus_store):
+    proc = cli(tmp_path, "-c", RUN, "stats", "--store", corpus_store)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines()[-2:] == ["[]", "True []"]
 
 
 def test_every_lazy_name_is_the_layers_own_object(tmp_path):
@@ -49,15 +62,50 @@ def test_every_lazy_name_is_the_layers_own_object(tmp_path):
         "from importlib import import_module\n"
         "import warmstart.cli as cli\n"
         "assert 'numpy' not in sys.modules\n"
-        "for module, names in cli._NUMPY_NAMES.items():\n"
+        "for module, names in cli._LAZY_NAMES.items():\n"
         "    own = import_module(module, 'warmstart')\n"
         "    for name in names:\n"
         "        assert getattr(cli, name) is getattr(own, name), name\n"
-        "print(sum(map(len, cli._NUMPY_NAMES.values())))\n"
+        "print(sum(map(len, cli._LAZY_NAMES.values())))\n"
     )
     proc = cli(tmp_path, "-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.decode() == "11\n"
+    assert proc.stdout.decode() == "23\n"
+
+
+# Runs one subcommand, checks that every name of each module it bound is the
+# layer's own object in cli's namespace, and prints the modules bound.
+BOUND = """
+import sys
+import warmstart.cli as cli
+
+assert cli.main(sys.argv[1:]) == 0
+bound = []
+for module, names in cli._LAZY_NAMES.items():
+    if any(name in vars(cli) for name in names):
+        own = sys.modules["warmstart" + module]
+        for name in names:
+            assert vars(cli)[name] is getattr(own, name), name
+        bound.append(module)
+print(bound)
+"""
+
+
+@pytest.mark.parametrize("subcommand, bound", [
+    ("transplant", "['.translate', '.transplant']"),
+    ("memplan", "['.memplan']"),
+])
+def test_a_subcommand_binds_every_name_of_the_layers_it_runs(
+    tmp_path, vocab_file, emb_file, subcommand, bound
+):
+    argv = {
+        "transplant": ["--src-emb", emb_file, "--src-vocab", vocab_file, "--tgt-vocab",
+                       vocab_file, "--out", tmp_path / "out.embt", "--sentinel-count", "3"],
+        "memplan": ["--params", "1000000", "--gpu-mem", "16", "--ram", "64", "--gpus", "2"],
+    }[subcommand]
+    proc = cli(tmp_path, "-c", BOUND, subcommand, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines()[-1] == bound
 
 
 # Wraps names on cli before any subcommand has run, as bench/layertrace.py
