@@ -140,6 +140,28 @@ def _columns(lines: list[str], width: int) -> Optional[list[list[str]]]:
     return [fields[i::width] for i in range(width)]
 
 
+def _first_line_error(path, lines: list[str]) -> CacheFormatError:
+    """The error of the first cache line that does not parse, once a bulk
+    read has found one: a raw CR, a field count other than 3, a bad escape
+    in the token, an unknown status or a bad escape in the text."""
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        try:
+            if "\r" in line:
+                raise CacheFormatError("raw carriage return (CRLF line endings?)")
+            if len(fields) != 3:
+                raise CacheFormatError(f"expected 3 tab-separated fields, got {len(fields)}")
+            _unescape(fields[0])
+            if fields[1] not in _STATUSES:
+                raise CacheFormatError(f"unknown status {fields[1]!r}")
+            _unescape(fields[2])
+        except CacheFormatError as e:
+            return CacheFormatError(f"{path}:{lineno}: {e}")
+    raise AssertionError("every cache line parses")
+
+
 def _format_line(token: str, outcome: TranslationOutcome) -> str:
     return f"{_escape(token)}\t{outcome.status.value}\t{_escape(outcome.text)}\n"
 
@@ -213,38 +235,17 @@ class TranslationTable:
             whole, _, torn = f.read().rpartition("\n")
         table._torn = bool(torn)
         lines = whole.split("\n")
-        # A file with no escape, no CR, and three fields and a known status
-        # on every line is read in bulk; any other goes line by line, so an
-        # error names its line.
-        columns = None if "\\" in whole or "\r" in whole else _columns(lines, 3)
-        if columns is not None and set(columns[1]) <= _STATUSES.keys():
-            tokens, statuses, texts = columns
-            table._entries.update(
-                zip(tokens, map(TranslationOutcome, map(_STATUSES.get, statuses), texts)))
-            return table
-        for lineno, line in enumerate(lines, start=1):
-            if not line:
-                continue
-            if "\r" in line:
-                raise CacheFormatError(
-                    f"{path}:{lineno}: raw carriage return (CRLF line endings?)"
-                )
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise CacheFormatError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
+        columns = None if "\r" in whole else _columns(lines, 3)
+        if columns is None or not set(columns[1]) <= _STATUSES.keys():
+            raise _first_line_error(path, lines)
+        tokens, statuses, texts = columns
+        if "\\" in whole:  # only a field with a backslash has escapes to undo
             try:
-                token = _unescape(fields[0])
-                status = TranslationStatus(fields[1])
-                text = _unescape(fields[2])
-            except CacheFormatError as e:
-                raise CacheFormatError(f"{path}:{lineno}: {e}") from None
-            except ValueError:
-                raise CacheFormatError(
-                    f"{path}:{lineno}: unknown status {fields[1]!r}"
-                ) from None
-            table._entries[token] = TranslationOutcome(status, text)
+                tokens, texts = list(map(_unescape, tokens)), list(map(_unescape, texts))
+            except CacheFormatError:
+                raise _first_line_error(path, lines) from None
+        table._entries.update(
+            zip(tokens, map(TranslationOutcome, map(_STATUSES.get, statuses), texts)))
         return table
 
     def save(self, path) -> None:

@@ -8,12 +8,14 @@ id ``size - 1 - k``.
 
 from __future__ import annotations
 
+import re
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import WarmstartError, utf8_input
 
 DEFAULT_BOUNDARY_MARKER = "▁"  # "▁", marks word-initial pieces
+_SCORE_COLUMNS = re.compile(r"\t[^\n]*")  # from a line's first tab to its end
 MEMO_MAX_WORDS = 65_536  # about 9 MB; past it new words are scanned, not stored
 
 
@@ -135,11 +137,9 @@ def load_vocab(path, **layout) -> Vocabulary:
     """
     with open(path, encoding="utf-8", newline="") as f, utf8_input(path):
         text = f.read().replace("\r\n", "\n")
-    lines = text.split("\n")
-    if lines[-1] == "":  # the final newline ends the last line; it starts none
+    lines = _SCORE_COLUMNS.sub("", text).split("\n")
+    if not text or text.endswith("\n"):  # a final newline ends the last line; it starts none
         lines.pop()
-    if "\t" in text:
-        lines = [line.split("\t", 1)[0] for line in lines]
     return Vocabulary(lines, **layout)
 
 

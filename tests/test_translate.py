@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -258,18 +259,31 @@ class TestCacheFile:
         with pytest.raises(CacheFormatError):
             TranslationTable.load(path)
 
-    @pytest.mark.parametrize("line, message", [
+    BAD_LINES = [
         ("tok\tOK", "expected 3 tab-separated fields, got 2"),
         ("tok\tMAYBE\ttext", "unknown status 'MAYBE'"),
         ("tok\tOK\tte\rxt", "raw carriage return (CRLF line endings?)"),
         ("tok\tOK\tbad\\q", "unknown escape sequence \\q"),
-    ])
+        ("bad\\q\tMAYBE\ttext", "unknown escape sequence \\q"),
+    ]
+
+    @pytest.mark.parametrize("line, message", BAD_LINES[:4])
     def test_a_bad_line_after_a_blank_line_names_its_own_line(self, tmp_path, line, message):
         path = tmp_path / "cache.tsv"
         path.write_bytes(f"hus\tOK\thouse\n\n{line}\nbil\tOK\tcar\n".encode())
         with pytest.raises(CacheFormatError) as exc:
             TranslationTable.load(path)
         assert str(exc.value) == f"{path}:3: {message}"
+
+    @pytest.mark.parametrize("first, later", permutations(BAD_LINES, 2))
+    def test_the_first_bad_line_is_named_whatever_fault_a_later_one_has(
+        self, tmp_path, first, later
+    ):
+        path = tmp_path / "cache.tsv"
+        path.write_bytes(f"hus\tOK\thouse\n{first[0]}\n{later[0]}\n".encode())
+        with pytest.raises(CacheFormatError) as exc:
+            TranslationTable.load(path)
+        assert str(exc.value) == f"{path}:2: {first[1]}"
 
     def test_blank_lines_are_skipped_and_a_later_line_wins(self, tmp_path):
         path = tmp_path / "cache.tsv"
