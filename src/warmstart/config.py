@@ -13,8 +13,7 @@ import hashlib
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Optional
+from typing import Callable, Collection, Iterable, NamedTuple, Optional
 
 from .errors import WarmstartError, utf8_input
 
@@ -61,8 +60,7 @@ def parse_bool(value: str) -> bool:
     raise ConfigError(f"not a boolean: {value!r}")
 
 
-@dataclass(frozen=True)
-class Option:
+class Option(NamedTuple):
     """One command-line option, declared once for argparse and config files.
 
     The config key is the argparse dest: the flag without its leading dashes

@@ -8,8 +8,7 @@ the default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import WarmstartError
 
@@ -31,22 +30,37 @@ def check_curve(peak: float, stride: int = 1) -> None:
         raise ScheduleError(f"stride must be positive, got {stride}")
 
 
-@dataclass(frozen=True)
-class LrSchedule:
+class _LrFields(NamedTuple):
     total_steps: int
     peak: float = DEFAULT_PEAK
     warmup_steps: int = DEFAULT_WARMUP_STEPS
     shape: str = "linear"
 
-    def __post_init__(self):
-        check_curve(self.peak)
-        if not 0 < self.warmup_steps < self.total_steps:
+
+class LrSchedule(_LrFields):
+    """A valid schedule, however it is built.
+
+    The constructor checks the fields, and so do `_make` and `_replace`,
+    which a plain NamedTuple would let build an invalid one.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        s = super().__new__(cls, *args, **kwargs)
+        check_curve(s.peak)
+        if not 0 < s.warmup_steps < s.total_steps:
             raise ScheduleError(
                 f"need 0 < warmup_steps < total_steps, got warmup "
-                f"{self.warmup_steps} and total {self.total_steps}"
+                f"{s.warmup_steps} and total {s.total_steps}"
             )
-        if self.shape not in SHAPES:
-            raise ScheduleError(f"shape must be one of {SHAPES}, got {self.shape!r}")
+        if s.shape not in SHAPES:
+            raise ScheduleError(f"shape must be one of {SHAPES}, got {s.shape!r}")
+        return s
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def lr_at(s: LrSchedule, step: int) -> float:

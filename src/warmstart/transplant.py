@@ -148,7 +148,7 @@ def map_token(token: str, outcome: TranslationOutcome, src: Vocabulary) -> list[
     of a zero vector, which would poison tied output logits.
     """
     pieces = tokenize_greedy(src, outcome.text)
-    if not pieces or all(p == src.unk_id for p in pieces):
+    if pieces.count(src.unk_id) == len(pieces):
         return [src.unk_id]
     return pieces
 

@@ -54,6 +54,33 @@ class TestValidation:
         with pytest.raises(ScheduleError):
             LrSchedule(total_steps=10_000, shape="cosine")
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: LrSchedule(total_steps=5000),
+         "need 0 < warmup_steps < total_steps, got warmup 5000 and total 5000"),
+        (lambda: LrSchedule._make((5000, 4e-3, 5000, "linear")),
+         "need 0 < warmup_steps < total_steps, got warmup 5000 and total 5000"),
+        (lambda: LrSchedule(100_000)._replace(peak=-1.0),
+         "peak must be finite and positive, got -1.0"),
+        (lambda: LrSchedule(100_000)._replace(shape="cosine"),
+         "shape must be one of ('linear', 'rsqrt'), got 'cosine'"),
+    ], ids=["constructor", "make", "replace-peak", "replace-shape"])
+    def test_every_way_of_building_one_validates(self, build, message):
+        with pytest.raises(ScheduleError) as e:
+            build()
+        assert str(e.value) == message
+
+    def test_make_and_replace_build_valid_schedules(self):
+        s = LrSchedule(100_000)
+        assert LrSchedule._make(s) == s
+        assert type(s._replace(peak=1.0)) is LrSchedule
+        assert s._replace(peak=1.0) == (100_000, 1.0, 5000, "linear")
+
+    @pytest.mark.parametrize("name", ["peak", "other"])
+    def test_fields_cannot_be_set(self, name):
+        s = LrSchedule(100_000)
+        with pytest.raises(AttributeError):
+            setattr(s, name, 1.0)
+
 
 class TestShape:
     def test_piecewise_monotone(self):

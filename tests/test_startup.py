@@ -1,5 +1,5 @@
-"""Which subcommands start without numpy or the layers they never run, and
-the names cli binds on first use.
+"""Which subcommands start without numpy, the dataclasses machinery or the
+layers they never run, and the names cli binds on first use.
 
 cli imports the modules that use numpy (batcher, masking and transplant),
 memplan and translate only when a subcommand reaches them, and binds the
@@ -16,8 +16,11 @@ from test_cli import _isolate_run_log, corpus_store, emb_file, vocab_file  # noq
 from test_prepare_workers import POOL, big_corpus, prepare, vocab  # noqa: F401
 from test_sample_workers import cli
 
-# Modules that only some subcommands need.
-DEFERRED = ("decimal", "fractions", "json", "warmstart.memplan", "warmstart.translate")
+# Modules that only some subcommands need. dataclasses, with the inspect, ast,
+# dis and copy it imports, comes with memplan; inspect, ast and dis also come
+# with numpy.
+DEFERRED = ("ast", "copy", "dataclasses", "decimal", "dis", "fractions", "inspect", "json",
+            "warmstart.memplan", "warmstart.translate")
 
 RUN = (
     "import sys\n"
@@ -46,14 +49,32 @@ def test_subcommands_without_numpy_code_run_without_numpy(tmp_path, argv, corpus
     argv = [str(corpus_store) if arg == "<corpus_store>" else arg for arg in argv]
     proc = cli(tmp_path, "-c", RUN, *argv)
     assert proc.returncode == 0, proc.stderr
-    deferred = "['decimal', 'fractions', 'warmstart.memplan']" if argv[0] == "memplan" else "[]"
+    deferred = ("['ast', 'copy', 'dataclasses', 'decimal', 'dis', 'fractions', 'inspect', "
+                "'warmstart.memplan']" if argv[0] == "memplan" else "[]")
     assert proc.stdout.decode().splitlines()[-2:] == [deferred, "False []"]
 
 
-def test_stats_loads_no_deferred_module(tmp_path, corpus_store):
+def test_stats_loads_no_deferred_module_of_its_own(tmp_path, corpus_store):
+    # numpy imports inspect, and with it ast and dis
     proc = cli(tmp_path, "-c", RUN, "stats", "--store", corpus_store)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.decode().splitlines()[-2:] == ["[]", "True []"]
+    assert proc.stdout.decode().splitlines()[-2:] == ["['ast', 'dis', 'inspect']", "True []"]
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_load_no_deferred_module(tmp_path, flag):
+    code = (
+        "import sys\n"
+        "import warmstart.cli as cli\n"
+        "try:\n"
+        "    cli.main(sys.argv[1:])\n"
+        "except SystemExit as e:\n"
+        "    assert e.code == 0, e.code\n"
+        f"print(sorted(set({DEFERRED!r}) & sys.modules.keys()), 'numpy' in sys.modules)\n"
+    )
+    proc = cli(tmp_path, "-c", code, flag)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines()[-1] == "[] False"
 
 
 def test_every_lazy_name_is_the_layers_own_object(tmp_path):
