@@ -296,6 +296,17 @@ class TestPrepareCorpusAndStats:
         # doc 1: 3 ids (tail 3 kept); doc 2: 7 ids -> 4 + tail 3
         assert SequenceStoreReader(store).lengths() == [3, 4, 3]
 
+    def test_directory_without_txt_files_is_one_error_line(self, tmp_path, vocab_file, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "notes.md").write_text("red blue", encoding="utf-8")
+        store = tmp_path / "c.seqs"
+        assert main(["prepare-corpus", "--vocab", str(vocab_file), "--in", str(corpus),
+                     "--out", str(store), "--sentinel-count", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and not store.exists()
+        assert err == f"warmstart: error: ConfigError: {corpus}: no *.txt files found\n"
+
     def test_single_file_crlf_blank_line_docs(self, tmp_path, vocab_file, capsys):
         doc = tmp_path / "single.txt"
         doc.write_bytes(b"red red red\r\n\r\nblue blue blue\r\n")
@@ -450,6 +461,16 @@ class TestSampleBatches:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"warmstart: error: {error}") and err.count("\n") == 1
+
+    def test_binary_without_out_fails_before_any_input_is_read(self, tmp_path, capsys):
+        assert main([
+            "sample-batches", "--store", str(tmp_path / "missing.seqs"),
+            "--vocab", str(tmp_path / "missing.txt"), "--sentinel-count", "3",
+            "--format", "binary",
+        ]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "warmstart: error: ConfigError: --out is required with --format binary\n"
 
     def test_epoch_past_8_bytes_fails_before_any_input_is_read(self, tmp_path, vocab_file, capsys):
         assert main([

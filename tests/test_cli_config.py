@@ -87,6 +87,17 @@ class TestUnknownConfigKeys:
         assert main(["memplan", "--config", str(cfg)]) == 1
         _single_config_error(capsys, f"{cfg}:3", "'offlod'")
 
+    @pytest.mark.parametrize("text, error", [
+        (" = 5\n", "1: empty key"),
+        ("seed = 1\nparams = 1000\nseed = 2\n", "3: duplicate key 'seed'"),
+    ], ids=["empty", "duplicate"])
+    def test_empty_or_duplicate_key_is_rejected_with_its_line(self, text, error, tmp_path,
+                                                               capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["memplan", "--params", "1000", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"warmstart: error: ConfigError: {cfg}:{error}\n"
+
     def test_run_log_is_not_a_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"run_log = {tmp_path / 'other.log'}\n", encoding="utf-8")

@@ -206,6 +206,30 @@ class TestStore:
         assert indexed.lengths() == walked.lengths() == [3, 2, 1, 40]
         assert list(indexed) == list(walked) == id_lists
 
+    def test_index_cut_short_is_a_truncated_index(self, tmp_path):
+        path = self._write(tmp_path, [[1, 9, 4], [5, 6], [7]])
+        idx = tmp_path / "c.seqs.idx"
+        idx.write_bytes(idx.read_bytes()[:-8])
+        with pytest.raises(StoreFormatError) as e:
+            SequenceStoreReader(path)
+        assert str(e.value) == f"{idx}: truncated index"
+
+    def test_header_count_past_the_records_is_a_truncated_store(self, tmp_path):
+        path = self._write(tmp_path, [[1, 2], [3]])
+        (tmp_path / "c.seqs.idx").unlink()
+        path.write_bytes(b"SEQS" + struct.pack("<IQ", 1, 3) + path.read_bytes()[16:])
+        with pytest.raises(StoreFormatError) as e:
+            SequenceStoreReader(path).lengths()
+        assert str(e.value) == f"{path}: truncated store"
+
+    def test_store_cut_after_opening_changed_while_open(self, tmp_path):
+        path = self._write(tmp_path, [[1, 2], [3]])
+        reader = SequenceStoreReader(path)
+        os.truncate(path, 16)  # the index offsets were read when it opened
+        with pytest.raises(StoreFormatError) as e:
+            reader.gather([0])
+        assert str(e.value) == f"{path}: store changed while open"
+
     def test_failed_write_leaves_old_files(self, tmp_path):
         path = self._write(tmp_path, [[1, 2], [3]])
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
