@@ -35,7 +35,7 @@ from .config import (
 from .corpus import (DEFAULT_MIN_TAIL, DEFAULT_SEQ_LEN, SequenceStoreReader, check_chunking,
                      chunk_corpus, default_index_path, is_special_file, replacing,
                      store_count, store_writer, write_store)
-from .errors import WarmstartError, WorkerError, utf8_input
+from .errors import WarmstartError, WorkerError, read_text
 from .schedule import DEFAULT_PEAK, DEFAULT_WARMUP_STEPS, LrSchedule, check_curve, iter_curve
 from .vocab import DEFAULT_BOUNDARY_MARKER, Vocabulary, load_vocab, tokenize_greedy
 
@@ -281,11 +281,6 @@ def cmd_transplant(o: dict) -> int:
 GROUP_BYTES = 256 * 1024  # about this much text is tokenized at a time
 
 
-def _read_text(path) -> str:
-    with utf8_input(path):
-        return Path(path).read_text(encoding="utf-8")
-
-
 def _read_documents(input_path, vocab: Vocabulary, workers: int):
     """The ids of each non-empty document, in order, as compact arrays.
     Directory: each *.txt file (name-sorted) is one document. Single file:
@@ -301,9 +296,9 @@ def _read_documents(input_path, vocab: Vocabulary, workers: int):
         docs = sorted(p.glob("*.txt"))
         if not docs:
             raise ConfigError(f"{input_path}: no *.txt files found")
-        sizes, read = [path.stat().st_size for path in docs], _read_text
+        sizes, read = [path.stat().st_size for path in docs], read_text
     else:
-        docs = _read_text(p).split("\n\n")
+        docs = read_text(p).split("\n\n")
         sizes, read = map(len, docs), str  # a block is its own text
     groups, start, size = [], 0, 0
     for end, n in enumerate(sizes, start=1):
@@ -505,7 +500,8 @@ def cmd_sample_batches(o: dict) -> int:
     # targets only once the whole epoch has succeeded.
     batches = math.ceil(len(order) / micro)
     runs = [range(lo, hi) for lo, hi in
-            pairwise([0, *range(1, batches, max(1, RUN_SEQUENCES // micro)), batches])]
+            pairwise([0, *range(1, batches, max(1, RUN_SEQUENCES // micro)), batches])
+            if lo < hi]  # an empty epoch has no run
     real_cells = total_cells = 0
     with ExitStack() as files:
         if text:

@@ -15,7 +15,7 @@ import sys
 import time
 from typing import Callable, Collection, Iterable, NamedTuple, Optional
 
-from .errors import WarmstartError, utf8_input
+from .errors import WarmstartError, read_text
 
 WORKERS_ENV = "WARMSTART_WORKERS"
 MAX_WORKERS = 8
@@ -31,23 +31,22 @@ def parse_config_file(path, known_keys: Collection[str]) -> dict[str, str]:
     A key outside `known_keys` is an error, so a misspelt key cannot be
     silently ignored."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f, utf8_input(path):
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected `key = value`")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key:
-                raise ConfigError(f"{path}:{lineno}: empty key")
-            if key not in known_keys:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in out:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = value
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected `key = value`")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not key:
+            raise ConfigError(f"{path}:{lineno}: empty key")
+        if key not in known_keys:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = value
     return out
 
 
@@ -57,7 +56,7 @@ def parse_bool(value: str) -> bool:
         return True
     if lowered in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"not a boolean: {value!r}")
+    raise ValueError(f"not a boolean: {value!r}")
 
 
 class Option(NamedTuple):

@@ -1,6 +1,5 @@
-"""Shared exception base so the CLI can map failures to one exit path."""
-
-from contextlib import contextmanager
+"""Shared exception base so the CLI can map failures to one exit path, and
+the one reader of text inputs."""
 
 
 class WarmstartError(Exception):
@@ -15,12 +14,13 @@ class WorkerError(WarmstartError):
     """A worker process that died, such as one the kernel killed for memory."""
 
 
-@contextmanager
-def utf8_input(path):
-    """Decoding `path` as UTF-8 inside this block fails as one
-    InputEncodingError that names the file, not as a UnicodeDecodeError."""
-    try:
-        yield
-    except UnicodeDecodeError as e:
-        bad = e.object[e.start : e.end].hex(" ")
-        raise InputEncodingError(f"{path}: not UTF-8 text ({e.reason}: {bad})") from None
+def read_text(path, newline=None) -> str:
+    """The whole of `path` decoded as UTF-8, with `newline` as `open` takes
+    it; a byte that is not UTF-8 fails as one InputEncodingError that names
+    the file, not as a UnicodeDecodeError."""
+    with open(path, encoding="utf-8", newline=newline) as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            bad = e.object[e.start : e.end].hex(" ")
+            raise InputEncodingError(f"{path}: not UTF-8 text ({e.reason}: {bad})") from None

@@ -19,7 +19,7 @@ from itertools import repeat
 from typing import Callable, Optional, Protocol, Sequence
 
 from .corpus import replacing
-from .errors import WarmstartError, utf8_input
+from .errors import WarmstartError, read_text
 from .vocab import DEFAULT_BOUNDARY_MARKER
 
 
@@ -231,8 +231,7 @@ class TranslationTable:
         cut short: it is dropped, and the next insert rewrites the file. A
         raw CR is never written (CR is escaped), so one fails the load."""
         table = cls(persist_path=path if persist else None)
-        with open(path, encoding="utf-8", newline="\n") as f, utf8_input(path):
-            whole, _, torn = f.read().rpartition("\n")
+        whole, _, torn = read_text(path, newline="\n").rpartition("\n")
         table._torn = bool(torn)
         lines = whole.split("\n")
         columns = None if "\r" in whole else _columns(lines, 3)
@@ -320,8 +319,7 @@ class DictionaryProvider:
     @classmethod
     def from_file(cls, path) -> "DictionaryProvider":
         """Two tab-separated columns per line; blank lines ignored."""
-        with open(path, encoding="utf-8") as f, utf8_input(path):
-            lines = f.read().split("\n")
+        lines = read_text(path).split("\n")
         columns = _columns(lines, 2)
         if columns is None:  # name the first line that is not two fields
             for lineno, line in enumerate(lines, start=1):

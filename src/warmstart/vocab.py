@@ -12,7 +12,7 @@ import re
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import WarmstartError, utf8_input
+from .errors import WarmstartError, read_text
 
 DEFAULT_BOUNDARY_MARKER = "▁"  # "▁", marks word-initial pieces
 _SCORE_COLUMNS = re.compile(r"\t[^\n]*")  # from a line's first tab to its end
@@ -135,8 +135,7 @@ def load_vocab(path, **layout) -> Vocabulary:
     horizontal tab on a line is ignored, so sentencepiece-style score columns
     are accepted and discarded.
     """
-    with open(path, encoding="utf-8", newline="") as f, utf8_input(path):
-        text = f.read().replace("\r\n", "\n")
+    text = read_text(path, newline="").replace("\r\n", "\n")
     lines = _SCORE_COLUMNS.sub("", text).split("\n")
     if not text or text.endswith("\n"):  # a final newline ends the last line; it starts none
         lines.pop()

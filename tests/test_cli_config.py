@@ -8,6 +8,7 @@ from datetime import datetime, timezone
 import pytest
 
 from warmstart.cli import SAMPLE_BATCHES_OPTIONS, gibibytes, main, per_second
+from warmstart.config import parse_bool
 
 from test_cli import (  # noqa: F401 (fixtures)
     _isolate_run_log,
@@ -161,6 +162,32 @@ def test_bad_seed_is_one_config_error_line(source, tmp_path, monkeypatch, capsys
         monkeypatch.setenv("WARMSTART_SEED", "five")
     assert main(argv) == 1
     _single_config_error(capsys, "seed" if source == "config" else "WARMSTART_SEED", "'five'")
+
+
+@pytest.mark.parametrize("raw, on", [
+    ("true", True), ("1", True), ("Yes", True), ("ON", True),
+    ("FALSE", False), ("0", False), ("no", False), ("Off", False),
+])
+def test_a_config_switch_takes_every_spelling(raw, on, tmp_path, capsys):
+    assert parse_bool(f" {raw}\t") is on
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"offload =  {raw} \n", encoding="utf-8")
+    assert main(["memplan", "--params", "1000", "--config", str(cfg)]) == 0
+    from_config = capsys.readouterr().out
+    assert main(["memplan", "--params", "1000", *["--offload"] * on]) == 0
+    assert from_config == capsys.readouterr().out
+    assert f"offload={str(on).lower()}\n" in from_config
+
+
+def test_a_bad_config_switch_names_its_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sort_by_length = maybe\n", encoding="utf-8")
+    assert main(["sample-batches", "--store", str(tmp_path / "missing.seqs"),
+                 "--vocab", str(tmp_path / "missing.txt"), "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("warmstart: error: ConfigError: config key sort_by_length: "
+                   "cannot parse 'maybe': not a boolean: 'maybe'\n")
 
 
 @pytest.mark.parametrize("raw, value", [

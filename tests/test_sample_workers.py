@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import warmstart
+import warmstart.cli as cli_module
 from warmstart.cli import _Decimals, main
 from warmstart.corpus import STORE_VERSION, SequenceStoreReader, write_store
 
@@ -222,7 +223,11 @@ def test_an_id_outside_the_vocabulary_is_one_error_line(tmp_path, vocab, capsys)
 
 
 @pytest.mark.parametrize("case", ["stdout", "out", "report", "binary"])
-def test_an_empty_store_is_an_empty_epoch(tmp_path, vocab, capsys, case):
+def test_an_empty_store_is_an_empty_epoch(tmp_path, vocab, capsys, case, monkeypatch):
+    def corrupt_batch(*args):
+        raise AssertionError("an empty epoch corrupts no batch")
+
+    monkeypatch.setattr(cli_module, "corrupt_batch", corrupt_batch)
     store = tmp_path / "empty.seqs"
     write_store([], store)
     extra = {"stdout": [], "out": ["--out", tmp_path / "e.tsv"],
