@@ -80,6 +80,20 @@ class TestNeedsTranslation:
         assert needs_translation("▁") is False
 
 
+def test_an_outcome_is_an_immutable_value():
+    ok, failed = TranslationStatus.TRANSLATED, TranslationStatus.FAILED
+    outcome = TranslationOutcome(ok, "house")
+    same = TranslationOutcome(status=ok, text="house")
+    assert outcome == same and hash(outcome) == hash(same)
+    assert outcome != TranslationOutcome(failed, "house")
+    assert repr(outcome) == (
+        "TranslationOutcome(status=<TranslationStatus.TRANSLATED: 'OK'>, text='house')")
+    for field in ("status", "text"):
+        with pytest.raises(AttributeError):
+            setattr(outcome, field, failed)
+    assert outcome.ok and not TranslationOutcome(failed, "house").ok
+
+
 class TestLookupOrFetch:
     """One-token lookups: translate_all over [token], then table.get."""
 
