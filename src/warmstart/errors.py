@@ -16,9 +16,10 @@ class WorkerError(WarmstartError):
 
 def read_text(path, newline=None) -> str:
     """The whole of `path` decoded as UTF-8, with `newline` as `open` takes
-    it; a byte that is not UTF-8 fails as one InputEncodingError that names
-    the file, not as a UnicodeDecodeError."""
-    with open(path, encoding="utf-8", newline=newline) as f:
+    it and one leading byte-order mark dropped; a byte that is not UTF-8
+    fails as one InputEncodingError that names the file, not as a
+    UnicodeDecodeError."""
+    with open(path, encoding="utf-8-sig", newline=newline) as f:
         try:
             return f.read()
         except UnicodeDecodeError as e:

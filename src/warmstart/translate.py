@@ -13,10 +13,9 @@ import re
 import threading
 import time
 import unicodedata
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, NamedTuple, Optional, Protocol, Sequence
 
 from .corpus import replacing
 from .errors import WarmstartError, read_text
@@ -51,8 +50,7 @@ class TranslationStatus(Enum):
 _STATUSES = {status.value: status for status in TranslationStatus}
 
 
-@dataclass(frozen=True)
-class TranslationOutcome:
+class TranslationOutcome(NamedTuple):
     status: TranslationStatus
     text: str
 
@@ -243,8 +241,8 @@ class TranslationTable:
                 tokens, texts = list(map(_unescape, tokens)), list(map(_unescape, texts))
             except CacheFormatError:
                 raise _first_line_error(path, lines) from None
-        table._entries.update(
-            zip(tokens, map(TranslationOutcome, map(_STATUSES.get, statuses), texts)))
+        table._entries.update(zip(tokens, map(
+            TranslationOutcome._make, zip(map(_STATUSES.get, statuses), texts))))
         return table
 
     def save(self, path) -> None:
@@ -270,12 +268,7 @@ def translate_all(
     """
     todo: list[str] = []
     bypassed: dict[str, TranslationOutcome] = {}
-    seen: set[str] = set()
-    for token in tokens:
-        normalized = normalize_token(token, boundary_marker)
-        if normalized in seen:
-            continue
-        seen.add(normalized)
+    for normalized in dict.fromkeys(normalize_token(t, boundary_marker) for t in tokens):
         cached = table.get(normalized)
         if cached is not None and not (retry_failed and not cached.ok):
             continue
@@ -308,12 +301,12 @@ class IdentityProvider:
 
 
 class DictionaryProvider:
-    """Offline word list: token -> translation; a miss is no translation."""
+    """Offline word list from a dict or (token, translation) pairs; a miss is no translation."""
 
     name = "dict"
     batch_size = 4096
 
-    def __init__(self, mapping: dict[str, str]):
+    def __init__(self, mapping):
         self.mapping = dict(mapping)
 
     @classmethod
@@ -328,7 +321,7 @@ class DictionaryProvider:
                     raise TranslationError(
                         f"{path}:{lineno}: expected 2 tab-separated fields, got {count}"
                     )
-        return cls(dict(zip(*columns)))
+        return cls(zip(*columns))
 
     def translate_batch(self, texts: Sequence[str]) -> list[Optional[str]]:
         return [self.mapping.get(t) for t in texts]

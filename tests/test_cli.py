@@ -14,6 +14,7 @@ import warmstart
 import warmstart.cli as cli
 from warmstart.cli import main
 from warmstart.corpus import SequenceStoreReader, write_store
+from warmstart.errors import read_text
 from warmstart.transplant import EmbeddingMatrix, write_embeddings
 from warmstart.vocab import load_vocab
 
@@ -827,3 +828,71 @@ class TestNonUtf8Input:
         out = tmp_path / "out.embt"
         self.fails_on(capsys, cache, self.transplant(vocab_file, emb_file, out, "--cache", cache))
         assert not out.exists() and cache.read_bytes() == b"red\tOK\tr\xffd\n"
+
+
+BOM = "\ufeff".encode()
+
+
+class TestByteOrderMark:
+    """A leading byte-order mark is dropped from every text input, so a
+    BOM-prefixed copy gives the same result as the plain file."""
+
+    @staticmethod
+    def runs_alike(tmp_path, capsys, name, text, argv):
+        """Runs `argv`, with `{d}` standing for a directory that holds `name`,
+        once with the plain file and once with a BOM-prefixed copy. Their
+        stdout and every file left in the directory must match; the input
+        keeps its BOM, so it must be the plain result with a BOM in front."""
+        results = []
+        for prefix in (b"", BOM):
+            d = tmp_path / ("bom" if prefix else "plain")
+            (d / name).parent.mkdir(parents=True)
+            (d / name).write_bytes(prefix + text.encode())
+            assert main([str(a).format(d=d) for a in argv]) == 0
+            files = {p.relative_to(d): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
+            results.append((capsys.readouterr(), files))
+        (plain_io, plain), (bom_io, bommed) = results
+        assert bommed.pop(Path(name)) == BOM + plain.pop(Path(name))
+        assert bom_io == plain_io and bommed == plain
+
+    def prepare(self, vocab, source):
+        return ["prepare-corpus", "--vocab", vocab, "--in", source, "--out", "{d}/c.seqs",
+                "--sentinel-count", "3", "--seq-len", "8", "--min-tail", "1"]
+
+    def transplant(self, vocab, emb, *extra):
+        return ["transplant", "--src-emb", emb, "--src-vocab", vocab, "--tgt-vocab", vocab,
+                "--out", "{d}/out.embt", "--sentinel-count", "3", *extra]
+
+    def test_directory_document(self, tmp_path, vocab_file, capsys):
+        self.runs_alike(tmp_path, capsys, "corpus/a.txt", "red blue",
+                        self.prepare(vocab_file, "{d}/corpus"))
+
+    def test_single_file_corpus(self, tmp_path, vocab_file, capsys):
+        self.runs_alike(tmp_path, capsys, "single.txt", "red blue\n\nsun moon\n",
+                        self.prepare(vocab_file, "{d}/single.txt"))
+
+    def test_vocab(self, tmp_path, capsys):
+        """The first line is a word piece, which a BOM read as text would hide."""
+        single = tmp_path / "single.txt"
+        single.write_text("red blue", encoding="utf-8")
+        tokens = VOCAB_TOKENS[3:4] + VOCAB_TOKENS[:3] + VOCAB_TOKENS[4:]
+        self.runs_alike(tmp_path, capsys, "vocab.txt", "\n".join(tokens) + "\n", [
+            *self.prepare("{d}/vocab.txt", single), "--pad-id", "1", "--eos-id", "2",
+            "--unk-id", "3"])
+
+    def test_config(self, tmp_path, capsys):
+        self.runs_alike(tmp_path, capsys, "run.cfg", "seed = 3\nparams = 1000\n",
+                        ["memplan", "--config", "{d}/run.cfg"])
+
+    def test_dict_file(self, tmp_path, vocab_file, emb_file, capsys):
+        self.runs_alike(tmp_path, capsys, "dict.tsv", "red\tblue\n", self.transplant(
+            vocab_file, emb_file, "--provider", "dict", "--dict-file", "{d}/dict.tsv"))
+
+    def test_cache(self, tmp_path, vocab_file, emb_file, capsys):
+        self.runs_alike(tmp_path, capsys, "cache.tsv", "red\tOK\tblue\n",
+                        self.transplant(vocab_file, emb_file, "--cache", "{d}/cache.tsv"))
+
+    def test_only_one_leading_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "marks.txt"
+        path.write_bytes(BOM + BOM + b"red" + BOM)
+        assert read_text(path) == "\ufeffred\ufeff"

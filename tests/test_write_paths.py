@@ -1,9 +1,12 @@
-"""Every file warmstart writes goes through corpus.replacing.
+"""Every file warmstart writes goes through corpus.replacing, and every text
+input is read through errors.read_text.
 
 Outside the body of `replacing`, a builtin `open()` may only read or append,
 and its mode must be a literal, so a finished artifact never appears half
 written. Calls that open or write files by another name (`os.open`,
-`Path.open`, `write_text`, `write_bytes`) are not allowed at all.
+`Path.open`, `write_text`, `write_bytes`) are not allowed at all. Outside
+the body of `errors.read_text`, a builtin `open()` may not read text, so one
+function decides how a text input is decoded and how a bad byte fails.
 """
 
 import ast
@@ -20,6 +23,16 @@ from warmstart.transplant import EmbeddingMatrix, write_embeddings
 
 SRC = Path(warmstart.__file__).resolve().parent
 WRITING_METHODS = {"open", "write_text", "write_bytes"}
+
+
+def _open_mode(node: ast.Call):
+    """The mode node of a builtin `open()` call (None for the default "r")."""
+    mode = node.args[1] if len(node.args) > 1 else None
+    return next((k.value for k in node.keywords if k.arg == "mode"), mode)
+
+
+def _is_builtin_open(node: ast.Call) -> bool:
+    return isinstance(node.func, ast.Name) and node.func.id == "open"
 
 
 def _is_read_or_append(mode) -> bool:
@@ -41,11 +54,9 @@ class _WriteFinder(ast.NodeVisitor):
             self.generic_visit(node)
 
     def visit_Call(self, node):
-        if isinstance(node.func, ast.Name) and node.func.id == "open":
+        if _is_builtin_open(node):
             self.opens += 1
-            mode = node.args[1] if len(node.args) > 1 else None
-            mode = next((k.value for k in node.keywords if k.arg == "mode"), mode)
-            if not _is_read_or_append(mode):
+            if not _is_read_or_append(_open_mode(node)):
                 self.offences.append(node.lineno)
         elif isinstance(node.func, ast.Attribute) and node.func.attr in WRITING_METHODS:
             self.offences.append(node.lineno)
@@ -88,6 +99,70 @@ def test_guard_allows_reads_and_appends(call):
 
 def test_guard_skips_the_body_of_replacing():
     assert _scan('def replacing(path, mode="wb"):\n    open(path, mode)\n').offences == []
+
+
+def _is_text_read(mode) -> bool:
+    """True for the default "r" and a literal text mode that reads ("r" or
+    "+"). A mode that is not a literal is the write guard's to flag: only the
+    body of `replacing` may have one."""
+    if mode is None:
+        return True
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return False
+    return "b" not in mode.value and bool(set(mode.value) & {"r", "+"})
+
+
+class _TextReadFinder(ast.NodeVisitor):
+    """Builtin `open()` calls that read text, outside the function `exempt`."""
+
+    def __init__(self, exempt):
+        self.exempt = exempt
+        self.offences: list[int] = []
+
+    def visit_FunctionDef(self, node):
+        if node.name != self.exempt:
+            self.generic_visit(node)
+
+    def visit_Call(self, node):
+        if _is_builtin_open(node) and _is_text_read(_open_mode(node)):
+            self.offences.append(node.lineno)
+        self.generic_visit(node)
+
+
+def _text_reads(source: str, module: str) -> list[int]:
+    finder = _TextReadFinder("read_text" if module == "errors.py" else None)
+    finder.visit(ast.parse(source))
+    return finder.offences
+
+
+def test_only_read_text_opens_files_for_reading_text():
+    errors = (SRC / "errors.py").read_text(encoding="utf-8")
+    assert len(_text_reads(errors, "elsewhere.py")) == 1  # the scan sees read_text's open
+    offences = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+                for line in _text_reads(path.read_text(encoding="utf-8"), path.name)]
+    assert offences == []
+
+
+@pytest.mark.parametrize("call", [
+    "open(p)", 'open(p, "r")', 'open(p, "rt", encoding="utf-8")',
+    'open(p, mode="r", newline="")', 'open(p, encoding="utf-8-sig")', 'open(p, "a+")',
+])
+def test_text_guard_flags_text_reads(call):
+    assert _text_reads(f"def load(p):\n    {call}\n", "vocab.py") == [2]
+
+
+@pytest.mark.parametrize("call", [
+    'open(p, "rb")', 'open(p, mode="rb", buffering=0)', 'open(p, "a", encoding="utf-8")',
+    'open(p, mode="ab")',
+])
+def test_text_guard_allows_binary_reads_and_text_appends(call):
+    assert _text_reads(f"def load(p):\n    {call}\n", "vocab.py") == []
+
+
+def test_text_guard_skips_the_body_of_read_text_in_errors_only():
+    source = "def read_text(path):\n    open(path)\n"
+    assert _text_reads(source, "errors.py") == []
+    assert _text_reads(source, "vocab.py") == [2]
 
 
 def _write_cache(path, first):
