@@ -37,7 +37,8 @@ from .corpus import (DEFAULT_MIN_TAIL, DEFAULT_SEQ_LEN, SequenceStoreReader, che
                      store_count, store_writer, write_store)
 from .errors import WarmstartError, WorkerError, read_text
 from .schedule import DEFAULT_PEAK, DEFAULT_WARMUP_STEPS, LrSchedule, check_curve, iter_curve
-from .vocab import DEFAULT_BOUNDARY_MARKER, Vocabulary, load_vocab, tokenize_greedy
+from .vocab import (DEFAULT_BOUNDARY_MARKER, Vocabulary, check_layout, load_vocab,
+                    tokenize_greedy)
 
 # The names taken from the layers that some subcommand never reaches: those
 # that import numpy (batcher, masking, transplant), and memplan and
@@ -220,14 +221,19 @@ def _build_provider(o: dict):
     return IdentityProvider()
 
 
-def _load_vocab(path, o: dict) -> Vocabulary:
-    return load_vocab(path, **{opt.key: o[opt.key] for opt in VOCAB_OPTIONS})
+def _vocab_layout(o: dict) -> dict:
+    """The load_vocab layout keywords, checked so that a bad layout fails
+    before any input is read; the id range needs the vocabulary's size."""
+    layout = {opt.key: o[opt.key] for opt in VOCAB_OPTIONS}
+    check_layout(**layout)
+    return layout
 
 
 def cmd_transplant(o: dict) -> int:
     import json
 
     _bind(".translate", ".transplant")
+    layout = _vocab_layout(o)
     cache_path = o["cache"]
     _check_paths(o, [("--out", o["out"]), ("--report", o["report"]), ("--cache", cache_path)],
                  [("--src-emb", o["src_emb"]), ("--src-vocab", o["src_vocab"]),
@@ -238,8 +244,8 @@ def cmd_transplant(o: dict) -> int:
         table = TranslationTable.load(cache_path, persist=True)
     else:
         table = TranslationTable(persist_path=cache_path)
-    src = _load_vocab(o["src_vocab"], o)
-    tgt = _load_vocab(o["tgt_vocab"], o)
+    src = load_vocab(o["src_vocab"], **layout)
+    tgt = load_vocab(o["tgt_vocab"], **layout)
     src_emb = read_embeddings(o["src_emb"])
 
     specials = tgt.special_ids()
@@ -317,11 +323,12 @@ def _read_documents(input_path, vocab: Vocabulary, workers: int):
 
 def cmd_prepare_corpus(o: dict) -> int:
     seq_len, min_tail = o["seq_len"], o["min_tail"]
-    check_chunking(seq_len, min_tail)  # before any input is read
+    check_chunking(seq_len, min_tail)
+    layout = _vocab_layout(o)  # both before any input is read
     _check_paths(o, _store_files("--out", o["out"]),
                  [("--vocab", o["vocab"]), ("--in", o["input"])])
     workers = resolve_workers()
-    vocab = _load_vocab(o["vocab"], o)
+    vocab = load_vocab(o["vocab"], **layout)
     total = 0
 
     def counted(seqs):
@@ -448,14 +455,15 @@ def cmd_sample_batches(o: dict) -> int:
         raise ConfigError("--out is required with --format binary")
     spec = MaskSpec(rate=o["rate"], mean_span=o["mean_span"], mode=MaskMode(o["mode"]))
     MaskKey(seed, epoch, 0)  # rejects a negative epoch as every draw would
-    plan = plan_accumulation(o["effective_batch"], micro)  # all three before any input is read
+    plan = plan_accumulation(o["effective_batch"], micro)
+    layout = _vocab_layout(o)  # all four before any input is read
     stores = [] if text else [f"{out_path}.{part}.seqs" for part in ("inputs", "targets")]
     outputs = [("--out", out_path)] if text else _store_files("--out", *stores)
     _check_paths(o, outputs + [("--report", report_path)],
                  _store_files("--store", o["store"]) + [("--vocab", o["vocab"])])
     workers = resolve_workers()
 
-    vocab = _load_vocab(o["vocab"], o)
+    vocab = load_vocab(o["vocab"], **layout)
     reader = SequenceStoreReader(o["store"])
 
     order = np.arange(reader.count)

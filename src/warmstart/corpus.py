@@ -16,7 +16,7 @@ import shutil
 import stat
 import struct
 from contextlib import contextmanager, suppress
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import WarmstartError
 
@@ -26,7 +26,7 @@ STORE_VERSION = 1
 
 DEFAULT_SEQ_LEN = 512
 DEFAULT_MIN_TAIL = 16
-WINDOW_RECORDS = 4096  # length prefixes read between releases of the mapping
+WINDOW_RECORDS = 4096  # length prefixes read between drops of the mapped pages
 
 
 class CorpusError(WarmstartError):
@@ -160,17 +160,26 @@ def store_count(path) -> int:
         return _header_count(path, f.read(16), STORE_MAGIC, "sequence store")
 
 
+def _drop_pages(mapping) -> None:
+    """Unmap the pages this process has read of a store mapping; the page
+    cache keeps them. Called after each window of length prefixes, it keeps
+    earlier windows' pages from staying resident while the store opens."""
+    if hasattr(mmap, "MADV_DONTNEED"):
+        mapping.madvise(mmap.MADV_DONTNEED)
+
+
 class SequenceStoreReader:
     """Random and sequential access to a store file.
 
-    Sequence offsets come from the side index when present, checked to chain
-    from the first record through each length prefix to inside the file;
-    otherwise one walk of the length prefixes finds them on first use. Either
-    pass reads the prefixes from the store mapped as u32 words, WINDOW_RECORDS
-    at a time, releasing the mapped pages after each window, and keeps the
-    offsets and lengths in memory. Ids are then read with one pread per
-    sequence, so the store is never resident as a whole: a page fault can map
-    far more of the file than the few words it reads.
+    Opening the store finds every sequence's offset and length once: from
+    the side index when there is one, checked to chain from the first record
+    through each length prefix to inside the file, and otherwise from one
+    walk of the length prefixes. Either pass reads the prefixes from the
+    store mapped as u32 words, WINDOW_RECORDS at a time, dropping the mapped
+    pages after each window, and the mapping is gone once the reader is
+    open, so no worker forked later inherits it. Ids are then read with one
+    pread per sequence, so the store is never resident as a whole: a page
+    fault can map far more of the file than the few words it reads.
 
     The reader's methods import numpy where they use it; the writer needs
     only `struct`, so writing a store never loads numpy.
@@ -184,16 +193,18 @@ class SequenceStoreReader:
         self.path = path
         self._file = open(path, "rb", buffering=0)
         self.count = _header_count(path, self._file.read(16), STORE_MAGIC, "sequence store")
-        self._map = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
-        self._words = np.frombuffer(self._map, dtype="<u4", count=len(self._map) // 4)
-        self._starts: Optional[np.ndarray] = None  # word offset of each length prefix
-        self._lengths: Optional[np.ndarray] = None  # int64, the value of each prefix
-        with suppress(FileNotFoundError):
-            self._load_index(default_index_path(path))
+        # The mapping is unmapped when these locals go; closing it by hand
+        # would fail while a format error's traceback still holds `words`.
+        mapping = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
+        words = np.frombuffer(mapping, dtype="<u4", count=len(mapping) // 4)
+        find = self._check_index if os.path.exists(default_index_path(path)) else self._walk
+        self._starts, self._lengths = find(words, mapping)
 
-    def _load_index(self, path) -> None:
+    def _check_index(self, words, mapping) -> tuple[np.ndarray, np.ndarray]:
+        """Each record's word offset and length (int64), from the side index."""
         import numpy as np
 
+        path = default_index_path(self.path)
         with open(path, "rb") as f:
             raw = f.read()
         count = _header_count(path, raw, INDEX_MAGIC, "store index")
@@ -205,43 +216,37 @@ class SequenceStoreReader:
         offsets = np.frombuffer(raw, "<u8", count=count, offset=16)
         # Each offset must be the end of the record before it (the first
         # record starts at byte 16), and the last record must end in the file.
-        starts, n = offsets // 4, len(self._words)
+        starts, n = offsets // 4, len(words)
         prefixes = np.empty(count, dtype=np.uint32)
         for lo in range(0, count, WINDOW_RECORDS):
             window = slice(lo, lo + WINDOW_RECORDS)
-            prefixes[window] = self._words[np.minimum(starts[window], n - 1)]
-            self.release()
+            prefixes[window] = words[np.minimum(starts[window], n - 1)]
+            _drop_pages(mapping)
         ends = starts + 1 + prefixes
         if count and not (offsets[0] == 16 and ends[-1] <= n
                           and np.array_equal(offsets[1:], 4 * ends[:-1])):
             raise StoreFormatError(f"{path}: stale index, offsets do not chain through the store")
-        self._starts, self._lengths = starts.astype(np.int64), prefixes.astype(np.int64)
+        return starts.astype(np.int64), prefixes.astype(np.int64)
 
-    def _offsets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Word offset and length of every sequence: from the index, or else
-        from one checked walk of the store."""
-        if self._starts is None:
-            import numpy as np
+    def _walk(self, words, mapping) -> tuple[np.ndarray, np.ndarray]:
+        """Each record's word offset and length (int64), from the prefixes."""
+        import numpy as np
 
-            starts = np.empty(self.count, dtype=np.int64)
-            lengths = np.empty(self.count, dtype=np.int64)
-            w, n = 4, len(self._words)
-            for i in range(self.count):
-                if w >= n:
-                    raise StoreFormatError(f"{self.path}: truncated store")
-                starts[i], lengths[i] = w, self._words[w]
-                w += 1 + int(lengths[i])
-                if w > n:
-                    raise StoreFormatError(f"{self.path}: truncated sequence {i}")
-                if i % WINDOW_RECORDS == WINDOW_RECORDS - 1:
-                    self.release()
-            self.release()
-            self._starts, self._lengths = starts, lengths
-        return self._starts, self._lengths
+        starts = np.empty(self.count, dtype=np.int64)
+        lengths = np.empty(self.count, dtype=np.int64)
+        w, n = 4, len(words)
+        for i in range(self.count):
+            if w >= n:
+                raise StoreFormatError(f"{self.path}: truncated store")
+            starts[i], lengths[i] = w, words[w]
+            w += 1 + int(lengths[i])
+            if w > n:
+                raise StoreFormatError(f"{self.path}: truncated sequence {i}")
+            if i % WINDOW_RECORDS == WINDOW_RECORDS - 1:
+                _drop_pages(mapping)
+        return starts, lengths
 
     def read(self, index: int) -> list[int]:
-        if not 0 <= index < self.count:
-            raise IndexError(f"sequence index {index} out of range (count={self.count})")
         return self.gather([index])[0].tolist()
 
     def gather(self, indices) -> tuple[np.ndarray, np.ndarray]:
@@ -251,9 +256,10 @@ class SequenceStoreReader:
         import numpy as np
 
         indices = np.asarray(indices, dtype=np.int64)
-        if len(indices) and not (indices.min() >= 0 and indices.max() < self.count):
-            raise IndexError(f"sequence index out of range (count={self.count})")
-        starts, lengths = (a[indices] for a in self._offsets())
+        bad = indices[(indices < 0) | (indices >= self.count)]
+        if len(bad):
+            raise IndexError(f"sequence index {bad[0]} out of range (count={self.count})")
+        starts, lengths = self._starts[indices], self._lengths[indices]
         ids = np.empty(int(lengths.sum()), dtype="<u4")
         fd, out, pos = self._file.fileno(), memoryview(ids).cast("B"), 0
         for start, n in zip(starts.tolist(), lengths.tolist()):
@@ -261,14 +267,6 @@ class SequenceStoreReader:
                 raise StoreFormatError(f"{self.path}: store changed while open")
             pos += 4 * n
         return ids, lengths
-
-    def release(self) -> None:
-        """Unmap the pages this process has read; the page cache keeps them
-        and later reads map them back in. Called after each window of length
-        prefixes, it keeps earlier windows' pages from staying resident, or
-        being counted again in every worker forked later."""
-        if hasattr(mmap, "MADV_DONTNEED"):
-            self._map.madvise(mmap.MADV_DONTNEED)
 
     def __del__(self):
         if self._file is not None:
@@ -279,4 +277,4 @@ class SequenceStoreReader:
 
     def lengths(self) -> list[int]:
         """Sequence lengths in order, without materializing ids."""
-        return self._offsets()[1].tolist()
+        return self._lengths.tolist()

@@ -27,6 +27,18 @@ class DuplicateTokenError(VocabularyError):
     pass
 
 
+def check_layout(pad_id: int, eos_id: int, unk_id: int, sentinel_count: int,
+                 boundary_marker: str) -> None:
+    """Fail unless the layout is one a vocabulary of some size can hold: the
+    checks that need no tokens, so a bad setting fails before any input."""
+    if len(boundary_marker) != 1:
+        raise VocabularyError("boundary marker must be a single character")
+    if sentinel_count < 0:
+        raise VocabularyError("sentinel_count must be non-negative")
+    if len({pad_id, eos_id, unk_id}) != 3:
+        raise VocabularyError("pad_id, eos_id and unk_id must be distinct")
+
+
 class Vocabulary:
     """Immutable token inventory; every operation on it gives the same output
     for the same input.
@@ -74,10 +86,8 @@ class Vocabulary:
         return match_ids, maxlen, memo
 
     def _validate(self) -> None:
-        if len(self.boundary_marker) != 1:
-            raise VocabularyError("boundary marker must be a single character")
-        if self.sentinel_count < 0:
-            raise VocabularyError("sentinel_count must be non-negative")
+        check_layout(self.pad_id, self.eos_id, self.unk_id, self.sentinel_count,
+                     self.boundary_marker)
         size = len(self.tokens)
         if size < 3 + self.sentinel_count:
             raise VocabularyError(
@@ -92,8 +102,6 @@ class Vocabulary:
                         f"duplicate token {tok!r} at ids {first[tok]} and {i}"
                     )
         specials = (self.pad_id, self.eos_id, self.unk_id)
-        if len(set(specials)) != 3:
-            raise VocabularyError("pad_id, eos_id and unk_id must be distinct")
         first_sentinel = size - self.sentinel_count
         for name, sid in zip(("pad_id", "eos_id", "unk_id"), specials):
             if not 0 <= sid < size:

@@ -46,6 +46,11 @@ class TestAssemble:
         assert pad_cells == 3
         assert padding_stats(batch).input_efficiency == Fraction(12, 15)
 
+    def test_micro_batch_below_1_is_rejected(self):
+        with pytest.raises(BatcherError) as e:
+            assemble([ex(3)], micro=0, pad_id=0)
+        assert str(e.value) == "micro batch size must be positive"
+
     def test_equal_lengths_no_padding(self):
         batch = assemble([ex(4), ex(4)], micro=2, pad_id=0)
         assert padding_stats(batch).combined == 1

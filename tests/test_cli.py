@@ -497,6 +497,42 @@ class TestSampleBatches:
         assert got == [regular.read_bytes()]
 
 
+class TestVocabularyLayout:
+    """A layout that no vocabulary can hold fails before any input is read;
+    an id past the vocabulary needs its size, so it fails once that is read."""
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--boundary-marker", "ab"], "boundary marker must be a single character"),
+        (["--sentinel-count", "-1"], "sentinel_count must be non-negative"),
+        (["--pad-id", "5", "--eos-id", "5"], "pad_id, eos_id and unk_id must be distinct"),
+    ], ids=["marker", "sentinel-count", "ids"])
+    @pytest.mark.parametrize("subcommand", ["prepare-corpus", "sample-batches", "transplant"])
+    def test_bad_layout_fails_before_any_input_is_read(
+        self, subcommand, flags, error, tmp_path, capsys
+    ):
+        missing = str(tmp_path / "missing")
+        inputs = {
+            "prepare-corpus": ["--vocab", missing, "--in", missing,
+                               "--out", str(tmp_path / "c.seqs")],
+            "sample-batches": ["--vocab", missing, "--store", missing],
+            "transplant": ["--src-emb", missing, "--src-vocab", missing, "--tgt-vocab", missing,
+                           "--out", str(tmp_path / "out.embt")],
+        }[subcommand]
+        assert main([subcommand, *inputs, *flags]) == 1
+        assert capsys.readouterr() == ("", f"warmstart: error: VocabularyError: {error}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("pad_id", [14, 99])
+    def test_an_id_past_the_vocabulary_is_one_error_line(self, pad_id, tmp_path, vocab_file,
+                                                         capsys):
+        assert main(["prepare-corpus", "--vocab", str(vocab_file), "--in", str(vocab_file),
+                     "--out", str(tmp_path / "c.seqs"), "--sentinel-count", "3",
+                     "--pad-id", str(pad_id)]) == 1
+        assert capsys.readouterr() == (
+            "", f"warmstart: error: VocabularyError: pad_id={pad_id} out of range for size 14\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
+
+
 class TestNonFiniteOptions:
     @pytest.mark.parametrize("span", ["nan", "inf"])
     def test_nan_mean_span_is_one_error_line(
@@ -766,6 +802,18 @@ class TestRunLog:
             assert fields[1] == "memplan"
             assert any(f.startswith("seed=") for f in fields)
             assert any(f.startswith("config=") for f in fields)
+
+    @pytest.mark.parametrize("log", ["missing/runs.log", "logs"],
+                             ids=["missing directory", "a directory"])
+    def test_a_log_that_cannot_be_written_never_fails_the_run(self, log, tmp_path, capsys):
+        argv = ["lr-curve", "--total", "10", "--warmup", "2"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        (tmp_path / "runs.log").unlink()
+        (tmp_path / "logs").mkdir()
+        assert main([*argv, "--run-log", str(tmp_path / log)]) == 0
+        assert capsys.readouterr() == (expected, "")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["logs"]
 
 
 class TestNonUtf8Input:

@@ -90,8 +90,9 @@ class TestStore:
 
     def test_index_out_of_range(self, tmp_path):
         path = self._write(tmp_path, [[1], [2], [3]])
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError) as e:
             SequenceStoreReader(path).read(3)
+        assert str(e.value) == "sequence index 3 out of range (count=3)"
 
     @pytest.mark.parametrize("indices", [[0, 1, 2], [1, 2], [2, 0, 2], []])
     def test_gather_is_the_reads_concatenated(self, tmp_path, indices):
@@ -100,19 +101,23 @@ class TestStore:
         assert ids.tolist() == [t for i in indices for t in reader.read(i)]
         assert lengths.tolist() == [len(reader.read(i)) for i in indices]
 
-    def test_reads_after_release_are_unchanged(self, tmp_path):
-        reader = SequenceStoreReader(self._write(tmp_path, [[1, 2, 3], [4, 5], [6]]))
-        ids, _ = reader.gather([2, 0])
-        reader.release()
-        assert ids.tolist() == [6, 1, 2, 3]
-        assert reader.gather([2, 0])[0].tolist() == [6, 1, 2, 3]
-        assert list(reader) == [[1, 2, 3], [4, 5], [6]]
-
     @pytest.mark.parametrize("index", [-1, 3])
     def test_gather_out_of_range(self, tmp_path, index):
         reader = SequenceStoreReader(self._write(tmp_path, [[1], [2], [3]]))
-        with pytest.raises(IndexError):
-            reader.gather([0, index])
+        with pytest.raises(IndexError) as e:
+            reader.gather([0, index, 5])
+        assert str(e.value) == f"sequence index {index} out of range (count=3)"
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+    @pytest.mark.parametrize("index", [True, False], ids=["index", "walk"])
+    def test_an_open_reader_keeps_no_mapping_of_the_store(self, tmp_path, index):
+        path = self._write(tmp_path, [[1, 2, 3], [4, 5], [6]])
+        if not index:
+            Path(default_index_path(path)).unlink()
+        reader = SequenceStoreReader(path)
+        with open("/proc/self/maps") as f:
+            assert str(path.resolve()) not in f.read()
+        assert reader.lengths() == [3, 2, 1]
 
     def test_empty_store_readable(self, tmp_path):
         path = self._write(tmp_path, [])
@@ -318,20 +323,14 @@ class TestStoreWriter:
         assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("access", ["lengths", "iterate", "read without index"])
-def test_store_cut_mid_payload_is_rejected(tmp_path, access):
+def test_store_cut_mid_payload_is_rejected_when_it_opens(tmp_path):
     path = tmp_path / "c.seqs"
     write_store([[1, 2], [3, 4, 5]], path)
     path.write_bytes(path.read_bytes()[:-6])  # the last sequence loses 1.5 ids
     (tmp_path / "c.seqs.idx").unlink()
-    reader = SequenceStoreReader(path)
-    with pytest.raises(StoreFormatError, match="truncated"):
-        if access == "lengths":
-            reader.lengths()
-        elif access == "iterate":
-            list(reader)
-        else:
-            reader.read(0)
+    with pytest.raises(StoreFormatError) as e:
+        SequenceStoreReader(path)
+    assert str(e.value) == f"{path}: truncated sequence 1"
 
 
 # Opens a store, reads its lengths, gathers every sequence 16 at a time in

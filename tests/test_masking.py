@@ -272,6 +272,13 @@ class TestCorruptBatch:
         assert batch == reference
         assert batch[0] is SentinelBudgetError
 
+    def test_an_empty_batch_is_rejected(self, sentinel_vocab, tmp_path):
+        write_store([[3, 4, 5]], tmp_path / "s.seqs")
+        reader = SequenceStoreReader(tmp_path / "s.seqs")
+        with pytest.raises(MaskingError) as e:
+            corrupt_batch(reader, [], MaskSpec(), 1, 0, sentinel_vocab)
+        assert str(e.value) == "a batch needs at least one sequence"
+
     def test_lengths_give_what_padding_stats_reads(self, sentinel_vocab):
         with tempfile.TemporaryDirectory() as tmp:
             store = Path(tmp) / "s.seqs"

@@ -480,3 +480,9 @@ def test_readme_library_use_runs(marker, tmp_path, monkeypatch, capsys):
     assert np.array_equal(warm.data[3], src.data[3])  # hus -> house -> marker + "house"
     out = capsys.readouterr().out
     assert "'translated_count': 1," in out and "'bypassed_count': 1," in out
+    cache = (tmp_path / "translations.tsv").read_bytes()
+    assert cache == b"42\tFAIL\t42\nhus\tOK\thouse\n"
+    exec(compile(code, str(README), "exec"), {})  # a rerun reads the cache it left
+    assert (tmp_path / "translations.tsv").read_bytes() == cache
+    assert read_embeddings(tmp_path / "warm.embt").data.tobytes() == warm.data.tobytes()
+    assert capsys.readouterr().out == out
