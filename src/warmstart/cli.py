@@ -100,9 +100,9 @@ def _check_paths(o: dict, outputs, inputs) -> None:
             written[real] = flag
 
 
-def _store_files(flag: str, *stores) -> list:
-    """Each store and its side index, as _check_paths entries."""
-    return [(flag, p) for s in stores if s is not None for p in (s, default_index_path(s))]
+def _store_files(flag: str, store) -> list:
+    """A store and its side index, as _check_paths entries; none for None."""
+    return [] if store is None else [(flag, store), (flag, default_index_path(store))]
 
 
 def per_second(raw: str) -> float:
@@ -177,7 +177,7 @@ SAMPLE_BATCHES_OPTIONS = VOCAB_OPTIONS + (
     Option("--effective-batch", 128, int),
     Option("--sort-by-length", False, parse_bool),
     Option("--format", "text", choices=("text", "binary")),
-    Option("--out", help="text path, or base path for binary stores"),
+    Option("--out", help="text path, or the pair store for --format binary"),
     Option("--report", help="per-batch efficiency lines"),
 )
 
@@ -382,12 +382,7 @@ class _Decimals:
         return "".join(lines)
 
 
-_worker_fn = None
-
-
-def _set_worker_fn(fn) -> None:
-    global _worker_fn
-    _worker_fn = fn
+_worker_fn = None  # the function of the pool being forked, see _ordered_map
 
 
 def _call_worker_fn(item):
@@ -426,8 +421,9 @@ def _ordered_map(fn, items: list, workers: int):
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               initializer=_set_worker_fn, initargs=(fn,))
+    global _worker_fn
+    _worker_fn = fn
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
     try:
         todo = iter(rest)
         pending = deque(pool.submit(_call_worker_fn, item) for item in islice(todo, 2 * workers))
@@ -439,6 +435,7 @@ def _ordered_map(fn, items: list, workers: int):
         raise WorkerError("a worker process died (killed, or out of memory?)") from None
     finally:
         pool.shutdown(cancel_futures=True)
+        _worker_fn = None
 
 
 def cmd_sample_batches(o: dict) -> int:
@@ -457,8 +454,7 @@ def cmd_sample_batches(o: dict) -> int:
     MaskKey(seed, epoch, 0)  # rejects a negative epoch as every draw would
     plan = plan_accumulation(o["effective_batch"], micro)
     layout = _vocab_layout(o)  # all four before any input is read
-    stores = [] if text else [f"{out_path}.{part}.seqs" for part in ("inputs", "targets")]
-    outputs = [("--out", out_path)] if text else _store_files("--out", *stores)
+    outputs = [("--out", out_path)] if text else _store_files("--out", out_path)
     _check_paths(o, outputs + [("--report", report_path)],
                  _store_files("--store", o["store"]) + [("--vocab", o["vocab"])])
     workers = resolve_workers()
@@ -516,7 +512,7 @@ def cmd_sample_batches(o: dict) -> int:
             out = sys.stdout if out_path is None else files.enter_context(
                 replacing(out_path, "w", encoding="utf-8"))
         else:
-            append_in, append_tgt = (files.enter_context(store_writer(s)) for s in stores)
+            append = files.enter_context(store_writer(out_path))
         if report_path is not None:
             report = files.enter_context(replacing(report_path, "w", encoding="utf-8"))
         results = files.enter_context(closing(_ordered_map(render_run, runs, workers)))
@@ -529,9 +525,10 @@ def cmd_sample_batches(o: dict) -> int:
             if text:
                 out.write(rows)
             else:
-                for append, ids, lengths in ((append_in, rows.inputs, rows.input_lengths),
-                                             (append_tgt, rows.targets, rows.target_lengths)):
-                    append(np.split(ids.astype("<u4"), np.cumsum(lengths)[:-1]))
+                inputs, targets = (np.split(ids.astype("<u4"), np.cumsum(lengths)[:-1])
+                                   for ids, lengths in ((rows.inputs, rows.input_lengths),
+                                                        (rows.targets, rows.target_lengths)))
+                append(chain.from_iterable(zip(inputs, targets)))  # record 2i+1 is row i's target
             real_cells += real
             total_cells += total
 

@@ -154,10 +154,22 @@ def _header_count(path, header: bytes, magic: bytes, kind: str) -> int:
     return count
 
 
+def _store_header(path, f) -> int:
+    """The sequence count in the store header at the start of `f`. Each
+    record takes at least its u32 length prefix, so a regular file too short
+    for the count is a truncated store; a pipe is read no further."""
+    count = _header_count(path, f.read(16), STORE_MAGIC, "sequence store")
+    st = os.fstat(f.fileno())
+    if stat.S_ISREG(st.st_mode) and count > (st.st_size - 16) // 4:
+        raise StoreFormatError(f"{path}: truncated store")
+    return count
+
+
 def store_count(path) -> int:
-    """The sequence count in a store's 16-byte header; nothing else is read."""
+    """The sequence count in a store's 16-byte header, bounded by the size
+    of a regular file; nothing else is read."""
     with open(path, "rb") as f:
-        return _header_count(path, f.read(16), STORE_MAGIC, "sequence store")
+        return _store_header(path, f)
 
 
 def _drop_pages(mapping) -> None:
@@ -192,7 +204,7 @@ class SequenceStoreReader:
 
         self.path = path
         self._file = open(path, "rb", buffering=0)
-        self.count = _header_count(path, self._file.read(16), STORE_MAGIC, "sequence store")
+        self.count = _store_header(path, self._file)
         # The mapping is unmapped when these locals go; closing it by hand
         # would fail while a format error's traceback still holds `words`.
         mapping = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)

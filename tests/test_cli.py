@@ -381,13 +381,12 @@ class TestSampleBatches:
         assert indices == sorted(range(len(lengths)), key=lambda i: lengths[i])
 
     def test_binary_output(self, tmp_path, corpus_store, vocab_file):
-        base = tmp_path / "bat"
-        assert self._run(corpus_store, vocab_file, base, extra=("--format", "binary")) == 0
-        inputs = SequenceStoreReader(f"{base}.inputs.seqs")
-        targets = SequenceStoreReader(f"{base}.targets.seqs")
-        assert inputs.count == targets.count == 4
+        out = tmp_path / "bat"
+        assert self._run(corpus_store, vocab_file, out, extra=("--format", "binary")) == 0
+        pairs = SequenceStoreReader(out)
+        assert pairs.count == 2 * 4
         eos = 1
-        for seq in inputs:
+        for seq in pairs:  # inputs and targets alike end in eos
             assert seq[-1] == eos
 
     def test_report_stream(self, tmp_path, corpus_store, vocab_file):
@@ -575,7 +574,7 @@ class TestOutputCollisions:
             "out-is-store": [*batches, "--out", str(corpus_store)],
             "binary-report-is-an-output-index": [
                 *batches, "--format", "binary", "--out", str(tmp_path / "b"),
-                "--report", str(tmp_path / "b.targets.seqs.idx")],
+                "--report", str(tmp_path / "b.idx")],
             "report-is-cache": [
                 "transplant", "--src-emb", str(emb_file), "--src-vocab", str(vocab_file),
                 "--tgt-vocab", str(vocab_file), "--sentinel-count", "3",
@@ -674,6 +673,30 @@ class TestLrCurve:
             out, err = capsys.readouterr()
             assert out == ""
             assert err == f"warmstart: error: ScheduleError: {error}\n"
+
+
+@pytest.mark.parametrize("command", ["stats", "sample-batches", "lr-curve"])
+def test_a_header_count_the_file_cannot_hold_is_one_error_line(
+    command, tmp_path, vocab_file, capsys
+):
+    """A 24-byte store, with no index, whose header claims 2**61 sequences:
+    every record takes at least its 4-byte length prefix, so the file holds
+    at most 2. lr-curve's stride makes a run that trusts the header end."""
+    store = tmp_path / "lying.seqs"
+    store.write_bytes(b"SEQS" + struct.pack("<IQ", 1, 2**61) + struct.pack("<2I", 1, 5))
+    argv = {
+        "stats": ["stats", "--store", str(store)],
+        "sample-batches": ["sample-batches", "--store", str(store), "--vocab", str(vocab_file),
+                           "--sentinel-count", "3"],
+        "lr-curve": ["lr-curve", "--store", str(store), "--stride", str(10**18),
+                     "--out", str(tmp_path / "c.csv")],
+    }[command]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"warmstart: error: StoreFormatError: {store}: truncated store\n"
+    assert sorted(tmp_path.iterdir()) == before  # no output and no temp file
 
 
 LR_CURVE_PEAK_CHILD = """

@@ -17,6 +17,7 @@ from warmstart.corpus import (
     StoreFormatError,
     chunk_corpus,
     default_index_path,
+    store_count,
     store_writer,
     write_store,
 )
@@ -226,6 +227,28 @@ class TestStore:
         with pytest.raises(StoreFormatError) as e:
             SequenceStoreReader(path).lengths()
         assert str(e.value) == f"{path}: truncated store"
+
+    def test_header_count_is_bounded_by_the_file_size(self, tmp_path):
+        # Two records take 20 bytes after the header: room for 5 length prefixes at most.
+        path = self._write(tmp_path, [[1, 2], [3]])
+        records = path.read_bytes()[16:]
+        path.write_bytes(b"SEQS" + struct.pack("<IQ", 1, 5) + records)
+        assert store_count(path) == 5
+        path.write_bytes(b"SEQS" + struct.pack("<IQ", 1, 6) + records)
+        for read_count in (store_count, SequenceStoreReader):  # the index is never read
+            with pytest.raises(StoreFormatError) as e:
+                read_count(path)
+            assert str(e.value) == f"{path}: truncated store"
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_store_count_of_a_pipe_reads_the_header_alone(self):
+        r, w = os.pipe()
+        os.write(w, b"SEQS" + struct.pack("<IQ", 1, 7))
+        os.close(w)
+        try:
+            assert store_count(f"/dev/fd/{r}") == 7
+        finally:
+            os.close(r)
 
     def test_store_cut_after_opening_changed_while_open(self, tmp_path):
         path = self._write(tmp_path, [[1, 2], [3]])

@@ -5,7 +5,9 @@ wrote; they were computed before the CLI options moved into declarative
 tables (the big-corpus ones before prepare-corpus tokenized on workers),
 so a refactor that changes any byte of any artifact fails here. The
 sample-* ids were re-pinned once, deliberately, when version 0.2.0 changed
-the mask stream to SHAKE-128 keys; lengths and reports did not change.
+the mask stream to SHAKE-128 keys; lengths and reports did not change. The
+sample-*-binary files were re-pinned when version 0.4.0 wrote the inputs and
+targets as one store of record pairs.
 Temporary directory paths are replaced by `<tmp>` before stdout is hashed.
 The option set each subcommand's parser accepts is pinned the same way.
 """
@@ -81,9 +83,7 @@ def collect_digests(tmp) -> dict[str, str]:
         out = tmp / f"bin{epoch}"
         run(f"sample-binary-e{epoch}", [
             *base, "--epoch", epoch, "--format", "binary", "--out", out,
-        ], [tmp / f"bin{epoch}.{part}" for part in (
-            "inputs.seqs", "inputs.seqs.idx", "targets.seqs", "targets.seqs.idx",
-        )])
+        ], [out, tmp / f"bin{epoch}.idx"])
     run("sample-stdout-iid-sorted", [
         *base, "--mode", "iid", "--rate", 0.3, "--sort-by-length",
     ])
@@ -167,9 +167,8 @@ def _sample_big_store(tmp, vocab, run):
     run("sample-big-text", [*base, "--out", text, "--report", report], [text, report])
     run("sample-big-stdout", base)
     out = tmp / "bigbin"
-    run("sample-big-binary", [*base, "--format", "binary", "--out", out], [
-        tmp / f"bigbin.{part}" for part in (
-            "inputs.seqs", "inputs.seqs.idx", "targets.seqs", "targets.seqs.idx")])
+    run("sample-big-binary", [*base, "--format", "binary", "--out", out],
+        [out, tmp / "bigbin.idx"])
     run("sample-big-sorted", [*base, "--sort-by-length", "--report", report], [report])
 
 
@@ -224,28 +223,22 @@ GOLDEN = {
     'sample-text-e0:e0.tsv': '408e65eafd3956167a4c89fc7502c0f8906de17039271dc09cad7373076ae793',
     'sample-text-e0:e0.eff': '83cc16c2fb0a879a949832b8a2b681ce0bb459c761d0e0c4aea8eaf165235449',
     'sample-binary-e0:stdout': '863696cfe8def6edf89512220267f6a6ec78e6157493dc15ef91089469b61c95',
-    'sample-binary-e0:bin0.inputs.seqs': 'a33dd3c42a5a032e3c461485df36664415210f2e0eae913cf9c90796166caa5f',
-    'sample-binary-e0:bin0.inputs.seqs.idx': '668ba465e8d9600cd7d6d952094a4c8ec7b56f0d8fdbcd5be46031f4b22cdb9d',
-    'sample-binary-e0:bin0.targets.seqs': '2d0a27c80b24f66e2c72373b54f7d26bff217a794a466e7b19102ac76cfb94a4',
-    'sample-binary-e0:bin0.targets.seqs.idx': '03dce5ae621defab08b925e7a0443ab7c2be165274ea201c82cf8042c6907b34',
+    'sample-binary-e0:bin0': '51d8878956dae05d0f980864fd606968debc27e20fc0b697fb5fddb9d748c3b5',
+    'sample-binary-e0:bin0.idx': '8ca7ddbf0d72cdfb36ea6a4b63ba27502b0655fd9407d966ce7c6acc0992bce6',
     'sample-text-e1:stdout': '1c1e8ae30686851584688e00d34d70449a5d213a0f28ad0c60e7c82ac4922ab7',
     'sample-text-e1:e1.tsv': '32128c1a6d3dba21648d42d2a86f7400a23075217c700611c65ebb24727f2792',
     'sample-text-e1:e1.eff': '83cc16c2fb0a879a949832b8a2b681ce0bb459c761d0e0c4aea8eaf165235449',
     'sample-binary-e1:stdout': '1c1e8ae30686851584688e00d34d70449a5d213a0f28ad0c60e7c82ac4922ab7',
-    'sample-binary-e1:bin1.inputs.seqs': '5401459de8a8a43255b6411e99068fcb74e82138f2fbde091b716a455ee5f284',
-    'sample-binary-e1:bin1.inputs.seqs.idx': '668ba465e8d9600cd7d6d952094a4c8ec7b56f0d8fdbcd5be46031f4b22cdb9d',
-    'sample-binary-e1:bin1.targets.seqs': '8e13fff50be00b2b814c6ba3cb6783fa6b1736d063fce0146b7b7630f2b5d7f8',
-    'sample-binary-e1:bin1.targets.seqs.idx': '03dce5ae621defab08b925e7a0443ab7c2be165274ea201c82cf8042c6907b34',
+    'sample-binary-e1:bin1': 'f0fb44076d59e9a6e1eac636a93cc0b5e15227b84f010d14fbd090b588343f54',
+    'sample-binary-e1:bin1.idx': '8ca7ddbf0d72cdfb36ea6a4b63ba27502b0655fd9407d966ce7c6acc0992bce6',
     'sample-stdout-iid-sorted:stdout': '724321dd7cc3f81f162d6f20dd63256559b122396a34be698429bc3f45fe241e',
     'sample-big-text:stdout': '3afa6663d66c0a649720dc074cd6b4374bbfb7ea860b9a761443eed8ab7def10',
     'sample-big-text:big.tsv': '22e25914c020cf5820bc2bca614a0ee6df732f60d9e73a567e27df656635c0ec',
     'sample-big-text:big.eff': '51f4d0ebfe1eeef4339a8bad9f0969296e901f50fdcc4857c7cf0e16b147f151',
     'sample-big-stdout:stdout': 'ef50c34b76cbd1c3160be6823d8d87bcca8bd8a7239240a18669fcc236b72eca',
     'sample-big-binary:stdout': '3afa6663d66c0a649720dc074cd6b4374bbfb7ea860b9a761443eed8ab7def10',
-    'sample-big-binary:bigbin.inputs.seqs': '6845326f89e063952eb178255b26df63f5ff5c14da1ffa7e95669eeed417c7a3',
-    'sample-big-binary:bigbin.inputs.seqs.idx': '34e494a0fae1fd59c27622971f34ed556450382fc26745fbf480b7380916de49',
-    'sample-big-binary:bigbin.targets.seqs': 'd2fef7279843b7d34ea2ad47bf5dd6746e961f19cdaafb4309e44221f7c37f91',
-    'sample-big-binary:bigbin.targets.seqs.idx': '14e0b5aabbab15a192e242131623cdf8f7d474a4141af42151421ed67060b4b8',
+    'sample-big-binary:bigbin': 'b4c118af289cd40a4cea626f652f88957938237e7cff652007779572c6ee4b1b',
+    'sample-big-binary:bigbin.idx': '61ccb0ec67e64edc2f218a383206d01683608e8c110f51ce2ad1696e9b98fe92',
     'sample-big-sorted:stdout': 'a39e5dd1e4bf6ca9cde5387ab3e5ae8a387104755aa94355ba20fd71239538ac',
     'sample-big-sorted:big.eff': 'b775544635a1c88e9b3a96be348a4d5b681a3ba993a60467d7f491785def797e',
     'transplant-identity:stdout': '79e6ed72815a1ed79c318c977d4d471fe01f8843f6c1036c21e7969794ef4cee',

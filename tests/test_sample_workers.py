@@ -146,15 +146,17 @@ def test_a_worker_that_dies_is_one_error_line_and_writes_no_files(
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("sort", [[], ["--sort-by-length"]])
 def test_binary_stores_hold_the_rows_of_the_text_output(tmp_path, vocab, big_store, workers, sort):
+    """Records 2i and 2i+1 are the input and target of the text output's line i."""
     argv = [*BASE, "--store", big_store, "--vocab", vocab, *sort]
     for extra in (["--out", "b.tsv"], ["--format", "binary", "--out", "bin"]):
         proc = cli(tmp_path, *argv, *extra, workers=workers)
         assert proc.returncode == 0, proc.stderr
     lines = (tmp_path / "b.tsv").read_text(encoding="utf-8").splitlines()
-    for side, part in ((1, "inputs"), (2, "targets")):
-        stored = list(SequenceStoreReader(tmp_path / f"bin.{part}.seqs"))
-        assert stored == [list(map(int, line.split("\t")[side].split())) for line in lines]
+    expected = [list(map(int, field.split())) for line in lines for field in line.split("\t")[1:]]
+    assert list(SequenceStoreReader(tmp_path / "bin")) == expected
     assert len(lines) == SequenceStoreReader(big_store).count
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("bin")) == [
+        "bin", "bin.idx"]
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "x"])
@@ -239,9 +241,8 @@ def test_an_empty_store_is_an_empty_epoch(tmp_path, vocab, capsys, case, monkeyp
     assert out[1] == "batches=0 sequences=0 epoch=0 mode=span seed=9"
     if case == "binary":
         empty = struct.pack("<IQ", STORE_VERSION, 0)
-        for part in ("inputs", "targets"):
-            assert (tmp_path / f"bin.{part}.seqs").read_bytes() == b"SEQS" + empty
-            assert (tmp_path / f"bin.{part}.seqs.idx").read_bytes() == b"SEQI" + empty
+        assert (tmp_path / "bin").read_bytes() == b"SEQS" + empty
+        assert (tmp_path / "bin.idx").read_bytes() == b"SEQI" + empty
     elif extra:
         assert extra[1].read_bytes() == b""
 
