@@ -5,7 +5,8 @@ stats. Each subcommand's options are declared once, in a table of `Option`
 rows. Every value resolves the same way: command-line flag, then a
 `key = value` config file (--config), then the row's environment variable
 (--seed and --run-log have one), then the row's default. Errors exit 1 with
-a single machine-parsable line on stderr; bad flags are usage errors (exit 2).
+a single machine-parsable line on stderr, and SIGTERM exits 143 the same way
+once temp files are removed; bad flags are usage errors (exit 2).
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import signal
 import sys
+import threading
 from array import array
 from collections import Counter, deque
 from contextlib import ExitStack, closing
@@ -35,7 +38,7 @@ from .config import (
 from .corpus import (DEFAULT_MIN_TAIL, DEFAULT_SEQ_LEN, SequenceStoreReader, check_chunking,
                      chunk_corpus, default_index_path, is_special_file, replacing,
                      store_count, store_writer, write_store)
-from .errors import WarmstartError, WorkerError, read_text
+from .errors import Terminated, WarmstartError, WorkerError, read_text
 from .schedule import DEFAULT_PEAK, DEFAULT_WARMUP_STEPS, LrSchedule, check_curve, iter_curve
 from .vocab import (DEFAULT_BOUNDARY_MARKER, Vocabulary, check_layout, load_vocab,
                     tokenize_greedy)
@@ -462,7 +465,7 @@ def cmd_sample_batches(o: dict) -> int:
     vocab = load_vocab(o["vocab"], **layout)
     reader = SequenceStoreReader(o["store"])
 
-    order = np.arange(reader.count)
+    order = range(reader.count)
     if o["sort_by_length"]:
         order = np.argsort(reader.lengths(), kind="stable")  # ties keep store order
     decimals = _Decimals(vocab.size) if text else None
@@ -470,7 +473,7 @@ def cmd_sample_batches(o: dict) -> int:
     def render(run: range):
         """The micro-batches of a run, corrupted at once: their text or rows,
         report lines, and real and total cells."""
-        indices = order[run.start * micro : run.stop * micro].tolist()
+        indices = order[run.start * micro : run.stop * micro]
         batch = corrupt_batch(reader, indices, spec, seed, epoch, vocab)
         lines, total = [], 0
         for b, part in zip(run, batch.split(micro)):
@@ -719,15 +722,28 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    pid = os.getpid()
+
+    def terminate(signum, frame):
+        if os.getpid() != pid:  # a forked worker exits at once, as with no handler
+            os._exit(128 + signum)
+        raise Terminated("stopped by SIGTERM")
+
+    previous = None  # only the main thread can set a handler
+    if threading.current_thread() is threading.main_thread():
+        previous = signal.signal(signal.SIGTERM, terminate)
     try:
         cfg = {} if args.config is None else parse_config_file(args.config, CONFIG_KEYS)
         values = resolve_options(args.options, args, cfg)
         code = args.func(values)
         append_run_log(args.subcommand, values)
         return code
-    except (WarmstartError, OSError) as e:
+    except (WarmstartError, OSError, Terminated) as e:
         print(f"warmstart: error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+        return 128 + signal.SIGTERM if isinstance(e, Terminated) else 1
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 Documents are split into consecutive fixed-length chunks of ids that never
 cross a document boundary; a short final tail is kept only when it reaches
 min_tail. Sequences are persisted as plain id sequences in a length-prefixed
-binary store with a side index of byte offsets at `<store>.idx` for O(1)
-reads. Every artifact writer in warmstart opens its target through
-`replacing`, so a file appears only whole.
+binary store with a side index of byte offsets at `<store>.idx`, which a
+reader loads once as its offset table. Every artifact writer in warmstart
+opens its target through `replacing`, so a file appears only whole.
 """
 
 from __future__ import annotations
@@ -183,18 +183,18 @@ def _drop_pages(mapping) -> None:
 class SequenceStoreReader:
     """Random and sequential access to a store file.
 
-    Opening the store finds every sequence's offset and length once: from
-    the side index when there is one, checked to chain from the first record
-    through each length prefix to inside the file, and otherwise from one
-    walk of the length prefixes. Either pass reads the prefixes from the
-    store mapped as u32 words, WINDOW_RECORDS at a time, dropping the mapped
-    pages after each window, and the mapping is gone once the reader is
-    open, so no worker forked later inherits it. Ids are then read with one
-    pread per sequence, so the store is never resident as a whole: a page
-    fault can map far more of the file than the few words it reads.
-
-    The reader's methods import numpy where they use it; the writer needs
-    only `struct`, so writing a store never loads numpy.
+    The reader's one per-sequence array is its offset table: `count + 1` u64
+    byte offsets, entry i where record i's length prefix starts and the last
+    where the last record ends. Opening the store reads it from the side
+    index, checked to chain from byte 16 through each length prefix to
+    inside the file, or else fills it by one walk of the prefixes. Either
+    pass reads the prefixes from the store mapped as u32 words,
+    WINDOW_RECORDS at a time, dropping the mapped pages after each window,
+    and the mapping is gone once the reader is open, so no worker forked
+    later inherits it. Ids are then read with one pread per sequence, so the
+    store is never resident as a whole: a page fault can map far more of the
+    file than the few words it reads. The reader's methods import numpy
+    where they use it; the writer needs only `struct`.
     """
 
     _file = None  # until __init__ opens the store
@@ -210,53 +210,51 @@ class SequenceStoreReader:
         mapping = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
         words = np.frombuffer(mapping, dtype="<u4", count=len(mapping) // 4)
         find = self._check_index if os.path.exists(default_index_path(path)) else self._walk
-        self._starts, self._lengths = find(words, mapping)
+        self._offsets = find(words, mapping)
 
-    def _check_index(self, words, mapping) -> tuple[np.ndarray, np.ndarray]:
-        """Each record's word offset and length (int64), from the side index."""
+    def _check_index(self, words, mapping) -> np.ndarray:
+        """The offset table, read from the side index. It stays unsigned: an
+        offset of 2**63 or more read as int64 would index `words` from the end."""
         import numpy as np
 
-        path = default_index_path(self.path)
+        path, n = default_index_path(self.path), len(words)
         with open(path, "rb") as f:
-            raw = f.read()
-        count = _header_count(path, raw, INDEX_MAGIC, "store index")
-        if count != self.count:
-            raise StoreFormatError(f"{path}: index holds {count} offsets but store has "
-                                   f"{self.count} sequences")
-        if len(raw) < 16 + 8 * count:
-            raise StoreFormatError(f"{path}: truncated index")
-        offsets = np.frombuffer(raw, "<u8", count=count, offset=16)
-        # Each offset must be the end of the record before it (the first
-        # record starts at byte 16), and the last record must end in the file.
-        starts, n = offsets // 4, len(words)
-        prefixes = np.empty(count, dtype=np.uint32)
+            count = _header_count(path, f.read(16), INDEX_MAGIC, "store index")
+            if count != self.count:
+                raise StoreFormatError(f"{path}: index holds {count} offsets but store has "
+                                       f"{self.count} sequences")
+            table = np.full(count + 1, 16, dtype="<u8")  # an empty store ends at byte 16
+            if f.readinto(table[:-1]) != 8 * count:
+                raise StoreFormatError(f"{path}: truncated index")
         for lo in range(0, count, WINDOW_RECORDS):
-            window = slice(lo, lo + WINDOW_RECORDS)
-            prefixes[window] = words[np.minimum(starts[window], n - 1)]
+            hi = min(lo + WINDOW_RECORDS, count)
+            starts = table[lo:hi]
+            ends = starts + 4 + 4 * words[np.minimum(starts // 4, n - 1)].astype(np.uint64)
             _drop_pages(mapping)
-        ends = starts + 1 + prefixes
-        if count and not (offsets[0] == 16 and ends[-1] <= n
-                          and np.array_equal(offsets[1:], 4 * ends[:-1])):
-            raise StoreFormatError(f"{path}: stale index, offsets do not chain through the store")
-        return starts.astype(np.int64), prefixes.astype(np.int64)
+            if hi == count:
+                table[-1] = ends[-1]  # the last record's end, by its prefix
+            if not (table[0] == 16 and np.all(ends <= 4 * n)
+                    and np.array_equal(table[lo + 1 : hi + 1], ends)):
+                raise StoreFormatError(f"{path}: stale index, offsets do not chain through the store")
+        return table
 
-    def _walk(self, words, mapping) -> tuple[np.ndarray, np.ndarray]:
-        """Each record's word offset and length (int64), from the prefixes."""
+    def _walk(self, words, mapping) -> np.ndarray:
+        """The offset table, from one walk of the length prefixes."""
         import numpy as np
 
-        starts = np.empty(self.count, dtype=np.int64)
-        lengths = np.empty(self.count, dtype=np.int64)
-        w, n = 4, len(words)
+        table = np.empty(self.count + 1, dtype="<u8")
+        table[0] = w = 16
+        end = 4 * len(words)
         for i in range(self.count):
-            if w >= n:
+            if w >= end:
                 raise StoreFormatError(f"{self.path}: truncated store")
-            starts[i], lengths[i] = w, words[w]
-            w += 1 + int(lengths[i])
-            if w > n:
+            w += 4 + 4 * int(words[w // 4])
+            if w > end:
                 raise StoreFormatError(f"{self.path}: truncated sequence {i}")
+            table[i + 1] = w
             if i % WINDOW_RECORDS == WINDOW_RECORDS - 1:
                 _drop_pages(mapping)
-        return starts, lengths
+        return table
 
     def read(self, index: int) -> list[int]:
         return self.gather([index])[0].tolist()
@@ -271,11 +269,12 @@ class SequenceStoreReader:
         bad = indices[(indices < 0) | (indices >= self.count)]
         if len(bad):
             raise IndexError(f"sequence index {bad[0]} out of range (count={self.count})")
-        starts, lengths = self._starts[indices], self._lengths[indices]
+        starts = self._offsets[indices]
+        lengths = (self._offsets[indices + 1] - starts).astype(np.int64) // 4 - 1
         ids = np.empty(int(lengths.sum()), dtype="<u4")
         fd, out, pos = self._file.fileno(), memoryview(ids).cast("B"), 0
         for start, n in zip(starts.tolist(), lengths.tolist()):
-            if os.preadv(fd, [out[pos : pos + 4 * n]], 4 * start + 4) != 4 * n:
+            if os.preadv(fd, [out[pos : pos + 4 * n]], start + 4) != 4 * n:
                 raise StoreFormatError(f"{self.path}: store changed while open")
             pos += 4 * n
         return ids, lengths
@@ -289,4 +288,4 @@ class SequenceStoreReader:
 
     def lengths(self) -> list[int]:
         """Sequence lengths in order, without materializing ids."""
-        return self._lengths.tolist()
+        return ((self._offsets[1:] - self._offsets[:-1]) // 4 - 1).tolist()

@@ -14,6 +14,13 @@ class WorkerError(WarmstartError):
     """A worker process that died, such as one the kernel killed for memory."""
 
 
+class Terminated(BaseException):
+    """SIGTERM, raised in the CLI's process. Like KeyboardInterrupt it is no
+    Exception, so nothing that handles a failure catches it, and every
+    `finally` on the way out runs, removing the temp files of unwritten
+    outputs."""
+
+
 def read_text(path, newline=None) -> str:
     """The whole of `path` decoded as UTF-8, with `newline` as `open` takes
     it and one leading byte-order mark dropped; a byte that is not UTF-8

@@ -188,6 +188,7 @@ class TestStore:
         (16, 33, 44),  # not on a word boundary
         (20, 32, 44),  # not starting at the first record
         (16, 32, 4000),  # past the end of the file
+        (16, 2**63 + 32, 44),  # negative as int64, so it would index from the end
     ])
     def test_same_count_stale_index_rejected(self, tmp_path, offsets):
         path = self._write(tmp_path, [[1, 9, 4], [5, 6], [7]])
@@ -392,3 +393,38 @@ def test_reading_a_whole_store_keeps_few_pages_resident(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < size / 4
+
+
+# Opens a store, gathers every sequence 4,096 at a time in store order, and
+# prints how far that raised the process's peak RSS (VmHWM), in bytes.
+OPEN_CHILD = """
+import sys
+import numpy  # loaded before the baseline, so only the reader's arrays count
+from warmstart.corpus import SequenceStoreReader
+
+def peak():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) * 1024 for line in f if line.startswith("VmHWM:"))
+
+before = peak()
+reader = SequenceStoreReader(sys.argv[1])
+for lo in range(0, reader.count, 4096):
+    reader.gather(range(lo, min(lo + 4096, reader.count)))
+print(peak() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_an_open_reader_holds_one_offset_per_sequence(tmp_path):
+    """The reader's offset table takes 8 bytes a sequence; nothing else may
+    grow with the count by more than 4 bytes a sequence."""
+    count = 1_000_000
+    path = tmp_path / "short.seqs"
+    with store_writer(path) as append:
+        append(np.arange(4 * count, dtype="<u4").reshape(count, 4))
+    src = str(Path(warmstart.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", OPEN_CHILD, str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 12 * count

@@ -9,9 +9,11 @@ stdout a buffered pipe that a forked worker could write twice.
 import contextlib
 import hashlib
 import os
+import signal
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -41,10 +43,11 @@ def big_store(tmp_path):
     return write_big_store(tmp_path / "big.seqs")
 
 
-def cli(tmp_path, *argv, workers=None):
+def cli(tmp_path, *argv, workers=None, run=subprocess.run, **kwargs):
     """`python -m warmstart argv` (or `python -c ...`) in a child process
     with piped output,
-    without WARMSTART_* or PYTHON* settings such as PYTHONUNBUFFERED."""
+    without WARMSTART_* or PYTHON* settings such as PYTHONUNBUFFERED.
+    `run` is subprocess.run, or subprocess.Popen with its own keywords."""
     env = {k: v for k, v in os.environ.items()
            if not k.startswith(("WARMSTART_", "PYTHON")) or k == "PYTHONHOME"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -53,8 +56,8 @@ def cli(tmp_path, *argv, workers=None):
         env["WARMSTART_WORKERS"] = workers
     if argv[0] != "-c":
         argv = ("-m", "warmstart", *argv)
-    return subprocess.run([sys.executable, *map(str, argv)],
-                          capture_output=True, cwd=tmp_path, env=env, timeout=120)
+    kwargs = kwargs or {"capture_output": True, "timeout": 120}
+    return run([sys.executable, *map(str, argv)], cwd=tmp_path, env=env, **kwargs)
 
 
 @pytest.mark.parametrize("size", [3, 10, 11, 100, 1001, 32768])
@@ -294,3 +297,78 @@ class TestOutToStdoutPipe:
         proc = cli(tmp_path, *argv, "--out", "/dev/stdout", workers=workers)
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN["sample-big-stdout:stdout"]
+
+
+# A SIGTERM ends a run as Ctrl-C does: every temp file goes, every target
+# keeps its old bytes, and the run prints one error line and exits 143.
+TERMINATED = b"warmstart: error: Terminated: stopped by SIGTERM\n"
+
+# The CLI with each corrupt_batch call first touching calls/<pid>.<ns> and
+# then taking half a second, so a test can signal the run in the middle.
+SLOW_RUNS = (
+    "import os, sys, time\n"
+    "import warmstart.cli as cli\n"
+    "real = cli.corrupt_batch\n"
+    "def slow(*args, **kwargs):\n"
+    "    open(f'calls/{os.getpid()}.{time.monotonic_ns()}', 'w').close()\n"
+    "    time.sleep(0.5)\n"
+    "    return real(*args, **kwargs)\n"
+    "cli.corrupt_batch = slow\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+def terminated(tmp_path, argv, started, workers=None):
+    """The child's exit status and stderr, after a SIGTERM sent once
+    started() holds. stderr goes to a file outside tmp_path's own files: a
+    worker that outlived the run would hold a pipe open."""
+    (tmp_path / "log").mkdir()
+    with open(tmp_path / "log" / "stderr", "wb") as stderr:
+        proc = cli(tmp_path, *argv, workers=workers, run=subprocess.Popen,
+                   stdout=subprocess.DEVNULL, stderr=stderr)
+    try:
+        for _ in range(6000):
+            if started():
+                break
+            assert proc.poll() is None, (tmp_path / "log" / "stderr").read_bytes()
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        return proc.wait(timeout=60), (tmp_path / "log" / "stderr").read_bytes()
+    finally:
+        proc.kill()
+        proc.wait()
+
+
+def test_sigterm_leaves_lr_curve_out_as_it_was(tmp_path):
+    (tmp_path / "c.csv").write_bytes(b"old\n")
+    before = files_in(tmp_path)
+    code, stderr = terminated(
+        tmp_path, ["lr-curve", "--total", "1000000000", "--warmup", "10", "--out", "c.csv"],
+        lambda: any(p.stat().st_size for p in tmp_path.glob("c.csv.*.tmp")))
+    assert (code, stderr) == (143, TERMINATED)
+    assert files_in(tmp_path) == before
+
+
+@pytest.mark.parametrize("extra, workers, calls, processes", [
+    (["--out", "b.tsv", "--report", "b.eff"], "1", 2, 1),  # after the first run is written
+    (["--format", "binary", "--out", "bin"], "2", 3, 3),  # once both workers are busy
+])
+def test_sigterm_leaves_sample_batches_outputs_as_they_were(
+    tmp_path, vocab, big_store, extra, workers, calls, processes
+):
+    for name in ("b.tsv", "b.eff", "bin", "bin.idx"):
+        (tmp_path / name).write_bytes(b"old\n")
+    (tmp_path / "calls").mkdir()
+    before = files_in(tmp_path)
+    code, stderr = terminated(
+        tmp_path, ["-c", SLOW_RUNS, *BASE, "--store", big_store, "--vocab", vocab, *extra],
+        lambda: len(list((tmp_path / "calls").iterdir())) >= calls, workers=workers)
+    pids = {int(p.name.split(".")[0]) for p in (tmp_path / "calls").iterdir()}
+    survivors = []
+    for pid in pids:  # the run's own process and each worker
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)  # none may outlive the run; end any that did
+            survivors.append(pid)
+    assert (len(pids), survivors) == (processes, [])
+    assert (code, stderr) == (143, TERMINATED)
+    assert files_in(tmp_path) == before  # no temp file left, every target as it was
