@@ -5,8 +5,8 @@ stats. Each subcommand's options are declared once, in a table of `Option`
 rows. Every value resolves the same way: command-line flag, then a
 `key = value` config file (--config), then the row's environment variable
 (--seed and --run-log have one), then the row's default. Errors exit 1 with
-a single machine-parsable line on stderr, and SIGTERM exits 143 the same way
-once temp files are removed; bad flags are usage errors (exit 2).
+a single machine-parsable line on stderr, SIGTERM (143) and SIGINT (130) the
+same way once temp files are removed; bad flags are usage errors (exit 2).
 """
 
 from __future__ import annotations
@@ -86,14 +86,19 @@ def _require(value, flag: str):
     return value
 
 
-def _check_paths(o: dict, outputs, inputs) -> None:
+def _check_paths(options, o: dict, config) -> None:
     """Fail in one line when two outputs, or an output and an input, are one
-    file. Each entry is (flag, path or None); the run log counts as an
-    output. An existing target that is not a regular file, such as a FIFO or
-    a pipe, is exempt: it is written directly."""
-    outputs = [*outputs, ("--run-log", o["run_log"])]
+    file: the paths of the rows that declare a `file`, a store's index with
+    it, and the config file, an input of every run. Outputs come first in row
+    order, the run log last, then inputs. An existing target that is not a
+    regular file, such as a FIFO or a pipe, is exempt: it is written directly."""
+    outputs, inputs = [], []
+    for opt in sorted(options, key=lambda opt: opt.key == "run_log"):
+        if opt.file is not None and (path := o[opt.key]) is not None:
+            paths = [path, default_index_path(path)] if opt.file.endswith("store") else [path]
+            (inputs if opt.file.startswith("in") else outputs).extend((opt.flag, p) for p in paths)
     written: dict[str, str] = {}
-    for n, (flag, path) in enumerate([*outputs, *inputs]):
+    for n, (flag, path) in enumerate([*outputs, *inputs, ("--config", config)]):
         if path is None or is_special_file(path):
             continue
         real = os.path.realpath(path)
@@ -101,11 +106,6 @@ def _check_paths(o: dict, outputs, inputs) -> None:
             raise ConfigError(f"{written[real]} and {flag} are the same file: {path}")
         if n < len(outputs):  # inputs may share a file with each other
             written[real] = flag
-
-
-def _store_files(flag: str, store) -> list:
-    """A store and its side index, as _check_paths entries; none for None."""
-    return [] if store is None else [(flag, store), (flag, default_index_path(store))]
 
 
 def per_second(raw: str) -> float:
@@ -127,13 +127,14 @@ def gibibytes(raw: str) -> int:
 
 
 # One row per option: flag, default, converter, choices, required, help.
-# The config key is the argparse dest, so the same row drives the parser,
-# config-file resolution and the run-log hash. Every subcommand's table
-# starts with RUN_OPTIONS: the run log records the seed in a field of its
-# own, and the log's path is set per run, never in a config file.
+# The config key is the argparse dest, so one row drives the parser, the
+# config file, the run-log hash and the path check. The parser puts
+# RUN_OPTIONS first in every subcommand: the run log records the seed in a
+# field of its own, and the log's path is set per run, never in a config file.
 RUN_OPTIONS = (
     Option("--seed", 0, int, env="WARMSTART_SEED"),
-    Option("--run-log", "warmstart-runs.log", help="provenance log path", env="WARMSTART_RUN_LOG"),
+    Option("--run-log", "warmstart-runs.log", help="provenance log path", env="WARMSTART_RUN_LOG",
+           file="out"),
 )
 
 VOCAB_OPTIONS = (
@@ -145,14 +146,14 @@ VOCAB_OPTIONS = (
 )
 
 TRANSPLANT_OPTIONS = VOCAB_OPTIONS + (
-    Option("--src-emb", required=True),
-    Option("--src-vocab", required=True),
-    Option("--tgt-vocab", required=True),
-    Option("--out", required=True),
-    Option("--report", help="write a JSON tally here"),
-    Option("--cache", help="persistent translation cache file"),
+    Option("--src-emb", required=True, file="in"),
+    Option("--src-vocab", required=True, file="in"),
+    Option("--tgt-vocab", required=True, file="in"),
+    Option("--out", required=True, file="out"),
+    Option("--report", help="write a JSON tally here", file="out"),
+    Option("--cache", help="persistent translation cache file", file="out"),
     Option("--provider", "identity", choices=("dict", "remote", "identity")),
-    Option("--dict-file"),
+    Option("--dict-file", file="in"),
     Option("--remote-url"),
     Option("--source-lang"),
     Option("--target-lang", "en"),
@@ -162,16 +163,16 @@ TRANSPLANT_OPTIONS = VOCAB_OPTIONS + (
 )
 
 PREPARE_CORPUS_OPTIONS = VOCAB_OPTIONS + (
-    Option("--vocab", required=True),
-    Option("--in", required=True, help="text file or directory of *.txt", dest="input"),
-    Option("--out", required=True),
+    Option("--vocab", required=True, file="in"),
+    Option("--in", required=True, help="text file or directory of *.txt", dest="input", file="in"),
+    Option("--out", required=True, file="out store"),
     Option("--seq-len", DEFAULT_SEQ_LEN, int),
     Option("--min-tail", DEFAULT_MIN_TAIL, int),
 )
 
 SAMPLE_BATCHES_OPTIONS = VOCAB_OPTIONS + (
-    Option("--store", required=True),
-    Option("--vocab", required=True),
+    Option("--store", required=True, file="in store"),
+    Option("--vocab", required=True, file="in"),
     Option("--epoch", 0, int),
     Option("--mode", "span", choices=("span", "iid")),
     Option("--rate", 0.15, float),
@@ -180,8 +181,8 @@ SAMPLE_BATCHES_OPTIONS = VOCAB_OPTIONS + (
     Option("--effective-batch", 128, int),
     Option("--sort-by-length", False, parse_bool),
     Option("--format", "text", choices=("text", "binary")),
-    Option("--out", help="text path, or the pair store for --format binary"),
-    Option("--report", help="per-batch efficiency lines"),
+    Option("--out", help="text path, or the pair store for --format binary", file="out store"),
+    Option("--report", help="per-batch efficiency lines", file="out"),
 )
 
 LR_CURVE_OPTIONS = (
@@ -190,10 +191,10 @@ LR_CURVE_OPTIONS = (
     Option("--total", convert=int),
     Option("--shape", "linear", choices=("linear", "rsqrt")),
     Option("--stride", 1, int),
-    Option("--store", help="derive --total from this store"),
+    Option("--store", help="derive --total from this store", file="in store"),
     Option("--epochs", 10, int),
     Option("--effective-batch", 128, int),
-    Option("--out"),
+    Option("--out", file="out"),
 )
 
 MEMPLAN_OPTIONS = (
@@ -206,7 +207,7 @@ MEMPLAN_OPTIONS = (
     Option("--nvlink", False, parse_bool),
 )
 
-STATS_OPTIONS = (Option("--store", required=True),)
+STATS_OPTIONS = (Option("--store", required=True, file="in store"),)
 
 
 def _build_provider(o: dict):
@@ -238,9 +239,6 @@ def cmd_transplant(o: dict) -> int:
     _bind(".translate", ".transplant")
     layout = _vocab_layout(o)
     cache_path = o["cache"]
-    _check_paths(o, [("--out", o["out"]), ("--report", o["report"]), ("--cache", cache_path)],
-                 [("--src-emb", o["src_emb"]), ("--src-vocab", o["src_vocab"]),
-                  ("--tgt-vocab", o["tgt_vocab"]), ("--dict-file", o["dict_file"])])
     provider = _build_provider(o)  # a bad provider setting fails before any input is read
     # A bad cache fails before the vocabularies and the matrix are read.
     if cache_path is not None and Path(cache_path).exists():
@@ -328,8 +326,6 @@ def cmd_prepare_corpus(o: dict) -> int:
     seq_len, min_tail = o["seq_len"], o["min_tail"]
     check_chunking(seq_len, min_tail)
     layout = _vocab_layout(o)  # both before any input is read
-    _check_paths(o, _store_files("--out", o["out"]),
-                 [("--vocab", o["vocab"]), ("--in", o["input"])])
     workers = resolve_workers()
     vocab = load_vocab(o["vocab"], **layout)
     total = 0
@@ -386,6 +382,7 @@ class _Decimals:
 
 
 _worker_fn = None  # the function of the pool being forked, see _ordered_map
+STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)  # each ends a run, see main
 
 
 def _call_worker_fn(item):
@@ -412,7 +409,6 @@ def _ordered_map(fn, items: list, workers: int):
     workers = min(workers, len(rest))
     if workers > 1:
         import multiprocessing
-        import threading
 
         # A forked child holds only the thread that forked it, so fork only
         # from a process that has no other.
@@ -426,10 +422,16 @@ def _ordered_map(fn, items: list, workers: int):
 
     global _worker_fn
     _worker_fn = fn
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+    # Stop signals wait while the first submit forks (an at-fork hook would
+    # lose one); workers block SIGINT, as this process shuts the pool down.
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, STOP_SIGNALS)
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=signal.pthread_sigmask,
+                               initargs=(signal.SIG_SETMASK, held | {signal.SIGINT}))
     try:
         todo = iter(rest)
         pending = deque(pool.submit(_call_worker_fn, item) for item in islice(todo, 2 * workers))
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
         while pending:
             result = pending.popleft().result()
             pending.extend(pool.submit(_call_worker_fn, item) for item in islice(todo, 1))
@@ -437,6 +439,7 @@ def _ordered_map(fn, items: list, workers: int):
     except BrokenProcessPool:
         raise WorkerError("a worker process died (killed, or out of memory?)") from None
     finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
         pool.shutdown(cancel_futures=True)
         _worker_fn = None
 
@@ -457,9 +460,6 @@ def cmd_sample_batches(o: dict) -> int:
     MaskKey(seed, epoch, 0)  # rejects a negative epoch as every draw would
     plan = plan_accumulation(o["effective_batch"], micro)
     layout = _vocab_layout(o)  # all four before any input is read
-    outputs = [("--out", out_path)] if text else _store_files("--out", out_path)
-    _check_paths(o, outputs + [("--report", report_path)],
-                 _store_files("--store", o["store"]) + [("--vocab", o["vocab"])])
     workers = resolve_workers()
 
     vocab = load_vocab(o["vocab"], **layout)
@@ -551,7 +551,6 @@ def cmd_sample_batches(o: dict) -> int:
 def cmd_lr_curve(o: dict) -> int:
     total, out_path = o["total"], o["out"]
     check_curve(o["peak"], o["stride"])  # before the store is opened
-    _check_paths(o, [("--out", out_path)], _store_files("--store", o["store"]))
     if total is None:
         if o["store"] is None:
             raise ConfigError("need --total, or --store to derive it from")
@@ -659,7 +658,6 @@ def cmd_memplan(o: dict) -> int:
 
 
 def cmd_stats(o: dict) -> int:
-    _check_paths(o, [], _store_files("--store", o["store"]))
     reader = SequenceStoreReader(o["store"])
     lengths = reader.lengths()
     print(f"sequences={reader.count}")
@@ -675,23 +673,18 @@ def cmd_stats(o: dict) -> int:
 
 
 SUBCOMMANDS = (
-    ("transplant", cmd_transplant, RUN_OPTIONS + TRANSPLANT_OPTIONS,
-     "build a warm-start embedding matrix"),
-    ("prepare-corpus", cmd_prepare_corpus, RUN_OPTIONS + PREPARE_CORPUS_OPTIONS,
-     "chunk text into a sequence store"),
-    ("sample-batches", cmd_sample_batches, RUN_OPTIONS + SAMPLE_BATCHES_OPTIONS,
-     "draw masked batches for an epoch"),
-    ("lr-curve", cmd_lr_curve, RUN_OPTIONS + LR_CURVE_OPTIONS,
-     "emit the learning-rate schedule as CSV"),
-    ("memplan", cmd_memplan, RUN_OPTIONS + MEMPLAN_OPTIONS,
-     "training memory estimate and fit advice"),
-    ("stats", cmd_stats, RUN_OPTIONS + STATS_OPTIONS, "sequence store statistics"),
+    ("transplant", cmd_transplant, TRANSPLANT_OPTIONS, "build a warm-start embedding matrix"),
+    ("prepare-corpus", cmd_prepare_corpus, PREPARE_CORPUS_OPTIONS, "chunk text into a sequence store"),
+    ("sample-batches", cmd_sample_batches, SAMPLE_BATCHES_OPTIONS, "draw masked batches for an epoch"),
+    ("lr-curve", cmd_lr_curve, LR_CURVE_OPTIONS, "emit the learning-rate schedule as CSV"),
+    ("memplan", cmd_memplan, MEMPLAN_OPTIONS, "training memory estimate and fit advice"),
+    ("stats", cmd_stats, STATS_OPTIONS, "sequence store statistics"),
 )
 
 # Keys a config file may hold: any subcommand's but the run log's, so one
 # file can drive the whole pipeline.
 CONFIG_KEYS = frozenset(
-    opt.key for _, _, options, _ in SUBCOMMANDS for opt in options
+    opt.key for _, _, options, _ in SUBCOMMANDS for opt in RUN_OPTIONS + options
 ) - {"run_log"}
 
 
@@ -704,46 +697,45 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"warmstart {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
     for name, func, options, help_text in SUBCOMMANDS:
+        options = RUN_OPTIONS + options
         p = subs.add_parser(name, help=help_text)
         p.add_argument("--config", help="key = value config file")
         # Every default is None so resolve_options can tell a given flag
         # from an absent one; the row's config, environment and default apply after.
         for opt in options:
-            if opt.convert is parse_bool:
-                p.add_argument(opt.flag, dest=opt.key, action="store_true", default=None,
-                               help=opt.help)
-            else:
-                p.add_argument(opt.flag, dest=opt.key, type=opt.convert, choices=opt.choices,
-                               default=None, help=opt.help)
+            kind = ({"action": "store_true"} if opt.convert is parse_bool
+                    else {"type": opt.convert, "choices": opt.choices})
+            p.add_argument(opt.flag, dest=opt.key, default=None, help=opt.help, **kind)
         p.set_defaults(func=func, options=options)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     pid = os.getpid()
 
     def terminate(signum, frame):
         if os.getpid() != pid:  # a forked worker exits at once, as with no handler
             os._exit(128 + signum)
-        raise Terminated("stopped by SIGTERM")
+        raise Terminated(signal.Signals(signum))
 
-    previous = None  # only the main thread can set a handler
+    previous = {}  # only the main thread can set a handler
     if threading.current_thread() is threading.main_thread():
-        previous = signal.signal(signal.SIGTERM, terminate)
+        previous = {signum: signal.signal(signum, terminate) for signum in STOP_SIGNALS}
     try:
         cfg = {} if args.config is None else parse_config_file(args.config, CONFIG_KEYS)
         values = resolve_options(args.options, args, cfg)
+        _check_paths(args.options, values, args.config)
         code = args.func(values)
         append_run_log(args.subcommand, values)
         return code
     except (WarmstartError, OSError, Terminated) as e:
         print(f"warmstart: error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 128 + signal.SIGTERM if isinstance(e, Terminated) else 1
+        return 128 + e.signum if isinstance(e, Terminated) else 1
     finally:
-        if previous is not None:
-            signal.signal(signal.SIGTERM, previous)
+        for signum, handler in previous.items():
+            if handler is not None:
+                signal.signal(signum, handler)
 
 
 if __name__ == "__main__":

@@ -67,7 +67,8 @@ class Option(NamedTuple):
     value (None keeps it a string) and raises ValueError on a bad one; an
     option converted by `parse_bool` is a switch that takes no value on the
     command line. `env` names an environment variable read when neither the
-    flag nor the config file gives a value.
+    flag nor the config file gives a value. `file` marks a path the run reads
+    or writes: "in", "out", or "in store" or "out store" with its `.idx`.
     """
 
     flag: str
@@ -78,6 +79,7 @@ class Option(NamedTuple):
     help: Optional[str] = None
     dest: Optional[str] = None
     env: Optional[str] = None
+    file: Optional[str] = None
 
     @property
     def key(self) -> str:

@@ -15,10 +15,14 @@ class WorkerError(WarmstartError):
 
 
 class Terminated(BaseException):
-    """SIGTERM, raised in the CLI's process. Like KeyboardInterrupt it is no
-    Exception, so nothing that handles a failure catches it, and every
-    `finally` on the way out runs, removing the temp files of unwritten
-    outputs."""
+    """SIGTERM or SIGINT, raised in the CLI's process with the signal, a
+    `signal.Signals`. Like KeyboardInterrupt it is no Exception, so nothing
+    that handles a failure catches it, and every `finally` on the way out
+    runs, removing the temp files of unwritten outputs."""
+
+    def __init__(self, signum):
+        super().__init__(f"stopped by {signum.name}")
+        self.signum = signum
 
 
 def read_text(path, newline=None) -> str:

@@ -560,13 +560,20 @@ class TestOutputCollisions:
 
     @pytest.mark.parametrize("case", [
         "out-is-report", "out-is-store", "binary-report-is-an-output-index", "report-is-cache",
-        "out-is-store-index",
+        "out-is-store-index", "lr-curve-out-is-config", "memplan-run-log-is-config",
+        "transplant-cache-is-config", "prepare-corpus-out-is-config",
+        "text-out-reserves-its-index",
     ])
     def test_leaves_every_file_unchanged(
         self, case, tmp_path, vocab_file, emb_file, corpus_store, capsys
     ):
         x = tmp_path / "x.txt"
         x.write_text("red\tOK\tred\n", encoding="utf-8")
+        cfg = tmp_path / "run.cfg"  # the config file is an input of every subcommand
+        cfg.write_text("seed = 3\n", encoding="utf-8")
+        transplant = ["transplant", "--src-emb", str(emb_file), "--src-vocab", str(vocab_file),
+                      "--tgt-vocab", str(vocab_file), "--sentinel-count", "3",
+                      "--out", str(tmp_path / "o.embt")]
         batches = ["sample-batches", "--store", str(corpus_store), "--vocab", str(vocab_file),
                    "--sentinel-count", "3"]
         argv = {
@@ -575,13 +582,21 @@ class TestOutputCollisions:
             "binary-report-is-an-output-index": [
                 *batches, "--format", "binary", "--out", str(tmp_path / "b"),
                 "--report", str(tmp_path / "b.idx")],
-            "report-is-cache": [
-                "transplant", "--src-emb", str(emb_file), "--src-vocab", str(vocab_file),
-                "--tgt-vocab", str(vocab_file), "--sentinel-count", "3",
-                "--out", str(tmp_path / "o.embt"), "--report", str(x), "--cache", str(x)],
+            "report-is-cache": [*transplant, "--report", str(x), "--cache", str(x)],
             "out-is-store-index": [
                 "lr-curve", "--store", str(corpus_store), "--warmup", "1",
                 "--out", f"{corpus_store}.idx"],
+            "lr-curve-out-is-config": [
+                "lr-curve", "--config", str(cfg), "--total", "10", "--warmup", "1",
+                "--out", str(cfg)],
+            "memplan-run-log-is-config": [
+                "memplan", "--config", str(cfg), "--params", "1000", "--run-log", str(cfg)],
+            "transplant-cache-is-config": [*transplant, "--config", str(cfg), "--cache", str(cfg)],
+            "prepare-corpus-out-is-config": [
+                "prepare-corpus", "--config", str(cfg), "--vocab", str(vocab_file),
+                "--in", str(x), "--out", str(cfg)],
+            # a text --out X reserves X.idx, as the binary pair store's index
+            "text-out-reserves-its-index": [*batches, "--out", str(x), "--report", f"{x}.idx"],
         }[case]
         before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
         assert main(argv) == 1

@@ -299,9 +299,11 @@ class TestOutToStdoutPipe:
         assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN["sample-big-stdout:stdout"]
 
 
-# A SIGTERM ends a run as Ctrl-C does: every temp file goes, every target
-# keeps its old bytes, and the run prints one error line and exits 143.
-TERMINATED = b"warmstart: error: Terminated: stopped by SIGTERM\n"
+# A SIGTERM, or a SIGINT to the whole process group as Ctrl-C in a terminal
+# sends it, ends a run: every temp file goes, every target keeps its old
+# bytes, and the run prints one error line and exits 128 + the signal.
+STOPPED = {signum: (128 + signum, b"warmstart: error: Terminated: stopped by %s\n"
+                    % signum.name.encode()) for signum in (signal.SIGTERM, signal.SIGINT)}
 
 # The CLI with each corrupt_batch call first touching calls/<pid>.<ns> and
 # then taking half a second, so a test can signal the run in the middle.
@@ -318,51 +320,63 @@ SLOW_RUNS = (
 )
 
 
-def terminated(tmp_path, argv, started, workers=None):
-    """The child's exit status and stderr, after a SIGTERM sent once
-    started() holds. stderr goes to a file outside tmp_path's own files: a
-    worker that outlived the run would hold a pipe open."""
+def terminated(tmp_path, argv, started, signum, workers=None):
+    """The child's exit status and stderr, after `signum` is sent once
+    started() holds: a SIGTERM to the child alone, a SIGINT to the session
+    it leads, workers included. stderr goes to a file outside tmp_path's own
+    files: a worker that outlived the run would hold a pipe open."""
     (tmp_path / "log").mkdir()
     with open(tmp_path / "log" / "stderr", "wb") as stderr:
         proc = cli(tmp_path, *argv, workers=workers, run=subprocess.Popen,
-                   stdout=subprocess.DEVNULL, stderr=stderr)
+                   stdout=subprocess.DEVNULL, stderr=stderr, start_new_session=True)
     try:
         for _ in range(6000):
             if started():
                 break
             assert proc.poll() is None, (tmp_path / "log" / "stderr").read_bytes()
             time.sleep(0.01)
-        proc.send_signal(signal.SIGTERM)
+        if signum == signal.SIGINT:
+            os.killpg(proc.pid, signum)
+        else:
+            proc.send_signal(signum)
         return proc.wait(timeout=60), (tmp_path / "log" / "stderr").read_bytes()
     finally:
         proc.kill()
         proc.wait()
 
 
-def test_sigterm_leaves_lr_curve_out_as_it_was(tmp_path):
+def stop_lr_curve(tmp_path, signum):
     (tmp_path / "c.csv").write_bytes(b"old\n")
     before = files_in(tmp_path)
     code, stderr = terminated(
         tmp_path, ["lr-curve", "--total", "1000000000", "--warmup", "10", "--out", "c.csv"],
-        lambda: any(p.stat().st_size for p in tmp_path.glob("c.csv.*.tmp")))
-    assert (code, stderr) == (143, TERMINATED)
+        lambda: any(p.stat().st_size for p in tmp_path.glob("c.csv.*.tmp")), signum)
+    assert (code, stderr) == STOPPED[signum]
     assert files_in(tmp_path) == before
 
 
-@pytest.mark.parametrize("extra, workers, calls, processes", [
+def test_sigterm_leaves_lr_curve_out_as_it_was(tmp_path):
+    stop_lr_curve(tmp_path, signal.SIGTERM)
+
+
+def test_sigint_to_the_group_leaves_lr_curve_out_as_it_was(tmp_path):
+    stop_lr_curve(tmp_path, signal.SIGINT)
+
+
+SAMPLE_BATCHES_STOPS = pytest.mark.parametrize("extra, workers, calls, processes", [
     (["--out", "b.tsv", "--report", "b.eff"], "1", 2, 1),  # after the first run is written
     (["--format", "binary", "--out", "bin"], "2", 3, 3),  # once both workers are busy
 ])
-def test_sigterm_leaves_sample_batches_outputs_as_they_were(
-    tmp_path, vocab, big_store, extra, workers, calls, processes
-):
+
+
+def stop_sample_batches(tmp_path, vocab, big_store, extra, workers, calls, processes, signum):
     for name in ("b.tsv", "b.eff", "bin", "bin.idx"):
         (tmp_path / name).write_bytes(b"old\n")
     (tmp_path / "calls").mkdir()
     before = files_in(tmp_path)
     code, stderr = terminated(
         tmp_path, ["-c", SLOW_RUNS, *BASE, "--store", big_store, "--vocab", vocab, *extra],
-        lambda: len(list((tmp_path / "calls").iterdir())) >= calls, workers=workers)
+        lambda: len(list((tmp_path / "calls").iterdir())) >= calls, signum, workers=workers)
     pids = {int(p.name.split(".")[0]) for p in (tmp_path / "calls").iterdir()}
     survivors = []
     for pid in pids:  # the run's own process and each worker
@@ -370,5 +384,35 @@ def test_sigterm_leaves_sample_batches_outputs_as_they_were(
             os.kill(pid, signal.SIGKILL)  # none may outlive the run; end any that did
             survivors.append(pid)
     assert (len(pids), survivors) == (processes, [])
-    assert (code, stderr) == (143, TERMINATED)
+    assert (code, stderr) == STOPPED[signum]
     assert files_in(tmp_path) == before  # no temp file left, every target as it was
+
+
+@SAMPLE_BATCHES_STOPS
+def test_sigterm_leaves_sample_batches_outputs_as_they_were(
+    tmp_path, vocab, big_store, extra, workers, calls, processes
+):
+    stop_sample_batches(tmp_path, vocab, big_store, extra, workers, calls, processes,
+                        signal.SIGTERM)
+
+
+@SAMPLE_BATCHES_STOPS
+def test_sigint_to_the_group_leaves_sample_batches_outputs_as_they_were(
+    tmp_path, vocab, big_store, extra, workers, calls, processes
+):
+    stop_sample_batches(tmp_path, vocab, big_store, extra, workers, calls, processes,
+                        signal.SIGINT)
+
+
+def test_a_signal_while_the_workers_are_forked_still_stops_the_run(tmp_path, vocab, big_store):
+    """A SIGINT that arrives during the fork, here from an at-fork hook of the
+    run's own process, is not lost in the hook: the run stops."""
+    script = ("import os, signal, sys\n"
+              "import warmstart.cli as cli\n"
+              "os.register_at_fork(after_in_parent=lambda: os.kill(os.getpid(), signal.SIGINT))\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    before = files_in(tmp_path)
+    proc = cli(tmp_path, "-c", script, *BASE, "--store", big_store, "--vocab", vocab,
+               "--out", "b.tsv", workers="2")
+    assert (proc.returncode, proc.stderr) == STOPPED[signal.SIGINT]
+    assert files_in(tmp_path) == before
