@@ -18,10 +18,10 @@ import signal
 import sys
 import threading
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from contextlib import ExitStack, closing
 from importlib import import_module
-from itertools import chain, islice, pairwise
+from itertools import chain, pairwise
 from pathlib import Path
 from typing import Optional
 
@@ -381,12 +381,7 @@ class _Decimals:
         return "".join(lines)
 
 
-_worker_fn = None  # the function of the pool being forked, see _ordered_map
 STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)  # each ends a run, see main
-
-
-def _call_worker_fn(item):
-    return _worker_fn(item)
 
 
 def _ordered_map(fn, items: list, workers: int):
@@ -394,54 +389,71 @@ def _ordered_map(fn, items: list, workers: int):
 
     The first item runs in this process before any worker starts, so its
     result can be written at once. The rest run on `workers` forked
-    processes, no more than there are items left, with at most two items
-    per worker in flight. With one worker, on a platform without fork, or
-    in a process that runs other threads, they run here. Workers inherit
-    `fn` through fork, so only items and results are pickled. multiprocessing
-    flushes stdout and stderr before it forks, and a worker exits without
-    flushing its copies of other open files, so no buffered output is
-    written twice.
+    processes, no more than there are items left: worker w inherits `fn`
+    and the items, runs every workers-th item from item 1 + w, and writes
+    each result, or the exception that ends its share, pickled to a pipe of
+    its own, which holds it to one result ahead of the reader. With one
+    worker, on a platform without fork, or in a process that runs other
+    threads, the items run here. A worker leaves only through os._exit, so
+    it never returns into this process's frames nor flushes its copies of
+    stdout and other open files; when the map ends, however it ends, every
+    worker is killed.
     """
     if not items:
         return
     yield fn(items[0])
     rest = items[1:]
     workers = min(workers, len(rest))
-    if workers > 1:
-        import multiprocessing
-
-        # A forked child holds only the thread that forked it, so fork only
-        # from a process that has no other.
-        if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
-            workers = 1
-    if workers <= 1:
+    # A forked child holds only the thread that forked it, so fork only
+    # from a process that has no other.
+    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         yield from map(fn, rest)
         return
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    import pickle
 
-    global _worker_fn
-    _worker_fn = fn
-    # Stop signals wait while the first submit forks (an at-fork hook would
-    # lose one); workers block SIGINT, as this process shuts the pool down.
+    # Stop signals wait while the workers fork (an at-fork hook would lose
+    # one); workers keep SIGINT blocked, as this process stops them.
     held = signal.pthread_sigmask(signal.SIG_BLOCK, STOP_SIGNALS)
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               initializer=signal.pthread_sigmask,
-                               initargs=(signal.SIG_SETMASK, held | {signal.SIGINT}))
+    pids, pipes = [], []
     try:
-        todo = iter(rest)
-        pending = deque(pool.submit(_call_worker_fn, item) for item in islice(todo, 2 * workers))
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    os.close(read_end)  # so a write fails once the parent is gone
+                    signal.pthread_sigmask(signal.SIG_SETMASK, held | {signal.SIGINT})
+                    for item in rest[w::workers]:
+                        try:
+                            message = (True, fn(item))
+                        except Exception as e:
+                            message = (False, e)
+                        data = memoryview(pickle.dumps(message))
+                        while data:
+                            data = data[os.write(write_end, data):]
+                        if not message[0]:
+                            break
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            pids.append(pid)
+            pipes.append(open(read_end, "rb"))
         signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        while pending:
-            result = pending.popleft().result()
-            pending.extend(pool.submit(_call_worker_fn, item) for item in islice(todo, 1))
-            yield result
-    except BrokenProcessPool:
-        raise WorkerError("a worker process died (killed, or out of memory?)") from None
+        for i in range(len(rest)):
+            try:
+                ok, value = pickle.load(pipes[i % workers])
+            except (EOFError, pickle.UnpicklingError):  # the worker died
+                raise WorkerError("a worker process died (killed, or out of memory?)") from None
+            if not ok:
+                raise value
+            yield value
     finally:
+        signal.pthread_sigmask(signal.SIG_BLOCK, STOP_SIGNALS)  # a second stop waits
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
         signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        pool.shutdown(cancel_futures=True)
-        _worker_fn = None
 
 
 def cmd_sample_batches(o: dict) -> int:

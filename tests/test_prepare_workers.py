@@ -8,15 +8,16 @@ bad setting ends the run.
 """
 
 import hashlib
+import signal
 
 import pytest
 
 from test_cli import VOCAB_TOKENS, WORDS, _isolate_run_log  # noqa: F401 (autouse fixture)
 from test_golden import GOLDEN, write_big_corpus
-from test_sample_workers import WORKER_DIED, cli, files_in, killing_worker
+from test_sample_workers import (FORKS, HALF_RESULT, STOPPED, WORKER_DIED, calling_pids, cli,
+                                 files_in, in_own_session, killing_worker, slow_calls, survivors,
+                                 terminated)
 from conftest import write_vocab_file
-
-POOL = "pool = lambda: [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
 
 
 @pytest.fixture
@@ -58,17 +59,15 @@ def test_workers_start_only_for_a_corpus_of_several_groups(tmp_path, vocab, big_
     small.mkdir()
     (small / "a.txt").write_text(" ".join(WORDS * 50), encoding="utf-8")
     code = (
-        "import sys\n"
+        f"{FORKS}"
         "import warmstart.cli as cli\n"
-        f"{POOL}"
         "assert cli.main(sys.argv[1:]) == 0\n"
-        "print(pool())\n"
+        "print(len(forks), pool())\n"
     )
-    for source, pooled in [(small, "[]"),
-                           (big_corpus, "['concurrent.futures', 'multiprocessing']")]:
+    for source, forked in [(small, "0 []"), (big_corpus, "2 []")]:
         proc = cli(tmp_path, "-c", code, *prepare(tmp_path, vocab, source), workers="2")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.decode().splitlines()[-1] == pooled
+        assert proc.stdout.decode().splitlines()[-1] == forked
     digest = hashlib.sha256((tmp_path / "out.seqs").read_bytes()).hexdigest()
     assert digest == GOLDEN["prepare-big-dir:prepare-big-dir.seqs"]
 
@@ -109,4 +108,30 @@ def test_a_worker_that_dies_is_one_error_line_and_leaves_no_files(tmp_path, voca
                *prepare(tmp_path, vocab, big_corpus), workers="2")
     assert proc.returncode == 1 and proc.stdout == b""
     assert proc.stderr == WORKER_DIED
+    assert files_in(tmp_path) == before
+
+
+def test_a_worker_that_dies_halfway_through_a_result_is_one_error_line(
+    tmp_path, vocab, big_corpus
+):
+    before = files_in(tmp_path)
+    assert in_own_session(tmp_path, "-c", HALF_RESULT, *prepare(tmp_path, vocab, big_corpus),
+                          workers="2") == (1, WORKER_DIED)
+    assert files_in(tmp_path) == before
+
+
+def test_sigterm_to_the_group_leaves_the_store_as_it_was(tmp_path, vocab, big_corpus):
+    """A SIGTERM to the whole session once both workers are tokenizing, as
+    systemd and Slurm stop a job: one line, exit 143, no process left."""
+    for name in ("out.seqs", "out.seqs.idx"):
+        (tmp_path / name).write_bytes(b"old\n")
+    calls = tmp_path / "calls"
+    calls.mkdir()
+    before = files_in(tmp_path)
+    code, stderr = terminated(
+        tmp_path, ["-c", slow_calls("tokenize_greedy"), *prepare(tmp_path, vocab, big_corpus)],
+        lambda: len(calling_pids(calls)) >= 3, signal.SIGTERM, "2", group=True)
+    pids = calling_pids(calls)
+    assert (len(pids), survivors(pids)) == (3, [])
+    assert (code, stderr) == STOPPED[signal.SIGTERM]
     assert files_in(tmp_path) == before

@@ -126,7 +126,44 @@ def killing_worker(name: str) -> str:
     )
 
 
+# Code that runs the CLI with os.write replaced, before warmstart.cli is
+# imported, so that in any process but the main one a write of more than
+# 4 KiB writes half of its bytes and then ends that process: a worker that
+# dies halfway through sending a result.
+HALF_RESULT = (
+    "import os, sys\n"
+    "main_pid, real = os.getpid(), os.write\n"
+    "def half(fd, data):\n"
+    "    if os.getpid() != main_pid and len(data) > 4096:\n"
+    "        real(fd, data[:len(data) // 2])\n"
+    "        os._exit(9)\n"
+    "    return real(fd, data)\n"
+    "os.write = half\n"
+    "import warmstart.cli as cli\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
 WORKER_DIED = b"warmstart: error: WorkerError: a worker process died (killed, or out of memory?)\n"
+
+
+def in_own_session(tmp_path, *argv, workers, timeout=30):
+    """cli(...) in a session of its own: its exit status and stderr, once
+    it has ended within `timeout` seconds. No process of the session may
+    outlive the run; any that did is killed, and fails the test."""
+    proc = cli(tmp_path, *argv, workers=workers, run=subprocess.Popen, stdout=subprocess.DEVNULL,
+               stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        _, stderr = proc.communicate(timeout=timeout)
+    finally:
+        survived = True
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            survived = False
+        proc.stderr.close()
+        proc.wait()
+    assert not survived, "a process of the run outlived it"
+    return proc.returncode, stderr
 
 
 def files_in(path: Path) -> dict:
@@ -143,6 +180,17 @@ def test_a_worker_that_dies_is_one_error_line_and_writes_no_files(
                "--vocab", vocab, *extra, workers="2")
     assert proc.returncode == 1 and proc.stdout == b""
     assert proc.stderr == WORKER_DIED
+    assert files_in(tmp_path) == before
+
+
+@pytest.mark.parametrize("extra", [["--out", "b.tsv", "--report", "b.eff"],
+                                   ["--format", "binary", "--out", "bin"]])
+def test_a_worker_that_dies_halfway_through_a_result_is_one_error_line(
+    tmp_path, vocab, big_store, extra
+):
+    before = files_in(tmp_path)
+    assert in_own_session(tmp_path, "-c", HALF_RESULT, *BASE, "--store", big_store,
+                          "--vocab", vocab, *extra, workers="2") == (1, WORKER_DIED)
     assert files_in(tmp_path) == before
 
 
@@ -176,27 +224,40 @@ def test_a_bad_worker_count_is_one_error_line(
                    "is not a positive integer\n")
 
 
-def test_the_pool_is_imported_only_when_workers_start(tmp_path, vocab, big_store):
-    """Importing the CLI loads no process pool, which keeps start-up short;
-    an epoch of several runs at two workers does load one."""
+# Code that counts the forks of the run's own process, and lists the
+# process-pool modules it has loaded: workers are forked by hand, with no pool.
+FORKS = (
+    "import os, sys\n"
+    "forks = []\n"
+    "os.register_at_fork(after_in_parent=lambda: forks.append(None))\n"
+    "pool = lambda: [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
+)
+
+
+def test_workers_are_forked_only_for_an_epoch_of_several_runs(tmp_path, vocab, big_store):
+    """An epoch whose first micro-batch is followed by a single run renders
+    it here; an epoch of several runs at two workers forks two."""
     code = (
-        "import sys\n"
+        f"{FORKS}"
         "import warmstart.cli as cli\n"
-        "pool = lambda: [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
-        "print(pool())\n"
+        "print(len(forks), pool())\n"
         "assert cli.main(sys.argv[1:]) == 0\n"
-        "print(pool())\n"
+        "print(len(forks), pool())\n"
     )
-    proc = cli(tmp_path, "-c", code, *BASE, "--store", big_store, "--vocab", vocab,
-               "--out", tmp_path / "b.tsv", workers="2")
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.decode().splitlines()
-    assert lines[0] == "[]" and lines[-1] == "['concurrent.futures', 'multiprocessing']"
+    short = tmp_path / "short.seqs"
+    write_store([[3 + i % 8] * 5 for i in range(20)], short)
+    for store, forked in [(short, "0 []"), (big_store, "2 []")]:
+        proc = cli(tmp_path, "-c", code, *BASE, "--store", store, "--vocab", vocab,
+                   "--out", tmp_path / "b.tsv", workers="2")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.decode().splitlines()
+        assert lines[0] == "0 []" and lines[-1] == forked
 
 
 def test_a_process_with_other_threads_runs_the_epoch_itself(tmp_path, vocab, big_store):
     code = (
-        "import sys, threading\n"
+        f"{FORKS}"
+        "import threading\n"
         "import warmstart.cli as cli\n"
         "done = threading.Event()\n"
         "threading.Thread(target=done.wait).start()\n"
@@ -204,12 +265,12 @@ def test_a_process_with_other_threads_runs_the_epoch_itself(tmp_path, vocab, big
         "    assert cli.main(sys.argv[1:]) == 0\n"
         "finally:\n"
         "    done.set()\n"
-        "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+        "print(len(forks), pool())\n"
     )
     proc = cli(tmp_path, "-c", code, *BASE, "--store", big_store, "--vocab", vocab,
                "--out", tmp_path / "b.tsv", workers="2")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.decode().splitlines()[-1] == "True False"
+    assert proc.stdout.decode().splitlines()[-1] == "0 []"
     assert hashlib.sha256((tmp_path / "b.tsv").read_bytes()).hexdigest() == (
         GOLDEN["sample-big-text:big.tsv"])
 
@@ -305,26 +366,29 @@ class TestOutToStdoutPipe:
 STOPPED = {signum: (128 + signum, b"warmstart: error: Terminated: stopped by %s\n"
                     % signum.name.encode()) for signum in (signal.SIGTERM, signal.SIGINT)}
 
-# The CLI with each corrupt_batch call first touching calls/<pid>.<ns> and
-# then taking half a second, so a test can signal the run in the middle.
-SLOW_RUNS = (
-    "import os, sys, time\n"
-    "import warmstart.cli as cli\n"
-    "real = cli.corrupt_batch\n"
-    "def slow(*args, **kwargs):\n"
-    "    open(f'calls/{os.getpid()}.{time.monotonic_ns()}', 'w').close()\n"
-    "    time.sleep(0.5)\n"
-    "    return real(*args, **kwargs)\n"
-    "cli.corrupt_batch = slow\n"
-    "sys.exit(cli.main(sys.argv[1:]))\n"
-)
+def slow_calls(name: str) -> str:
+    """Code that runs the CLI with each `cli.<name>` call first touching
+    calls/<pid>.<ns> and then taking half a second, so a test can signal the
+    run in the middle."""
+    return (
+        "import os, sys, time\n"
+        "import warmstart.cli as cli\n"
+        f"real = getattr(cli, {name!r})\n"
+        "def slow(*args, **kwargs):\n"
+        "    open(f'calls/{os.getpid()}.{time.monotonic_ns()}', 'w').close()\n"
+        "    time.sleep(0.5)\n"
+        "    return real(*args, **kwargs)\n"
+        f"setattr(cli, {name!r}, slow)\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
 
 
-def terminated(tmp_path, argv, started, signum, workers=None):
+def terminated(tmp_path, argv, started, signum, workers=None, group=False):
     """The child's exit status and stderr, after `signum` is sent once
-    started() holds: a SIGTERM to the child alone, a SIGINT to the session
-    it leads, workers included. stderr goes to a file outside tmp_path's own
-    files: a worker that outlived the run would hold a pipe open."""
+    started() holds: a SIGTERM to the child alone, or with `group` to the
+    session it leads, workers included, as systemd and Slurm stop a job; a
+    SIGINT always to the session. stderr goes to a file outside tmp_path's
+    own files: a worker that outlived the run would hold a pipe open."""
     (tmp_path / "log").mkdir()
     with open(tmp_path / "log" / "stderr", "wb") as stderr:
         proc = cli(tmp_path, *argv, workers=workers, run=subprocess.Popen,
@@ -335,7 +399,7 @@ def terminated(tmp_path, argv, started, signum, workers=None):
                 break
             assert proc.poll() is None, (tmp_path / "log" / "stderr").read_bytes()
             time.sleep(0.01)
-        if signum == signal.SIGINT:
+        if group or signum == signal.SIGINT:
             os.killpg(proc.pid, signum)
         else:
             proc.send_signal(signum)
@@ -369,21 +433,34 @@ SAMPLE_BATCHES_STOPS = pytest.mark.parametrize("extra, workers, calls, processes
 ])
 
 
-def stop_sample_batches(tmp_path, vocab, big_store, extra, workers, calls, processes, signum):
+def calling_pids(calls: Path) -> set:
+    """The pids that touched a file in `calls`: the run's own and its workers'."""
+    return {int(p.name.split(".")[0]) for p in calls.iterdir()}
+
+
+def survivors(pids) -> list:
+    """The processes of `pids` still running; none may outlive the run, so
+    each is ended."""
+    alive = []
+    for pid in pids:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+            alive.append(pid)
+    return alive
+
+
+def stop_sample_batches(tmp_path, vocab, big_store, extra, workers, calls, processes, signum,
+                        group=False):
     for name in ("b.tsv", "b.eff", "bin", "bin.idx"):
         (tmp_path / name).write_bytes(b"old\n")
     (tmp_path / "calls").mkdir()
     before = files_in(tmp_path)
     code, stderr = terminated(
-        tmp_path, ["-c", SLOW_RUNS, *BASE, "--store", big_store, "--vocab", vocab, *extra],
-        lambda: len(list((tmp_path / "calls").iterdir())) >= calls, signum, workers=workers)
-    pids = {int(p.name.split(".")[0]) for p in (tmp_path / "calls").iterdir()}
-    survivors = []
-    for pid in pids:  # the run's own process and each worker
-        with contextlib.suppress(ProcessLookupError):
-            os.kill(pid, signal.SIGKILL)  # none may outlive the run; end any that did
-            survivors.append(pid)
-    assert (len(pids), survivors) == (processes, [])
+        tmp_path, ["-c", slow_calls("corrupt_batch"), *BASE, "--store", big_store,
+                   "--vocab", vocab, *extra],
+        lambda: len(list((tmp_path / "calls").iterdir())) >= calls, signum, workers, group)
+    pids = calling_pids(tmp_path / "calls")
+    assert (len(pids), survivors(pids)) == (processes, [])
     assert (code, stderr) == STOPPED[signum]
     assert files_in(tmp_path) == before  # no temp file left, every target as it was
 
@@ -394,6 +471,13 @@ def test_sigterm_leaves_sample_batches_outputs_as_they_were(
 ):
     stop_sample_batches(tmp_path, vocab, big_store, extra, workers, calls, processes,
                         signal.SIGTERM)
+
+
+def test_sigterm_to_the_group_leaves_sample_batches_outputs_as_they_were(
+    tmp_path, vocab, big_store
+):
+    stop_sample_batches(tmp_path, vocab, big_store, ["--format", "binary", "--out", "bin"], "2",
+                        3, 3, signal.SIGTERM, group=True)
 
 
 @SAMPLE_BATCHES_STOPS

@@ -13,8 +13,8 @@ import json
 import pytest
 
 from test_cli import _isolate_run_log, corpus_store, emb_file, vocab_file  # noqa: F401
-from test_prepare_workers import POOL, big_corpus, prepare, vocab  # noqa: F401
-from test_sample_workers import cli
+from test_prepare_workers import big_corpus, prepare, vocab  # noqa: F401
+from test_sample_workers import FORKS, cli
 
 # Modules that only some subcommands need. dataclasses, with the inspect, ast,
 # dis and copy it imports, comes with memplan; inspect, ast and dis also come
@@ -23,21 +23,19 @@ DEFERRED = ("ast", "copy", "dataclasses", "decimal", "dis", "fractions", "inspec
             "warmstart.memplan", "warmstart.translate")
 
 RUN = (
-    "import sys\n"
+    f"{FORKS}"
     "import warmstart.cli as cli\n"
-    f"{POOL}"
     "assert cli.main(sys.argv[1:]) == 0\n"
     f"print(sorted(set({DEFERRED!r}) & sys.modules.keys()))\n"
-    "print('numpy' in sys.modules, pool())\n"
+    "print('numpy' in sys.modules, len(forks), pool())\n"
 )
 
 
-@pytest.mark.parametrize("workers, pooled", [("1", "[]"),
-                                             ("2", "['concurrent.futures', 'multiprocessing']")])
-def test_prepare_corpus_runs_without_numpy(tmp_path, vocab, big_corpus, workers, pooled):
+@pytest.mark.parametrize("workers, forks", [("1", 0), ("2", 2)])
+def test_prepare_corpus_runs_without_numpy(tmp_path, vocab, big_corpus, workers, forks):
     proc = cli(tmp_path, "-c", RUN, *prepare(tmp_path, vocab, big_corpus), workers=workers)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.decode().splitlines()[-2:] == ["[]", f"False {pooled}"]
+    assert proc.stdout.decode().splitlines()[-2:] == ["[]", f"False {forks} []"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -51,14 +49,14 @@ def test_subcommands_without_numpy_code_run_without_numpy(tmp_path, argv, corpus
     assert proc.returncode == 0, proc.stderr
     deferred = ("['ast', 'copy', 'dataclasses', 'decimal', 'dis', 'fractions', 'inspect', "
                 "'warmstart.memplan']" if argv[0] == "memplan" else "[]")
-    assert proc.stdout.decode().splitlines()[-2:] == [deferred, "False []"]
+    assert proc.stdout.decode().splitlines()[-2:] == [deferred, "False 0 []"]
 
 
 def test_stats_loads_no_deferred_module_of_its_own(tmp_path, corpus_store):
     # numpy imports inspect, and with it ast and dis
     proc = cli(tmp_path, "-c", RUN, "stats", "--store", corpus_store)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.decode().splitlines()[-2:] == ["['ast', 'dis', 'inspect']", "True []"]
+    assert proc.stdout.decode().splitlines()[-2:] == ["['ast', 'dis', 'inspect']", "True 0 []"]
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])
