@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import WarmstartError
 from .masking import MaskedExample
 
@@ -56,6 +54,8 @@ class PaddedBatch:
     """
 
     def __init__(self, examples: Sequence[MaskedExample], pad_id: int):
+        import numpy as np
+
         if not examples:
             raise BatcherError("cannot assemble an empty batch")
         self.pad_id = pad_id

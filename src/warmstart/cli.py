@@ -15,6 +15,7 @@ import argparse
 import math
 import os
 import signal
+import struct
 import sys
 import threading
 from array import array
@@ -35,22 +36,22 @@ from .config import (
     resolve_options,
     resolve_workers,
 )
-from .corpus import (DEFAULT_MIN_TAIL, DEFAULT_SEQ_LEN, SequenceStoreReader, check_chunking,
-                     chunk_corpus, default_index_path, is_special_file, replacing,
-                     store_count, store_writer, write_store)
+from .corpus import (DEFAULT_MIN_TAIL, DEFAULT_SEQ_LEN, SequenceStoreReader, StoreFormatError,
+                     check_chunking, chunk_corpus, default_index_path, is_special_file,
+                     replacing, store_count, store_head, store_writer, write_store)
 from .errors import Terminated, WarmstartError, WorkerError, read_text
 from .schedule import DEFAULT_PEAK, DEFAULT_WARMUP_STEPS, LrSchedule, check_curve, iter_curve
 from .vocab import (DEFAULT_BOUNDARY_MARKER, Vocabulary, check_layout, load_vocab,
                     tokenize_greedy)
 
 # The names taken from the layers that some subcommand never reaches: those
-# that import numpy (batcher, masking, transplant), and memplan and
-# translate. Each module is imported on first use, so prepare-corpus and
-# lr-curve start without any of them, and without numpy. A subcommand binds
-# its modules with _bind; an attribute access from outside, such as
-# `cli.padding_stats`, binds through __getattr__. assemble and make_example
-# are not called here; they are listed because bench/layertrace.py patches
-# them on this module by name.
+# that use numpy (batcher, masking, transplant), and memplan and translate.
+# Each module is imported on first use, so prepare-corpus and lr-curve start
+# without any of them, and without numpy. A subcommand binds its modules
+# with _bind; an attribute access from outside, such as
+# `cli.padding_stats`, binds through __getattr__. assemble is not called
+# here; it is listed because bench/layertrace.py patches it on this module
+# by name.
 _LAZY_NAMES = {
     ".batcher": ("assemble", "padding_stats", "plan_accumulation"),
     ".masking": ("MaskKey", "MaskMode", "MaskSpec", "corrupt_batch", "make_example"),
@@ -294,9 +295,9 @@ def _read_documents(input_path, vocab: Vocabulary, workers: int):
     blank-line-separated blocks are documents.
 
     Documents are tokenized in groups of about GROUP_BYTES of text, one
-    document at least, through _ordered_map: the first group here, which
-    fills the vocabulary's word memo that forked workers then inherit, and
-    the rest on `workers` processes. A file is read where its group is
+    document at least: the first group here, which fills the vocabulary's
+    word memo that forked workers then inherit, and the rest through
+    _ordered_map on `workers` processes. A file is read where its group is
     tokenized."""
     p = Path(input_path)
     if p.is_dir():
@@ -318,7 +319,8 @@ def _read_documents(input_path, vocab: Vocabulary, workers: int):
         ids = (tokenize_greedy(vocab, " ".join(read(doc).split())) for doc in group)
         return [array("I", doc_ids) for doc_ids in ids if doc_ids]
 
-    for done in _ordered_map(tokenize_group, groups, workers):
+    yield from tokenize_group(groups[0])  # there is one document at least
+    for done in _ordered_map(tokenize_group, groups[1:], workers):
         yield from done
 
 
@@ -387,27 +389,22 @@ STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)  # each ends a run, see main
 def _ordered_map(fn, items: list, workers: int):
     """fn(item) for each item, yielded in order.
 
-    The first item runs in this process before any worker starts, so its
-    result can be written at once. The rest run on `workers` forked
-    processes, no more than there are items left: worker w inherits `fn`
-    and the items, runs every workers-th item from item 1 + w, and writes
-    each result, or the exception that ends its share, pickled to a pipe of
-    its own, which holds it to one result ahead of the reader. With one
-    worker, on a platform without fork, or in a process that runs other
-    threads, the items run here. A worker leaves only through os._exit, so
-    it never returns into this process's frames nor flushes its copies of
-    stdout and other open files; when the map ends, however it ends, every
-    worker is killed.
+    The items run on `workers` forked processes, no more than there are
+    items: worker w inherits `fn` and the items, runs every workers-th item
+    from item w, and writes each result, or the exception that ends its
+    share, pickled to a pipe of its own, which holds it to one result ahead
+    of the reader. A caller that wants a first result at once computes it
+    itself, before the map forks. With one worker, on a platform without
+    fork, or in a process that runs other threads, the items run here. A
+    worker leaves only through os._exit, so it never returns into this
+    process's frames nor flushes its copies of stdout and other open files;
+    when the map ends, however it ends, every worker is killed.
     """
-    if not items:
-        return
-    yield fn(items[0])
-    rest = items[1:]
-    workers = min(workers, len(rest))
+    workers = min(workers, len(items))
     # A forked child holds only the thread that forked it, so fork only
     # from a process that has no other.
     if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        yield from map(fn, rest)
+        yield from map(fn, items)
         return
     import pickle
 
@@ -422,7 +419,7 @@ def _ordered_map(fn, items: list, workers: int):
                 try:
                     os.close(read_end)  # so a write fails once the parent is gone
                     signal.pthread_sigmask(signal.SIG_SETMASK, held | {signal.SIGINT})
-                    for item in rest[w::workers]:
+                    for item in items[w::workers]:
                         try:
                             message = (True, fn(item))
                         except Exception as e:
@@ -438,7 +435,7 @@ def _ordered_map(fn, items: list, workers: int):
             pids.append(pid)
             pipes.append(open(read_end, "rb"))
         signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        for i in range(len(rest)):
+        for i in range(len(items)):
             try:
                 ok, value = pickle.load(pipes[i % workers])
             except (EOFError, pickle.UnpicklingError):  # the worker died
@@ -456,10 +453,18 @@ def _ordered_map(fn, items: list, workers: int):
         signal.pthread_sigmask(signal.SIG_SETMASK, held)
 
 
+class _Lengths:
+    """A micro-batch's row lengths, with the rows and padded widths that
+    batcher.padding_stats reads of a batch."""
+
+    def __init__(self, input_lengths: list[int], target_lengths: list[int]):
+        self.input_lengths, self.target_lengths = input_lengths, target_lengths
+        self.rows, self.width_in, self.width_tgt = (
+            len(input_lengths), max(input_lengths), max(target_lengths))
+
+
 def cmd_sample_batches(o: dict) -> int:
     from fractions import Fraction
-
-    import numpy as np
 
     _bind(".batcher", ".masking")
 
@@ -475,27 +480,51 @@ def cmd_sample_batches(o: dict) -> int:
     workers = resolve_workers()
 
     vocab = load_vocab(o["vocab"], **layout)
-    reader = SequenceStoreReader(o["store"])
 
-    order = range(reader.count)
-    if o["sort_by_length"]:
-        order = np.argsort(reader.lengths(), kind="stable")  # ties keep store order
-    decimals = _Decimals(vocab.size) if text else None
-
-    def render(run: range):
-        """The micro-batches of a run, corrupted at once: their text or rows,
-        report lines, and real and total cells."""
-        indices = order[run.start * micro : run.stop * micro]
-        batch = corrupt_batch(reader, indices, spec, seed, epoch, vocab)
+    def tally(run: range, parts) -> tuple[str, int]:
+        """The report lines of a run's micro-batches, and their total cells."""
         lines, total = [], 0
-        for b, part in zip(run, batch.split(micro)):
+        for b, part in zip(run, parts):
             stats = padding_stats(part)
             if report_path is not None:
                 lines.append(f"batch={b} rows={part.rows} width_in={part.width_in} "
                              f"width_tgt={part.width_tgt} input_eff={stats.input_efficiency} "
                              f"target_eff={stats.target_efficiency} combined={stats.combined}\n")
             total += part.rows * (part.width_in + part.width_tgt)
-        return (decimals.lines(indices, batch) if text else batch, "".join(lines),
+        return "".join(lines), total
+
+    def render_first(indices, seqs: list) -> tuple:
+        """Micro-batch 0, the sequences `seqs` at `indices`, corrupted row by
+        row through make_example, which needs no numpy, as render gives a
+        run: its text or records, report line, and real and total cells. Its
+        ids are checked first, then its rows in order, so it fails as
+        corrupt_batch would."""
+        for i, ids in zip(indices, seqs):
+            if max(ids, default=0) >= vocab.size:
+                raise StoreFormatError(f"{o['store']}: sequence {i} holds id "
+                                       f"{next(t for t in ids if t >= vocab.size)}, "
+                                       f"outside a vocabulary of {vocab.size}")
+        examples = [make_example(ids, spec, MaskKey(seed, epoch, i), vocab)
+                    for i, ids in zip(indices, seqs)]
+        part = _Lengths([len(e.input_ids) for e in examples],
+                        [len(e.target_ids) for e in examples])
+        if text:
+            rows = "".join(f"{i}\t{' '.join(map(str, e.input_ids))}\t"
+                           f"{' '.join(map(str, e.target_ids))}\n"
+                           for i, e in zip(indices, examples))
+        else:
+            rows = [struct.pack(f"<{len(ids)}I", *ids)
+                    for e in examples for ids in (e.input_ids, e.target_ids)]
+        lines, total = tally(range(1), [part])
+        return rows, lines, sum(part.input_lengths) + sum(part.target_lengths), total
+
+    def render(run: range):
+        """The micro-batches of a run, corrupted at once: their text or rows,
+        report lines, and real and total cells."""
+        indices = order[run.start * micro : run.stop * micro]
+        batch = corrupt_batch(reader, indices, spec, seed, epoch, vocab)
+        lines, total = tally(run, batch.split(micro))
+        return (decimals.lines(indices, batch) if text else batch, lines,
                 sum(batch.input_lengths) + sum(batch.target_lengths), total)
 
     def render_run(run: range) -> list:
@@ -514,13 +543,23 @@ def cmd_sample_batches(o: dict) -> int:
                 break
         return done
 
-    # Micro-batch 0 alone, then runs of about RUN_SEQUENCES sequences, are
-    # rendered in order and written here as they come. Files replace their
-    # targets only once the whole epoch has succeeded.
-    batches = math.ceil(len(order) / micro)
-    runs = [range(lo, hi) for lo, hi in
-            pairwise([0, *range(1, batches, max(1, RUN_SEQUENCES // micro)), batches])
-            if lo < hi]  # an empty epoch has no run
+    # Micro-batch 0 is rendered and written first: in store order from the
+    # head of the store, before the reader opens and numpy loads; sorted by
+    # length, from the reader, since the order needs every length. Then runs
+    # of about RUN_SEQUENCES sequences go to the workers, and are written
+    # here in order as they come. Files replace their targets only once the
+    # whole epoch has succeeded.
+    if o["sort_by_length"]:
+        import numpy as np
+
+        reader = SequenceStoreReader(o["store"])
+        order = np.argsort(reader.lengths(), kind="stable")  # ties keep store order
+        indices = order[:micro]
+        head = [reader.read(i) for i in indices]
+    else:
+        reader, head = None, store_head(o["store"], micro)
+        indices = range(len(head))
+    first = render_first(indices, head) if head else None  # an empty epoch has no micro-batch 0
     real_cells = total_cells = 0
     with ExitStack() as files:
         if text:
@@ -530,22 +569,42 @@ def cmd_sample_batches(o: dict) -> int:
             append = files.enter_context(store_writer(out_path))
         if report_path is not None:
             report = files.enter_context(replacing(report_path, "w", encoding="utf-8"))
-        results = files.enter_context(closing(_ordered_map(render_run, runs, workers)))
-        for result in chain.from_iterable(results):
-            if isinstance(result, Exception):
-                raise result
-            rows, lines, real, total = result
+
+        def write(rows, lines: str, real: int, total: int) -> None:
+            nonlocal real_cells, total_cells
             if report_path is not None:
                 report.write(lines)
             if text:
                 out.write(rows)
             else:
+                append(rows)
+            real_cells += real
+            total_cells += total
+
+        if first is not None:
+            write(*first)
+            if text:  # the first lines reach a reader on a pipe before the rest is rendered
+                out.flush()
+        import numpy as np  # in store order, loaded only now
+
+        if reader is None:
+            reader = SequenceStoreReader(o["store"])
+            order = range(reader.count)
+        decimals = _Decimals(vocab.size) if text else None
+        batches = math.ceil(len(order) / micro)
+        runs = [range(lo, hi) for lo, hi in  # from micro-batch 1; an epoch of one has none
+                pairwise([*range(1, batches, max(1, RUN_SEQUENCES // micro)), batches])]
+        results = files.enter_context(closing(_ordered_map(render_run, runs, workers)))
+        for result in chain.from_iterable(results):
+            if isinstance(result, Exception):
+                raise result
+            rows, *rest = result
+            if not text:
                 inputs, targets = (np.split(ids.astype("<u4"), np.cumsum(lengths)[:-1])
                                    for ids, lengths in ((rows.inputs, rows.input_lengths),
                                                         (rows.targets, rows.target_lengths)))
-                append(chain.from_iterable(zip(inputs, targets)))  # record 2i+1 is row i's target
-            real_cells += real
-            total_cells += total
+                rows = chain.from_iterable(zip(inputs, targets))  # record 2i+1 is row i's target
+            write(rows, *rest)
 
     overall = Fraction(real_cells, total_cells) if total_cells else None
     print(

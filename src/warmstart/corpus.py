@@ -4,8 +4,9 @@ Documents are split into consecutive fixed-length chunks of ids that never
 cross a document boundary; a short final tail is kept only when it reaches
 min_tail. Sequences are persisted as plain id sequences in a length-prefixed
 binary store with a side index of byte offsets at `<store>.idx`, which a
-reader loads once as its offset table. Every artifact writer in warmstart
-opens its target through `replacing`, so a file appears only whole.
+reader loads once as its offset table; store_head reads a store's first
+sequences without numpy. Every artifact writer in warmstart opens its
+target through `replacing`, so a file appears only whole.
 """
 
 from __future__ import annotations
@@ -165,11 +166,65 @@ def _store_header(path, f) -> int:
     return count
 
 
+def _index_header(path, f, count: int) -> None:
+    """Check the side index open as `f` against a store of `count`
+    sequences: its header must hold that count, and a regular file must be
+    long enough for as many offsets."""
+    found = _header_count(path, f.read(16), INDEX_MAGIC, "store index")
+    if found != count:
+        raise StoreFormatError(f"{path}: index holds {found} offsets but store has "
+                               f"{count} sequences")
+    st = os.fstat(f.fileno())
+    if stat.S_ISREG(st.st_mode) and st.st_size < 16 + 8 * count:
+        raise StoreFormatError(f"{path}: truncated index")
+
+
 def store_count(path) -> int:
     """The sequence count in a store's 16-byte header, bounded by the size
     of a regular file; nothing else is read."""
     with open(path, "rb") as f:
         return _store_header(path, f)
+
+
+def store_head(path, n: int) -> list[tuple[int, ...]]:
+    """The ids of a store's first n sequences (all of them if it holds
+    fewer), read without numpy. They get the checks SequenceStoreReader
+    makes when it opens, with its messages, as far as these records go: the
+    header's count, then the side index's count and size and its first n
+    offsets, chained from byte 16, or else the walk of their length
+    prefixes. A stale offset past them is found when the reader opens."""
+    with open(path, "rb") as f:
+        count = _store_header(path, f)
+        size, head = os.fstat(f.fileno()).st_size, min(n, count)
+        index, offsets = default_index_path(path), None
+        if os.path.exists(index):
+            with open(index, "rb") as g:
+                _index_header(index, g, count)
+                offsets = struct.unpack(f"<{head}Q", g.read(8 * head))
+
+        stale = f"{index}: stale index, offsets do not chain through the store"
+
+        def error(walked: str) -> StoreFormatError:  # the walk's fault, or the index's
+            return StoreFormatError(walked if offsets is None else stale)
+
+        def read(size: int) -> bytes:
+            data = f.read(size)
+            if len(data) != size:
+                raise StoreFormatError(f"{path}: store changed while open")
+            return data
+
+        rows, end = [], 16  # records follow the header, each where the last one ends
+        for i in range(head):
+            if offsets is not None and offsets[i] != end:
+                raise StoreFormatError(stale)
+            if end + 4 > size:
+                raise error(f"{path}: truncated store")
+            (length,) = struct.unpack("<I", read(4))
+            end += 4 + 4 * length
+            if end > size:
+                raise error(f"{path}: truncated sequence {i}")
+            rows.append(struct.unpack(f"<{length}I", read(4 * length)))
+        return rows
 
 
 def _drop_pages(mapping) -> None:
@@ -217,12 +272,9 @@ class SequenceStoreReader:
         offset of 2**63 or more read as int64 would index `words` from the end."""
         import numpy as np
 
-        path, n = default_index_path(self.path), len(words)
+        path, n, count = default_index_path(self.path), len(words), self.count
         with open(path, "rb") as f:
-            count = _header_count(path, f.read(16), INDEX_MAGIC, "store index")
-            if count != self.count:
-                raise StoreFormatError(f"{path}: index holds {count} offsets but store has "
-                                       f"{self.count} sequences")
+            _index_header(path, f, count)
             table = np.full(count + 1, 16, dtype="<u8")  # an empty store ends at byte 16
             if f.readinto(table[:-1]) != 8 * count:
                 raise StoreFormatError(f"{path}: truncated index")

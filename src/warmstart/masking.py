@@ -11,18 +11,19 @@ sentinel and eos.
 
 make_example corrupts one sequence, given as its ids, and is the reference;
 corrupt_batch gives the same rows for a whole run of stored sequences, built
-with index arithmetic over flat arrays.
+with index arithmetic over flat arrays. Only the run functions import numpy:
+one sequence is drawn and corrupted in plain Python.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from hashlib import shake_128
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .corpus import SequenceStoreReader, StoreFormatError
 from .errors import WarmstartError
@@ -64,7 +65,13 @@ class MaskKey:
     seq_index: int | Sequence[int]
 
     def __post_init__(self):
-        if self.epoch < 0 or np.min(self.seq_index, initial=0) < 0:
+        try:
+            lowest = operator.index(self.seq_index)
+        except TypeError:  # a run's indices
+            import numpy as np
+
+            lowest = np.min(self.seq_index, initial=0)
+        if self.epoch < 0 or lowest < 0:
             raise MaskingError("epoch and seq_index must be non-negative")
         if self.epoch >= 2**64:  # the draw keys on its 8 bytes
             raise MaskingError(f"epoch must be below 2**64, got {self.epoch}")
@@ -80,13 +87,23 @@ def mask_counts(length, spec: MaskSpec) -> tuple:
     """(tokens to mask, spans to group them into) for one sequence, as ints,
     or for each of an array of lengths, as two arrays. Rounding is half to
     even either way."""
-    lengths = np.asarray(length, dtype=np.int64)
-    if lengths.min() < 2:
-        raise MaskingError(f"sequence length must be at least 2, got {lengths.min()}")
-    masked = np.clip(np.round(spec.rate * lengths), 1, lengths - 1).astype(np.int64)
-    spans = masked if spec.mode is MaskMode.IID else np.clip(
-        np.round(masked / spec.mean_span), 1, masked).astype(np.int64)
-    return (masked, spans) if np.ndim(length) else (int(masked), int(spans))
+    try:
+        n = operator.index(length)
+    except TypeError:  # an array of lengths
+        import numpy as np
+
+        lengths = np.asarray(length, dtype=np.int64)
+        if lengths.min() < 2:
+            raise MaskingError(f"sequence length must be at least 2, got {lengths.min()}")
+        masked = np.clip(np.round(spec.rate * lengths), 1, lengths - 1).astype(np.int64)
+        spans = masked if spec.mode is MaskMode.IID else np.clip(
+            np.round(masked / spec.mean_span), 1, masked).astype(np.int64)
+        return masked, spans
+    if n < 2:
+        raise MaskingError(f"sequence length must be at least 2, got {n}")
+    masked = min(max(round(spec.rate * n), 1), n - 1)
+    return masked, masked if spec.mode is MaskMode.IID else min(
+        max(round(masked / spec.mean_span), 1), masked)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,16 +129,45 @@ def draw_mask(length, spec: MaskSpec, key: MaskKey) -> list[tuple[int, int]] | S
     The draw is uniform over valid configurations: with m of n tokens masked
     in k spans, span lengths and gap sizes are independent uniform
     compositions (stars and bars), whose k-1 and k bars are the slots of the
-    smallest keys among the first m-1 and the other n-m. Given arrays of
-    lengths and of key.seq_index, it draws a whole run and returns Spans.
+    smallest keys among the first m-1 and the other n-m. Given one length,
+    the draw is plain Python, the reference for the run draw: given arrays
+    of lengths and of key.seq_index, it draws a whole run and returns Spans.
     """
+    try:
+        n = operator.index(length)
+    except TypeError:
+        return _draw_run(length, spec, key)
+    m, s = mask_counts(n, spec)
+    k = min(s, n - m)
+    # A slot's sort key is its word with bit 63 set for a gap slot, bit 62
+    # clear and the low bits (as many as slot n-2 needs) replaced by the
+    # slot, so the order is total.
+    head = (int(key.seed) % 2**64).to_bytes(8, "little") + int(key.epoch).to_bytes(8, "little")
+    words = struct.unpack(f"<{n - 1}Q", shake_128(
+        head + int(key.seq_index).to_bytes(8, "little")).digest(8 * n - 8))
+    low = math.frexp(n - 2)[1]
+    keep, slot = (1 << 62) - (1 << low), (1 << low) - 1
+    keys = sorted((w & keep) | c | (c >= m - 1) << 63 for c, w in enumerate(words))
+    # Span i ends at gap bar i + span bar i + 1 and starts at gap bar i +
+    # span bar i-1 + 2, where span bar -1 is -1 and span bar k-1 is m-1.
+    span_bars = sorted(key & slot for key in keys[: k - 1]) + [m - 1]
+    gap_bars = sorted((key & slot) - (m - 1) for key in keys[m - 1 : m - 1 + k])
+    spans, before = [], -1
+    for gap, bar in zip(gap_bars, span_bars):
+        spans.append((gap + before + 2, gap + bar + 1))
+        before = bar
+    return spans
+
+
+def _draw_run(length, spec: MaskSpec, key: MaskKey) -> Spans:
+    """draw_mask for arrays of lengths and of key.seq_index, all rows at once."""
+    import numpy as np
+
     lengths, indices = np.atleast_1d(length).astype(np.int64), np.atleast_1d(key.seq_index)
     masked, k = mask_counts(lengths, spec)
     k = np.minimum(k, lengths - masked)
 
-    # A slot's sort key is its word with bit 63 set for a gap slot, bit 62
-    # clear and the low bits (as many as the row's last slot needs) replaced
-    # by the slot, so each row's order is total and its padding sorts last.
+    # The keys of draw_mask, a row per sequence, padded with keys that sort last.
     head = (int(key.seed) % 2**64).to_bytes(8, "little") + int(key.epoch).to_bytes(8, "little")
     words = np.frombuffer(b"".join(shake_128(head + i.to_bytes(8, "little")).digest(8 * n - 8)
                                    for i, n in zip(indices.tolist(), lengths.tolist())), "<u8")
@@ -139,11 +185,9 @@ def draw_mask(length, spec: MaskSpec, key: MaskKey) -> list[tuple[int, int]] | S
     span_bar = np.where(i < k[row] - 1, (ranked[row, i] & slot).astype(np.int64), first_gap)
     gap_bar = (ranked[row, first_gap + i] & slot).astype(np.int64) - first_gap
     span_bar, gap_bar = (np.sort(row << 32 | bar) & 0xFFFF_FFFF for bar in (span_bar, gap_bar))
-    # Span i ends at gap bar i + span bar i + 1 and starts at gap bar i +
-    # span bar i-1 + 2, where span bar -1 is -1 and span bar k-1 is m-1.
+    # The spans from the bars, by draw_mask's arithmetic.
     before = np.where(i == 0, -1, np.roll(span_bar, 1))
-    spans = Spans(np.stack([gap_bar + before + 2, gap_bar + span_bar + 1], axis=1), k)
-    return spans if np.ndim(length) else list(spans)
+    return Spans(np.stack([gap_bar + before + 2, gap_bar + span_bar + 1], axis=1), k)
 
 
 def _validate_spans(spans: list[tuple[int, int]], length: int) -> None:
@@ -226,6 +270,8 @@ class CorruptedBatch:
 
     def split(self, size: int) -> Iterator[CorruptedBatch]:
         """The rows in consecutive batches of `size` rows."""
+        import numpy as np
+
         n_in, n_tgt = self.input_lengths, self.target_lengths
         cut_in, cut_tgt = (np.cumsum(n)[size - 1 : -1 : size] for n in (n_in, n_tgt))
         for r, inputs, targets in zip(range(0, self.rows, size), np.split(self.inputs, cut_in),
@@ -254,6 +300,8 @@ def corrupt_batch(
     slots (closing sentinel, eos), and both sides are cut out of that
     layout with masks.
     """
+    import numpy as np
+
     if not len(indices):
         raise MaskingError("a batch needs at least one sequence")
     tokens, lengths = reader.gather(indices)

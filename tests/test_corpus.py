@@ -18,6 +18,7 @@ from warmstart.corpus import (
     chunk_corpus,
     default_index_path,
     store_count,
+    store_head,
     store_writer,
     write_store,
 )
@@ -355,6 +356,65 @@ def test_store_cut_mid_payload_is_rejected_when_it_opens(tmp_path):
     with pytest.raises(StoreFormatError) as e:
         SequenceStoreReader(path)
     assert str(e.value) == f"{path}: truncated sequence 1"
+
+
+HEAD_RECORDS = [[1, 9, 4], [5, 6], [7], [8, 8], [2, 3, 4, 5], [6]]  # at 16, 32, 44, 52, 64, 84
+
+
+def _set_offset(idx: Path, record: int, offset: int) -> None:
+    data = bytearray(idx.read_bytes())
+    data[16 + 8 * record : 24 + 8 * record] = struct.pack("<Q", offset)
+    idx.write_bytes(data)
+
+
+def _cut_unindexed(path: Path, size: int, idx: Path) -> None:
+    idx.unlink()
+    path.write_bytes(path.read_bytes()[:size])
+
+
+# Each fault of a store of HEAD_RECORDS, and the first record it is found at
+# (None: found whatever is read).
+HEAD_FAULTS = {
+    "bad magic": (lambda path, idx: path.write_bytes(b"XXXX" + path.read_bytes()[4:]), None),
+    "header count past the records": (lambda path, idx: path.write_bytes(
+        b"SEQS" + struct.pack("<IQ", 1, 20) + path.read_bytes()[16:]), None),
+    "index count": (lambda path, idx: idx.write_bytes(
+        b"SEQI" + struct.pack("<IQ", 1, 5) + idx.read_bytes()[16:]), None),
+    "index cut short": (lambda path, idx: idx.write_bytes(idx.read_bytes()[:-8]), None),
+    "stale offset": (lambda path, idx: _set_offset(idx, 2, 48), 2),
+    "offset past the end": (lambda path, idx: _set_offset(idx, 5, 4000), 5),
+    "indexed store cut short": (lambda path, idx: path.write_bytes(path.read_bytes()[:-4]), 5),
+    "unindexed store cut inside a record": (lambda path, idx: _cut_unindexed(path, 50, idx), 2),
+    "unindexed store cut before a prefix": (lambda path, idx: _cut_unindexed(path, 64, idx), 4),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(HEAD_FAULTS))
+def test_store_head_checks_its_records_as_the_reader_does(tmp_path, fault):
+    path = tmp_path / "c.seqs"
+    write_store(HEAD_RECORDS, path)
+    spoil, found_at = HEAD_FAULTS[fault]
+    spoil(path, Path(default_index_path(path)))
+    with pytest.raises(StoreFormatError) as opened:
+        SequenceStoreReader(path)
+    for n in range(len(HEAD_RECORDS) + 2):
+        if found_at is None or n > found_at:
+            with pytest.raises(StoreFormatError) as head:
+                store_head(path, n)
+            assert str(head.value) == str(opened.value)
+        else:
+            assert store_head(path, n) == [tuple(ids) for ids in HEAD_RECORDS[:n]]
+
+
+@pytest.mark.parametrize("index", [True, False], ids=["index", "walk"])
+@pytest.mark.parametrize("records", [HEAD_RECORDS, []])
+def test_store_head_is_the_first_records_the_reader_reads(tmp_path, index, records):
+    path = tmp_path / "c.seqs"
+    write_store(records, path)
+    if not index:
+        Path(default_index_path(path)).unlink()
+    whole = [tuple(ids) for ids in SequenceStoreReader(path)]
+    assert [store_head(path, n) for n in range(8)] == [whole[:n] for n in range(8)]
 
 
 # Opens a store, reads its lengths, gathers every sequence 16 at a time in

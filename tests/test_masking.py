@@ -351,6 +351,27 @@ class TestKeyedDraw:
         assert spans == documented_draw(n, spec, key)
         assert all(type(v) is int for pair in spans for v in pair)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_one_row_is_its_row_of_a_run(self, data):
+        """The plain-Python draw of one row, the reference, against the
+        numpy draw of a run: row for row, span for span."""
+        lengths = data.draw(st.lists(st.one_of(st.sampled_from([2, 3, 512, 4096]),
+                                               st.integers(2, 600)), min_size=1, max_size=6))
+        rate = data.draw(st.one_of(st.sampled_from([0.15, 0.5]), st.floats(1e-9, 0.01),
+                                   st.floats(0.99, 1 - 1e-9)), "rate")
+        spec = MaskSpec(rate, data.draw(st.sampled_from([1.0, 2.5, 3.0, 20.0]), "mean span"),
+                        data.draw(st.sampled_from(list(MaskMode)), "mode"))
+        seed = data.draw(st.one_of(st.integers(-2**70, -1), st.integers(2**64, 2**70),
+                                   st.integers(0, 2**64 - 1)), "seed")
+        epoch = data.draw(st.one_of(st.just(2**64 - 1), st.integers(0, 2**64 - 1)), "epoch")
+        indices = data.draw(st.lists(st.one_of(st.just(2**63), st.integers(0, 2**64 - 1)),
+                                     min_size=len(lengths), max_size=len(lengths)), "indices")
+        run = draw_mask(np.array(lengths), spec,
+                        MaskKey(seed, epoch, np.array(indices, dtype=np.uint64)))
+        assert _rows(run) == [draw_mask(n, spec, MaskKey(seed, epoch, i))
+                              for n, i in zip(lengths, indices)]
+
     @pytest.mark.parametrize("spec", [
         MaskSpec(),
         MaskSpec(rate=0.5, mean_span=2.0),  # n/2 and m/2 tie at .5 for odd n and m

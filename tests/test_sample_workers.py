@@ -9,6 +9,7 @@ stdout a buffered pipe that a forked worker could write twice.
 import contextlib
 import hashlib
 import os
+import select
 import signal
 import struct
 import subprocess
@@ -22,7 +23,8 @@ import pytest
 import warmstart
 import warmstart.cli as cli_module
 from warmstart.cli import _Decimals, main
-from warmstart.corpus import STORE_VERSION, SequenceStoreReader, write_store
+from warmstart.corpus import (STORE_VERSION, SequenceStoreReader, StoreFormatError,
+                              default_index_path, write_store)
 
 from conftest import write_vocab_file
 from test_cli import VOCAB_TOKENS, _isolate_run_log  # noqa: F401 (autouse fixture)
@@ -275,17 +277,82 @@ def test_a_process_with_other_threads_runs_the_epoch_itself(tmp_path, vocab, big
         GOLDEN["sample-big-text:big.tsv"])
 
 
-def test_an_id_outside_the_vocabulary_is_one_error_line(tmp_path, vocab, capsys):
+@pytest.mark.parametrize("micro", ["2", "4"])  # sequence 2 in micro-batch 1, or in micro-batch 0
+def test_an_id_outside_the_vocabulary_is_one_error_line(tmp_path, vocab, capsys, micro):
     store = tmp_path / "wide.seqs"
     size = len(VOCAB_TOKENS)
     write_store([[3, 4, 5], [6, 7], [8, size, 9]], store)
     out = tmp_path / "b.tsv"
-    assert main([*BASE, "--store", str(store), "--vocab", str(vocab),
+    assert main([*BASE, "--micro-batch", micro, "--store", str(store), "--vocab", str(vocab),
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err == (f"warmstart: error: StoreFormatError: {store}: sequence 2 holds id "
                    f"{size}, outside a vocabulary of {size}\n")
     assert not out.exists()
+
+
+def _set_offset(store, record: int, shift: int) -> None:
+    """Moves `record`'s offset in the store's side index by `shift` bytes."""
+    idx = Path(default_index_path(store))
+    data = bytearray(idx.read_bytes())
+    at = slice(16 + 8 * record, 24 + 8 * record)
+    data[at] = struct.pack("<Q", struct.unpack("<Q", data[at])[0] + shift)
+    idx.write_bytes(data)
+
+
+def _cut_unindexed(store) -> None:
+    """Drops the side index, and keeps the first two records of the store,
+    the second cut short after its first two bytes of ids."""
+    Path(default_index_path(store)).unlink()
+    data = store.read_bytes()
+    second = 16 + 4 + 4 * struct.unpack_from("<I", data, 16)[0]
+    store.write_bytes(b"SEQS" + struct.pack("<IQ", STORE_VERSION, 2) + data[16 : second + 6])
+
+
+# Store faults that micro-batch 0 (records 0 and 1 of BASE's micro-batches of
+# 2) meets, and the reader's message for each.
+FAULTS_IN_MICRO_BATCH_0 = {
+    "index count": (lambda store: Path(default_index_path(store)).write_bytes(
+        b"SEQI" + struct.pack("<IQ", STORE_VERSION, 319)
+        + Path(default_index_path(store)).read_bytes()[16:]),
+        "{store}.idx: index holds 319 offsets but store has 320 sequences"),
+    "stale offset": (lambda store: _set_offset(store, 1, 4),
+                     "{store}.idx: stale index, offsets do not chain through the store"),
+    "unindexed store cut short": (_cut_unindexed, "{store}: truncated sequence 1"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS_IN_MICRO_BATCH_0))
+def test_a_store_fault_in_micro_batch_0_is_the_readers_error_line(
+    tmp_path, vocab, big_store, capsys, fault
+):
+    spoil, message = FAULTS_IN_MICRO_BATCH_0[fault]
+    spoil(big_store)
+    with pytest.raises(StoreFormatError) as opened:
+        SequenceStoreReader(big_store)
+    assert str(opened.value) == message.format(store=big_store)
+    assert main([*BASE, "--store", str(big_store), "--vocab", str(vocab)]) == 1
+    assert capsys.readouterr() == ("", f"warmstart: error: StoreFormatError: {opened.value}\n")
+
+
+@pytest.mark.parametrize("extra", [[], ["--out", "b.tsv", "--report", "b.eff"],
+                                   ["--format", "binary", "--out", "bin"]])
+def test_a_stale_index_past_micro_batch_0_ends_the_run_after_its_lines(
+    tmp_path, vocab, big_store, extra
+):
+    argv = [*BASE, "--store", big_store, "--vocab", vocab, *extra]
+    first = cli(tmp_path, *BASE, "--store", big_store, "--vocab", vocab).stdout.splitlines(True)
+    first = b"".join(first[:2])  # micro-batch 0's lines
+    _set_offset(big_store, 200, 4)
+    for name in ("b.tsv", "b.eff", "bin", "bin.idx"):
+        (tmp_path / name).write_bytes(b"old\n")
+    before = files_in(tmp_path)
+    proc = cli(tmp_path, *argv, workers="2")
+    assert proc.returncode == 1
+    assert proc.stdout == (b"" if extra else first)
+    assert proc.stderr.decode() == (f"warmstart: error: StoreFormatError: {big_store}.idx: "
+                                    "stale index, offsets do not chain through the store\n")
+    assert files_in(tmp_path) == before  # no temp file left, every target as it was
 
 
 @pytest.mark.parametrize("case", ["stdout", "out", "report", "binary"])
@@ -429,7 +496,7 @@ def test_sigint_to_the_group_leaves_lr_curve_out_as_it_was(tmp_path):
 
 SAMPLE_BATCHES_STOPS = pytest.mark.parametrize("extra, workers, calls, processes", [
     (["--out", "b.tsv", "--report", "b.eff"], "1", 2, 1),  # after the first run is written
-    (["--format", "binary", "--out", "bin"], "2", 3, 3),  # once both workers are busy
+    (["--format", "binary", "--out", "bin"], "2", 2, 2),  # once both workers are busy
 ])
 
 
@@ -477,7 +544,7 @@ def test_sigterm_to_the_group_leaves_sample_batches_outputs_as_they_were(
     tmp_path, vocab, big_store
 ):
     stop_sample_batches(tmp_path, vocab, big_store, ["--format", "binary", "--out", "bin"], "2",
-                        3, 3, signal.SIGTERM, group=True)
+                        2, 2, signal.SIGTERM, group=True)
 
 
 @SAMPLE_BATCHES_STOPS
@@ -500,3 +567,26 @@ def test_a_signal_while_the_workers_are_forked_still_stops_the_run(tmp_path, voc
                "--out", "b.tsv", workers="2")
     assert (proc.returncode, proc.stderr) == STOPPED[signal.SIGINT]
     assert files_in(tmp_path) == before
+
+
+def test_micro_batch_0_reaches_a_pipe_before_the_runs_are_rendered(tmp_path, vocab):
+    """stdout is flushed after micro-batch 0: its lines do not wait in the
+    pipe's buffer for the runs. The whole output is under 8 KiB, so nothing
+    else would push them out before the run ends."""
+    store = tmp_path / "short.seqs"
+    write_store([[3 + i % 8, 4] for i in range(300)], store)  # micro-batch 0, then two runs
+    (tmp_path / "calls").mkdir()
+    proc = cli(tmp_path, "-c", slow_calls("corrupt_batch"), *BASE, "--micro-batch", "1",
+               "--store", store, "--vocab", vocab, workers="1", run=subprocess.Popen,
+               stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    try:
+        assert select.select([proc.stdout], [], [], 60)[0], "no output within 60 s"
+        first = os.read(proc.stdout.fileno(), 1 << 16)
+        calls = len(list((tmp_path / "calls").iterdir()))
+        running = proc.poll() is None
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert first.startswith(b"0\t") and first.endswith(b"\n")
+    assert calls <= 1 and running  # the second run has not started

@@ -1,5 +1,6 @@
 """Which subcommands start without numpy, the dataclasses machinery or the
-layers they never run, and the names cli binds on first use.
+layers they never run, the names cli binds on first use, and that
+sample-batches renders micro-batch 0 before numpy loads.
 
 cli imports the modules that use numpy (batcher, masking and transplant),
 memplan and translate only when a subcommand reaches them, and binds the
@@ -14,7 +15,7 @@ import pytest
 
 from test_cli import _isolate_run_log, corpus_store, emb_file, vocab_file  # noqa: F401
 from test_prepare_workers import big_corpus, prepare, vocab  # noqa: F401
-from test_sample_workers import FORKS, cli
+from test_sample_workers import BASE, FORKS, big_store, cli  # noqa: F401
 
 # Modules that only some subcommands need. dataclasses, with the inspect, ast,
 # dis and copy it imports, comes with memplan; inspect, ast and dis also come
@@ -50,6 +51,38 @@ def test_subcommands_without_numpy_code_run_without_numpy(tmp_path, argv, corpus
     deferred = ("['ast', 'copy', 'dataclasses', 'decimal', 'dis', 'fractions', 'inspect', "
                 "'warmstart.memplan']" if argv[0] == "memplan" else "[]")
     assert proc.stdout.decode().splitlines()[-2:] == [deferred, "False 0 []"]
+
+
+# Runs the CLI with cli.make_example wrapped, and prints whether numpy was
+# loaded at its first call: the first row of micro-batch 0.
+FIRST_ROW = """
+import sys
+import warmstart.cli as cli
+
+real, loaded = cli.make_example, []
+
+def first(*args, **kwargs):
+    loaded.append("numpy" in sys.modules)
+    return real(*args, **kwargs)
+
+cli.make_example = first
+assert cli.main(sys.argv[1:]) == 0
+print(loaded[0])
+"""
+
+
+@pytest.mark.parametrize("extra, numpy_loaded", [
+    ([], False),
+    (["--out", "b.tsv"], False),
+    (["--report", "b.eff"], False),
+    (["--format", "binary", "--out", "bin"], False),
+    (["--sort-by-length"], True),  # the order needs the reader's lengths first
+])
+def test_micro_batch_0_is_rendered_before_numpy_loads(tmp_path, vocab, big_store, extra,
+                                                      numpy_loaded):
+    proc = cli(tmp_path, "-c", FIRST_ROW, *BASE, "--store", big_store, "--vocab", vocab, *extra)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines()[-1] == str(numpy_loaded)
 
 
 def test_stats_loads_no_deferred_module_of_its_own(tmp_path, corpus_store):
