@@ -7,9 +7,7 @@ accumulation turns micro-batches into a larger effective batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import WarmstartError
 from .masking import MaskedExample
@@ -23,8 +21,7 @@ class NonDivisibleError(BatcherError):
     pass
 
 
-@dataclass(frozen=True)
-class AccumulationPlan:
+class AccumulationPlan(NamedTuple):
     micro_batch_size: int
     accumulation_steps: int
     effective_batch: int
@@ -108,23 +105,39 @@ def assemble(
     return PaddedBatch(examples, pad_id)
 
 
-@dataclass(frozen=True)
-class PaddingStats:
-    input_efficiency: Fraction
-    target_efficiency: Fraction
-    combined: Fraction
+class PaddingStats(NamedTuple):
+    """A batch's real and total cells on each side. The efficiencies are
+    exact fractions of them, built when read, so a run that reads none never
+    imports fractions."""
+
+    input_real: int
+    input_total: int
+    target_real: int
+    target_total: int
+
+    @property
+    def input_efficiency(self) -> Fraction:
+        from fractions import Fraction
+
+        return Fraction(self.input_real, self.input_total)
+
+    @property
+    def target_efficiency(self) -> Fraction:
+        from fractions import Fraction
+
+        return Fraction(self.target_real, self.target_total)
+
+    @property
+    def combined(self) -> Fraction:
+        from fractions import Fraction
+
+        return Fraction(self.input_real + self.target_real,
+                        self.input_total + self.target_total)
 
 
 def padding_stats(batch: PaddedBatch) -> PaddingStats:
-    """Real-cell fractions of a batch. Reads only `rows`, `width_in`,
+    """Real and total cells of a batch. Reads only `rows`, `width_in`,
     `width_tgt` and the two length lists, so a masking.CorruptedBatch works
     as well as a PaddedBatch."""
-    in_real = sum(batch.input_lengths)
-    in_total = batch.rows * batch.width_in
-    tgt_real = sum(batch.target_lengths)
-    tgt_total = batch.rows * batch.width_tgt
-    return PaddingStats(
-        input_efficiency=Fraction(in_real, in_total),
-        target_efficiency=Fraction(tgt_real, tgt_total),
-        combined=Fraction(in_real + tgt_real, in_total + tgt_total),
-    )
+    return PaddingStats(sum(batch.input_lengths), batch.rows * batch.width_in,
+                        sum(batch.target_lengths), batch.rows * batch.width_tgt)

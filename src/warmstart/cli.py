@@ -464,8 +464,6 @@ class _Lengths:
 
 
 def cmd_sample_batches(o: dict) -> int:
-    from fractions import Fraction
-
     _bind(".batcher", ".masking")
 
     seed, epoch, micro = o["seed"], o["epoch"], o["micro_batch"]
@@ -490,7 +488,7 @@ def cmd_sample_batches(o: dict) -> int:
                 lines.append(f"batch={b} rows={part.rows} width_in={part.width_in} "
                              f"width_tgt={part.width_tgt} input_eff={stats.input_efficiency} "
                              f"target_eff={stats.target_efficiency} combined={stats.combined}\n")
-            total += part.rows * (part.width_in + part.width_tgt)
+            total += stats.input_total + stats.target_total
         return "".join(lines), total
 
     def render_first(indices, seqs: list) -> tuple:
@@ -606,15 +604,15 @@ def cmd_sample_batches(o: dict) -> int:
                 rows = chain.from_iterable(zip(inputs, targets))  # record 2i+1 is row i's target
             write(rows, *rest)
 
-    overall = Fraction(real_cells, total_cells) if total_cells else None
+    # int / int is correctly rounded, as float(Fraction(real, total)) is
+    efficiency = f" efficiency={real_cells / total_cells:.4f}" if total_cells else ""
     print(
         f"plan: micro={plan.micro_batch_size} steps={plan.accumulation_steps} "
         f"effective={plan.effective_batch}"
     )
     print(
         f"batches={batches} sequences={len(order)} epoch={epoch} "
-        f"mode={spec.mode.value} seed={seed}"
-        + ("" if overall is None else f" efficiency={float(overall):.4f}")
+        f"mode={spec.mode.value} seed={seed}{efficiency}"
     )
     return 0
 

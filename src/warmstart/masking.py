@@ -20,10 +20,9 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from dataclasses import dataclass
 from enum import Enum
 from hashlib import shake_128
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .corpus import SequenceStoreReader, StoreFormatError
 from .errors import WarmstartError
@@ -43,42 +42,69 @@ class MaskMode(Enum):
     IID = "iid"
 
 
-@dataclass(frozen=True)
-class MaskSpec:
+class _SpecFields(NamedTuple):
     rate: float = 0.15
     mean_span: float = 3.0
     mode: MaskMode = MaskMode.SPAN
 
-    def __post_init__(self):
-        if not 0.0 < self.rate < 1.0:
-            raise MaskingError(f"rate must be in (0, 1), got {self.rate}")
-        if not 1.0 <= self.mean_span < math.inf:  # also rejects NaN
-            raise MaskingError(f"mean_span must be finite and at least 1, got {self.mean_span}")
+
+class MaskSpec(_SpecFields):
+    """A valid masking spec, however it is built: the constructor, `_make`
+    and `_replace` all check the fields."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        s = super().__new__(cls, *args, **kwargs)
+        if not 0.0 < s.rate < 1.0:
+            raise MaskingError(f"rate must be in (0, 1), got {s.rate}")
+        if not 1.0 <= s.mean_span < math.inf:  # also rejects NaN
+            raise MaskingError(f"mean_span must be finite and at least 1, got {s.mean_span}")
+        return s
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class MaskKey:
-    """The key of one sequence, or of a run when seq_index is a sequence."""
-
+class _KeyFields(NamedTuple):
     seed: int
     epoch: int
     seq_index: int | Sequence[int]
 
-    def __post_init__(self):
+
+class MaskKey(_KeyFields):
+    """The key of one sequence, or of a run when seq_index is a sequence.
+    The draw keys on 8 bytes of the epoch and of each index, so both must be
+    in [0, 2**64); the constructor, `_make` and `_replace` all check them."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        s = super().__new__(cls, *args, **kwargs)
         try:
-            lowest = operator.index(self.seq_index)
+            lowest = highest = operator.index(s.seq_index)
         except TypeError:  # a run's indices
             import numpy as np
 
-            lowest = np.min(self.seq_index, initial=0)
-        if self.epoch < 0 or lowest < 0:
+            if isinstance(s.seq_index, np.ndarray):
+                lowest, highest = s.seq_index.min(initial=0), s.seq_index.max(initial=0)
+            else:  # exact, where numpy would make a list of large ints float64
+                lowest, highest = min(s.seq_index, default=0), max(s.seq_index, default=0)
+        if s.epoch < 0 or lowest < 0:
             raise MaskingError("epoch and seq_index must be non-negative")
-        if self.epoch >= 2**64:  # the draw keys on its 8 bytes
-            raise MaskingError(f"epoch must be below 2**64, got {self.epoch}")
+        if s.epoch >= 2**64:
+            raise MaskingError(f"epoch must be below 2**64, got {s.epoch}")
+        if int(highest) >= 2**64:
+            raise MaskingError(f"seq_index must be below 2**64, got {highest}")
+        return s
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class MaskedExample:
+class MaskedExample(NamedTuple):
     input_ids: list[int]
     target_ids: list[int]
 
@@ -106,12 +132,13 @@ def mask_counts(length, spec: MaskSpec) -> tuple:
         max(round(masked / spec.mean_span), 1), masked)
 
 
-@dataclass(frozen=True, eq=False)
 class Spans:
     """A run's spans, row after row, and each row's count; iterates as Python-int pairs."""
 
-    bounds: np.ndarray
-    counts: np.ndarray
+    __slots__ = ("bounds", "counts")
+
+    def __init__(self, bounds: np.ndarray, counts: np.ndarray):
+        self.bounds, self.counts = bounds, counts
 
     def __len__(self) -> int:
         return len(self.bounds)
@@ -163,7 +190,8 @@ def _draw_run(length, spec: MaskSpec, key: MaskKey) -> Spans:
     """draw_mask for arrays of lengths and of key.seq_index, all rows at once."""
     import numpy as np
 
-    lengths, indices = np.atleast_1d(length).astype(np.int64), np.atleast_1d(key.seq_index)
+    lengths = np.atleast_1d(length).astype(np.int64)
+    indices = np.atleast_1d(np.asarray(key.seq_index, dtype=np.uint64))  # exact to 2**64 - 1
     masked, k = mask_counts(lengths, spec)
     k = np.minimum(k, lengths - masked)
 
@@ -242,7 +270,6 @@ def make_example(ids: Sequence[int], spec: MaskSpec, key: MaskKey,
     return apply_span_corruption(ids, spans, vocab)
 
 
-@dataclass(frozen=True)
 class CorruptedBatch:
     """Corrupted rows as two flat id arrays.
 
@@ -251,10 +278,12 @@ class CorruptedBatch:
     batcher.padding_stats reads: rows and the dynamically padded widths.
     """
 
-    inputs: np.ndarray
-    input_lengths: list[int]
-    targets: np.ndarray
-    target_lengths: list[int]
+    __slots__ = ("inputs", "input_lengths", "targets", "target_lengths")
+
+    def __init__(self, inputs: np.ndarray, input_lengths: list[int], targets: np.ndarray,
+                 target_lengths: list[int]):
+        self.inputs, self.input_lengths = inputs, input_lengths
+        self.targets, self.target_lengths = targets, target_lengths
 
     @property
     def rows(self) -> int:

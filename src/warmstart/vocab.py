@@ -143,8 +143,10 @@ def load_vocab(path, **layout) -> Vocabulary:
     horizontal tab on a line is ignored, so sentencepiece-style score columns
     are accepted and discarded.
     """
-    text = read_text(path, newline="").replace("\r\n", "\n")
-    lines = _SCORE_COLUMNS.sub("", text).split("\n")
+    text = read_text(path, newline="")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    lines = (_SCORE_COLUMNS.sub("", text) if "\t" in text else text).split("\n")
     if not text or text.endswith("\n"):  # a final newline ends the last line; it starts none
         lines.pop()
     return Vocabulary(lines, **layout)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from warmstart.batcher import (
@@ -10,7 +11,7 @@ from warmstart.batcher import (
     padding_stats,
     plan_accumulation,
 )
-from warmstart.masking import MaskedExample
+from warmstart.masking import CorruptedBatch, MaskedExample
 
 
 def ex(n_in, n_tgt=None):
@@ -36,6 +37,11 @@ class TestPlanAccumulation:
     def test_positive_required(self):
         with pytest.raises(BatcherError):
             plan_accumulation(0, 1)
+
+    def test_is_a_named_tuple_of_the_three_sizes(self):
+        plan = plan_accumulation(128, 16)
+        assert plan == (16, 8, 128)
+        assert plan._fields == ("micro_batch_size", "accumulation_steps", "effective_batch")
 
 
 class TestAssemble:
@@ -113,3 +119,19 @@ class TestEfficiency:
             real = sum(in_lengths) + sum(tgt_lengths)
             cells = n * (max(in_lengths) + max(tgt_lengths))
             assert padding_stats(batch).combined == Fraction(real, cells)
+
+    @pytest.mark.parametrize("build", [
+        lambda examples: assemble(examples, micro=4, pad_id=0),
+        lambda examples: CorruptedBatch(
+            np.array([i for e in examples for i in e.input_ids]),
+            [len(e.input_ids) for e in examples],
+            np.array([i for e in examples for i in e.target_ids]),
+            [len(e.target_ids) for e in examples]),
+    ], ids=["PaddedBatch", "CorruptedBatch"])
+    def test_the_efficiencies_are_the_fractions_of_the_cell_counts(self, build):
+        stats = padding_stats(build([ex(5, 2), ex(3, 4), ex(4, 1)]))
+        assert stats == (12, 15, 7, 12)
+        efficiencies = (stats.input_efficiency, stats.target_efficiency, stats.combined)
+        assert efficiencies == (Fraction(12, 15), Fraction(7, 12), Fraction(19, 27))
+        assert all(type(f) is Fraction for f in efficiencies)
+        assert [str(f) for f in efficiencies] == ["4/5", "7/12", "19/27"]

@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from warmstart.batcher import assemble, padding_stats
 from warmstart.corpus import SequenceStoreReader, write_store
 from warmstart.masking import (
+    CorruptedBatch,
     MaskKey,
     MaskMode,
     MaskSpec,
     MaskedExample,
     MaskingError,
     SentinelBudgetError,
+    Spans,
     apply_span_corruption,
     corrupt_batch,
     draw_mask,
@@ -209,6 +211,65 @@ class TestMakeExample:
             MaskKey(seed=0, epoch=2**64, seq_index=0)
         MaskKey(seed=0, epoch=2**64 - 1, seq_index=0)
 
+    @pytest.mark.parametrize("index", [2**64, [5, 2**64], (2**70, 0), range(2**64, 2**64 + 2)],
+                             ids=["int", "list", "tuple", "range"])
+    def test_an_index_of_2_64_or_more_is_rejected(self, index):
+        with pytest.raises(MaskingError, match=r"^seq_index must be below 2\*\*64, got "):
+            MaskKey(seed=0, epoch=0, seq_index=index)
+
+    @pytest.mark.parametrize("index", [2**64 - 1, [5, 2**64 - 1], np.array([2**64 - 1, 0],
+                                                                          dtype=np.uint64)])
+    def test_an_index_below_2_64_is_accepted(self, index):
+        assert MaskKey(seed=0, epoch=0, seq_index=index).seq_index is index
+
+
+class TestValueTypes:
+    """MaskSpec and MaskKey are NamedTuples that check their fields however
+    they are built; the run types are plain classes, not tuples."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: MaskSpec(rate=1.5), "rate must be in (0, 1), got 1.5"),
+        (lambda: MaskSpec._make((0.15, 0.5, MaskMode.SPAN)),
+         "mean_span must be finite and at least 1, got 0.5"),
+        (lambda: MaskSpec()._replace(mean_span=0.5),
+         "mean_span must be finite and at least 1, got 0.5"),
+        (lambda: MaskSpec()._replace(rate=math.nan), "rate must be in (0, 1), got nan"),
+        (lambda: MaskKey(0, -1, 0), "epoch and seq_index must be non-negative"),
+        (lambda: MaskKey._make((0, 0, -1)), "epoch and seq_index must be non-negative"),
+        (lambda: MaskKey(0, 0, 0)._replace(epoch=2**64),
+         f"epoch must be below 2**64, got {2**64}"),
+        (lambda: MaskKey(0, 0, 0)._replace(seq_index=[3, -1]),
+         "epoch and seq_index must be non-negative"),
+    ], ids=["spec-constructor", "spec-make", "spec-replace", "spec-replace-nan",
+            "key-constructor", "key-make", "key-replace-epoch", "key-replace-run"])
+    def test_every_way_of_building_one_validates(self, build, message):
+        with pytest.raises(MaskingError) as e:
+            build()
+        assert str(e.value) == message
+
+    def test_make_and_replace_build_valid_values(self):
+        spec, key = MaskSpec(), MaskKey(1, 2, 3)
+        assert MaskSpec._make(spec) == spec == (0.15, 3.0, MaskMode.SPAN)
+        assert type(spec._replace(rate=0.5)) is MaskSpec
+        assert spec._replace(mode=MaskMode.IID) == (0.15, 3.0, MaskMode.IID)
+        assert MaskKey._make(key) == key
+        assert type(key._replace(seq_index=[4, 5])) is MaskKey
+
+    @pytest.mark.parametrize("value, name", [(MaskSpec(), "rate"), (MaskKey(0, 0, 0), "epoch"),
+                                             (MaskedExample([3], [4]), "input_ids")])
+    def test_fields_cannot_be_set(self, value, name):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+
+    def test_the_run_types_are_not_tuples(self):
+        spans = Spans(np.array([[1, 2], [4, 4]]), np.array([2]))
+        batch = CorruptedBatch(np.array([3, 9, 1]), [3], np.array([9, 4, 5, 1]), [4])
+        for value in (spans, batch):
+            assert not isinstance(value, tuple)
+            assert not hasattr(value, "__dict__")
+        assert len(spans) == 2 and list(spans) == [(1, 2), (4, 4)]
+        assert (batch.rows, batch.width_in, batch.width_tgt) == (1, 3, 4)
+
 
 def _outcome(rows):
     """The rows, or the class and message of the error that ends them."""
@@ -371,6 +432,13 @@ class TestKeyedDraw:
                         MaskKey(seed, epoch, np.array(indices, dtype=np.uint64)))
         assert _rows(run) == [draw_mask(n, spec, MaskKey(seed, epoch, i))
                               for n, i in zip(lengths, indices)]
+
+    @pytest.mark.parametrize("indices", [[5, 2**63], [2**64 - 1, 0], (2**63, 2**64 - 2)])
+    def test_a_list_of_large_indices_is_keyed_exactly(self, indices):
+        """numpy makes such a list float64; the run draw keys on each index
+        as the uint64 it is."""
+        run = draw_mask(np.array([10, 10]), MaskSpec(), MaskKey(1, 0, indices))
+        assert _rows(run) == [draw_mask(10, MaskSpec(), MaskKey(1, 0, i)) for i in indices]
 
     @pytest.mark.parametrize("spec", [
         MaskSpec(),

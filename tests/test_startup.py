@@ -1,6 +1,7 @@
 """Which subcommands start without numpy, the dataclasses machinery or the
 layers they never run, the names cli binds on first use, and that
-sample-batches renders micro-batch 0 before numpy loads.
+sample-batches renders micro-batch 0 before numpy, dataclasses or fractions
+loads.
 
 cli imports the modules that use numpy (batcher, masking and transplant),
 memplan and translate only when a subcommand reaches them, and binds the
@@ -83,6 +84,45 @@ def test_micro_batch_0_is_rendered_before_numpy_loads(tmp_path, vocab, big_store
     proc = cli(tmp_path, "-c", FIRST_ROW, *BASE, "--store", big_store, "--vocab", vocab, *extra)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().splitlines()[-1] == str(numpy_loaded)
+
+
+# Runs the CLI with cli.make_example wrapped, and prints which of the modules
+# micro-batch 0 never needs were loaded at its first call, then which of those
+# that numpy does not import were loaded by the end of the run.
+FIRST_ROW_MODULES = """
+import sys
+import warmstart.cli as cli
+
+SLOW = {"ast", "copy", "dataclasses", "decimal", "dis", "fractions", "inspect", "numpy"}
+real, loaded = cli.make_example, []
+
+def first(*args, **kwargs):
+    if not loaded:
+        loaded.append(sorted(SLOW & sys.modules.keys()))
+    return real(*args, **kwargs)
+
+cli.make_example = first
+assert cli.main(sys.argv[1:]) == 0
+print(loaded[0], sorted({"copy", "dataclasses", "decimal", "fractions"} & sys.modules.keys()))
+"""
+
+
+@pytest.mark.parametrize("extra", [[], ["--out", "b.tsv"], ["--format", "binary", "--out", "bin"]])
+def test_micro_batch_0_loads_no_dataclasses_or_fractions(tmp_path, vocab, big_store, extra):
+    proc = cli(tmp_path, "-c", FIRST_ROW_MODULES, *BASE, "--store", big_store, "--vocab",
+               vocab, *extra)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines()[-1] == "[] []"
+
+
+def test_only_the_report_loads_fractions(tmp_path, vocab, big_store):
+    # its lines print each batch's efficiencies as exact fractions
+    proc = cli(tmp_path, "-c", FIRST_ROW_MODULES, *BASE, "--store", big_store, "--vocab",
+               vocab, "--report", "b.eff")
+    assert proc.returncode == 0, proc.stderr
+    first_row, after_run = proc.stdout.decode().splitlines()[-1].split(" ", 1)
+    assert first_row == "[]"
+    assert "fractions" in after_run and "dataclasses" not in after_run
 
 
 def test_stats_loads_no_deferred_module_of_its_own(tmp_path, corpus_store):
