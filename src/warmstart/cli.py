@@ -479,17 +479,20 @@ def cmd_sample_batches(o: dict) -> int:
 
     vocab = load_vocab(o["vocab"], **layout)
 
-    def tally(run: range, parts) -> tuple[str, int]:
-        """The report lines of a run's micro-batches, and their total cells."""
-        lines, total = [], 0
-        for b, part in zip(run, parts):
+    def tally(first_batch: int, input_lengths: list, target_lengths: list) -> tuple[str, int, int]:
+        """Row lengths cut into micro-batches, numbered from `first_batch`:
+        their report lines, and their real and total cells."""
+        lines, real, total = [], 0, 0
+        for b, r in enumerate(range(0, len(input_lengths), micro), first_batch):
+            part = _Lengths(input_lengths[r : r + micro], target_lengths[r : r + micro])
             stats = padding_stats(part)
             if report_path is not None:
                 lines.append(f"batch={b} rows={part.rows} width_in={part.width_in} "
                              f"width_tgt={part.width_tgt} input_eff={stats.input_efficiency} "
                              f"target_eff={stats.target_efficiency} combined={stats.combined}\n")
+            real += stats.input_real + stats.target_real
             total += stats.input_total + stats.target_total
-        return "".join(lines), total
+        return "".join(lines), real, total
 
     def render_first(indices, seqs: list) -> tuple:
         """Micro-batch 0, the sequences `seqs` at `indices`, corrupted row by
@@ -504,8 +507,6 @@ def cmd_sample_batches(o: dict) -> int:
                                        f"outside a vocabulary of {vocab.size}")
         examples = [make_example(ids, spec, MaskKey(seed, epoch, i), vocab)
                     for i, ids in zip(indices, seqs)]
-        part = _Lengths([len(e.input_ids) for e in examples],
-                        [len(e.target_ids) for e in examples])
         if text:
             rows = "".join(f"{i}\t{' '.join(map(str, e.input_ids))}\t"
                            f"{' '.join(map(str, e.target_ids))}\n"
@@ -513,17 +514,16 @@ def cmd_sample_batches(o: dict) -> int:
         else:
             rows = [struct.pack(f"<{len(ids)}I", *ids)
                     for e in examples for ids in (e.input_ids, e.target_ids)]
-        lines, total = tally(range(1), [part])
-        return rows, lines, sum(part.input_lengths) + sum(part.target_lengths), total
+        return rows, *tally(0, [len(e.input_ids) for e in examples],
+                            [len(e.target_ids) for e in examples])
 
     def render(run: range):
         """The micro-batches of a run, corrupted at once: their text or rows,
         report lines, and real and total cells."""
         indices = order[run.start * micro : run.stop * micro]
         batch = corrupt_batch(reader, indices, spec, seed, epoch, vocab)
-        lines, total = tally(run, batch.split(micro))
-        return (decimals.lines(indices, batch) if text else batch, lines,
-                sum(batch.input_lengths) + sum(batch.target_lengths), total)
+        return (decimals.lines(indices, batch) if text else batch,
+                *tally(run.start, batch.input_lengths, batch.target_lengths))
 
     def render_run(run: range) -> list:
         """The run rendered whole or, if that fails, micro-batch by micro-batch

@@ -16,6 +16,7 @@ import os
 import shutil
 import stat
 import struct
+from array import array
 from contextlib import contextmanager, suppress
 from typing import Iterable, Iterator, Sequence
 
@@ -42,8 +43,8 @@ def check_chunking(seq_len: int, min_tail: int) -> None:
     """Fail unless chunk_corpus accepts this chunk length and tail minimum."""
     if seq_len < 2:
         raise CorpusError(f"seq_len must be at least 2, got {seq_len}")
-    if not 0 <= min_tail <= seq_len:
-        raise CorpusError(f"min_tail must be in [0, {seq_len}], got {min_tail}")
+    if not 2 <= min_tail <= seq_len:  # a sequence of one id cannot be masked
+        raise CorpusError(f"min_tail must be in [2, {seq_len}], got {min_tail}")
 
 
 def chunk_corpus(
@@ -55,8 +56,8 @@ def chunk_corpus(
     each as a slice of its document.
 
     The final partial chunk of a document is yielded only when its length is
-    at least min_tail (set min_tail=0 to keep everything). Documents are
-    never concatenated, so no sequence spans two of them.
+    at least min_tail. Documents are never concatenated, so no sequence
+    spans two of them.
     """
     check_chunking(seq_len, min_tail)
     for doc in docs:
@@ -194,37 +195,53 @@ def store_head(path, n: int) -> list[tuple[int, ...]]:
     offsets, chained from byte 16, or else the walk of their length
     prefixes. A stale offset past them is found when the reader opens."""
     with open(path, "rb") as f:
-        count = _store_header(path, f)
-        size, head = os.fstat(f.fileno()).st_size, min(n, count)
-        index, offsets = default_index_path(path), None
-        if os.path.exists(index):
-            with open(index, "rb") as g:
-                _index_header(index, g, count)
-                offsets = struct.unpack(f"<{head}Q", g.read(8 * head))
-
-        stale = f"{index}: stale index, offsets do not chain through the store"
-
-        def error(walked: str) -> StoreFormatError:  # the walk's fault, or the index's
-            return StoreFormatError(walked if offsets is None else stale)
-
-        def read(size: int) -> bytes:
-            data = f.read(size)
-            if len(data) != size:
+        count, mapping = _map_store(path, f)
+        head, index, offsets = min(n, count), default_index_path(path), None
+        with mapping:
+            if os.path.exists(index):
+                with open(index, "rb") as g:
+                    _index_header(index, g, count)
+                    offsets = struct.unpack(f"<{head}Q", g.read(8 * head))
+            bounds = _walk(path, mapping, head, offsets)
+        rows = []
+        for start, end in zip(bounds, bounds[1:]):
+            data = os.pread(f.fileno(), end - start - 4, start + 4)
+            if len(data) != end - start - 4:
                 raise StoreFormatError(f"{path}: store changed while open")
-            return data
-
-        rows, end = [], 16  # records follow the header, each where the last one ends
-        for i in range(head):
-            if offsets is not None and offsets[i] != end:
-                raise StoreFormatError(stale)
-            if end + 4 > size:
-                raise error(f"{path}: truncated store")
-            (length,) = struct.unpack("<I", read(4))
-            end += 4 + 4 * length
-            if end > size:
-                raise error(f"{path}: truncated sequence {i}")
-            rows.append(struct.unpack(f"<{length}I", read(4 * length)))
+            rows.append(struct.unpack(f"<{len(data) // 4}I", data))
         return rows
+
+
+def _map_store(path, f) -> tuple[int, mmap.mmap]:
+    """The checked header count of the store open as `f`, and the store
+    mapped, which only a regular file can be."""
+    if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+        raise StoreFormatError(f"{path}: not a regular file")
+    count = _store_header(path, f)
+    return count, mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+
+
+def _walk(path, mapping, count: int, offsets=None) -> array:
+    """Byte 16, then where each of the first `count` records of the mapped
+    store ends, by one walk of their length prefixes that drops the mapped
+    pages every WINDOW_RECORDS. Given the index's first offsets, each must
+    be where its record starts, and any fault is a stale index."""
+    stale = offsets is not None and StoreFormatError(
+        f"{default_index_path(path)}: stale index, offsets do not chain through the store")
+    prefix = struct.Struct("<I").unpack_from
+    bounds, end, size = array("Q", [16]), 16, len(mapping)
+    for i in range(count):
+        if stale and offsets[i] != end:
+            raise stale
+        if end + 4 > size:
+            raise stale or StoreFormatError(f"{path}: truncated store")
+        end += 4 + 4 * prefix(mapping, end)[0]
+        if end > size:
+            raise stale or StoreFormatError(f"{path}: truncated sequence {i}")
+        bounds.append(end)
+        if i % WINDOW_RECORDS == WINDOW_RECORDS - 1:
+            _drop_pages(mapping)
+    return bounds
 
 
 def _drop_pages(mapping) -> None:
@@ -242,9 +259,9 @@ class SequenceStoreReader:
     byte offsets, entry i where record i's length prefix starts and the last
     where the last record ends. Opening the store reads it from the side
     index, checked to chain from byte 16 through each length prefix to
-    inside the file, or else fills it by one walk of the prefixes. Either
-    pass reads the prefixes from the store mapped as u32 words,
-    WINDOW_RECORDS at a time, dropping the mapped pages after each window,
+    inside the file, or else takes it from _walk, the walk of the prefixes
+    that store_head makes. Either pass reads the prefixes from the store's
+    mapping, dropping the mapped pages after each WINDOW_RECORDS of them,
     and the mapping is gone once the reader is open, so no worker forked
     later inherits it. Ids are then read with one pread per sequence, so the
     store is never resident as a whole: a page fault can map far more of the
@@ -259,20 +276,21 @@ class SequenceStoreReader:
 
         self.path = path
         self._file = open(path, "rb", buffering=0)
-        self.count = _store_header(path, self._file)
-        # The mapping is unmapped when these locals go; closing it by hand
-        # would fail while a format error's traceback still holds `words`.
-        mapping = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
-        words = np.frombuffer(mapping, dtype="<u4", count=len(mapping) // 4)
-        find = self._check_index if os.path.exists(default_index_path(path)) else self._walk
-        self._offsets = find(words, mapping)
+        self.count, mapping = _map_store(path, self._file)
+        # The mapping is unmapped when this local goes; closing it by hand
+        # would fail while a format error's traceback still holds a view of it.
+        if os.path.exists(default_index_path(path)):
+            self._offsets = self._check_index(mapping)
+        else:
+            self._offsets = np.frombuffer(_walk(path, mapping, self.count), np.uint64)
 
-    def _check_index(self, words, mapping) -> np.ndarray:
+    def _check_index(self, mapping) -> np.ndarray:
         """The offset table, read from the side index. It stays unsigned: an
         offset of 2**63 or more read as int64 would index `words` from the end."""
         import numpy as np
 
-        path, n, count = default_index_path(self.path), len(words), self.count
+        path, n, count = default_index_path(self.path), len(mapping) // 4, self.count
+        words = np.frombuffer(mapping, dtype="<u4", count=n)
         with open(path, "rb") as f:
             _index_header(path, f, count)
             table = np.full(count + 1, 16, dtype="<u8")  # an empty store ends at byte 16
@@ -288,24 +306,6 @@ class SequenceStoreReader:
             if not (table[0] == 16 and np.all(ends <= 4 * n)
                     and np.array_equal(table[lo + 1 : hi + 1], ends)):
                 raise StoreFormatError(f"{path}: stale index, offsets do not chain through the store")
-        return table
-
-    def _walk(self, words, mapping) -> np.ndarray:
-        """The offset table, from one walk of the length prefixes."""
-        import numpy as np
-
-        table = np.empty(self.count + 1, dtype="<u8")
-        table[0] = w = 16
-        end = 4 * len(words)
-        for i in range(self.count):
-            if w >= end:
-                raise StoreFormatError(f"{self.path}: truncated store")
-            w += 4 + 4 * int(words[w // 4])
-            if w > end:
-                raise StoreFormatError(f"{self.path}: truncated sequence {i}")
-            table[i + 1] = w
-            if i % WINDOW_RECORDS == WINDOW_RECORDS - 1:
-                _drop_pages(mapping)
         return table
 
     def read(self, index: int) -> list[int]:

@@ -297,16 +297,6 @@ class CorruptedBatch:
     def width_tgt(self) -> int:
         return max(self.target_lengths)
 
-    def split(self, size: int) -> Iterator[CorruptedBatch]:
-        """The rows in consecutive batches of `size` rows."""
-        import numpy as np
-
-        n_in, n_tgt = self.input_lengths, self.target_lengths
-        cut_in, cut_tgt = (np.cumsum(n)[size - 1 : -1 : size] for n in (n_in, n_tgt))
-        for r, inputs, targets in zip(range(0, self.rows, size), np.split(self.inputs, cut_in),
-                                      np.split(self.targets, cut_tgt)):
-            yield CorruptedBatch(inputs, n_in[r : r + size], targets, n_tgt[r : r + size])
-
     def examples(self) -> Iterator[MaskedExample]:
         """Each row as a MaskedExample of two id lists: the per-row view
         that tests compare the flat arrays against."""

@@ -943,7 +943,7 @@ class TestByteOrderMark:
 
     def prepare(self, vocab, source):
         return ["prepare-corpus", "--vocab", vocab, "--in", source, "--out", "{d}/c.seqs",
-                "--sentinel-count", "3", "--seq-len", "8", "--min-tail", "1"]
+                "--sentinel-count", "3", "--seq-len", "8", "--min-tail", "2"]
 
     def transplant(self, vocab, emb, *extra):
         return ["transplant", "--src-emb", emb, "--src-vocab", vocab, "--tgt-vocab", vocab,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import warmstart
 from warmstart.corpus import (
+    WINDOW_RECORDS,
     CorpusError,
     SequenceStoreReader,
     StoreFormatError,
@@ -38,17 +39,17 @@ class TestChunkCorpus:
     def test_short_tail_dropped(self):
         assert list(chunk_corpus([list(range(8))], seq_len=512, min_tail=16)) == []
 
-    def test_min_tail_zero_keeps_everything(self):
-        seqs = list(chunk_corpus([list(range(5))], seq_len=4, min_tail=0))
-        assert [len(s) for s in seqs] == [4, 1]
+    def test_min_tail_two_keeps_every_tail_that_can_be_masked(self):
+        seqs = list(chunk_corpus([list(range(6)), list(range(5)), [7]], seq_len=4, min_tail=2))
+        assert [len(s) for s in seqs] == [4, 2, 4]
 
     def test_empty_documents_yield_nothing(self):
-        assert list(chunk_corpus([[], []], seq_len=4, min_tail=1)) == []
+        assert list(chunk_corpus([[], []], seq_len=4, min_tail=2)) == []
 
     def test_no_cross_document_sequences(self):
         # every id carries its doc ordinal, so a mixed sequence would show
         docs = [[d] * n for d, n in enumerate([10, 3, 17])]
-        for seq in chunk_corpus(docs, seq_len=4, min_tail=1):
+        for seq in chunk_corpus(docs, seq_len=4, min_tail=2):
             assert len(set(seq)) == 1
 
     def test_invalid_params(self):
@@ -57,6 +58,13 @@ class TestChunkCorpus:
         with pytest.raises(CorpusError):
             list(chunk_corpus([[1, 2]], seq_len=4, min_tail=5))
 
+    @pytest.mark.parametrize("min_tail", [0, 1])
+    def test_a_tail_minimum_below_two_is_rejected(self, min_tail):
+        # a one-id sequence cannot be masked, so no store may hold one
+        with pytest.raises(CorpusError) as e:
+            list(chunk_corpus([[1, 2, 3]], seq_len=2, min_tail=min_tail))
+        assert str(e.value) == f"min_tail must be in [2, 2], got {min_tail}"
+
     @settings(max_examples=100)
     @given(
         docs=st.lists(
@@ -64,7 +72,7 @@ class TestChunkCorpus:
             max_size=6,
         ),
         seq_len=st.integers(min_value=2, max_value=16),
-        min_tail=st.integers(min_value=0, max_value=16),
+        min_tail=st.integers(min_value=2, max_value=16),
     )
     def test_conservation(self, docs, seq_len, min_tail):
         if min_tail > seq_len:
@@ -74,10 +82,10 @@ class TestChunkCorpus:
         for doc in docs:
             full = (len(doc) // seq_len) * seq_len
             tail = len(doc) - full
-            expected += full + (tail if tail >= min_tail and tail > 0 else 0)
+            expected += full + (tail if tail >= min_tail else 0)
         assert sum(len(s) for s in seqs) == expected
         for s in seqs:
-            assert 1 <= len(s) <= seq_len
+            assert 2 <= min_tail <= len(s) <= seq_len
 
 
 class TestStore:
@@ -275,7 +283,7 @@ class TestStore:
     def test_chunks_of_numpy_documents_are_stored(self, tmp_path):
         path = tmp_path / "c.seqs"
         docs = [np.arange(3, 9, dtype=np.uint32)]
-        assert write_store(chunk_corpus(docs, seq_len=4, min_tail=1), path) == 2
+        assert write_store(chunk_corpus(docs, seq_len=4, min_tail=2), path) == 2
         assert list(SequenceStoreReader(path)) == [[3, 4, 5, 6], [7, 8]]
 
     def test_rewrite_is_byte_identical(self, tmp_path):
@@ -417,6 +425,53 @@ def test_store_head_is_the_first_records_the_reader_reads(tmp_path, index, recor
     assert [store_head(path, n) for n in range(8)] == [whole[:n] for n in range(8)]
 
 
+WINDOW_STORE = [[1 + i % 7] * (1 + i % 3) for i in range(WINDOW_RECORDS + 3)]
+
+
+def _window_offsets(path: Path) -> tuple[int, ...]:
+    data = Path(default_index_path(path)).read_bytes()
+    return struct.unpack_from(f"<{len(WINDOW_STORE)}Q", data, 16)
+
+
+def _cut_at(path: Path, extra: int, unindexed: bool) -> None:
+    """Cut the store `extra` bytes into record WINDOW_RECORDS."""
+    size = _window_offsets(path)[WINDOW_RECORDS] + extra
+    if unindexed:
+        Path(default_index_path(path)).unlink()
+    path.write_bytes(path.read_bytes()[:size])
+
+
+# Faults at record WINDOW_RECORDS, the first of the second window of prefixes.
+WINDOW_FAULTS = {
+    "none, indexed": lambda path: None,
+    "none, unindexed": lambda path: Path(default_index_path(path)).unlink(),
+    "stale offset": lambda path: _set_offset(Path(default_index_path(path)), WINDOW_RECORDS,
+                                             _window_offsets(path)[WINDOW_RECORDS] + 4),
+    "indexed store cut inside a record": lambda path: _cut_at(path, 6, False),
+    "unindexed store cut inside a record": lambda path: _cut_at(path, 6, True),
+    "unindexed store cut before a prefix": lambda path: _cut_at(path, 0, True),
+}
+
+
+@pytest.mark.parametrize("fault", WINDOW_FAULTS)
+def test_store_head_and_the_reader_agree_across_a_window_of_prefixes(tmp_path, fault):
+    path = tmp_path / "c.seqs"
+    write_store(WINDOW_STORE, path)
+    WINDOW_FAULTS[fault](path)
+    head = [tuple(ids) for ids in WINDOW_STORE]
+    assert store_head(path, WINDOW_RECORDS) == head[:WINDOW_RECORDS]
+    if fault.startswith("none"):
+        assert store_head(path, len(head) + 1) == [tuple(ids) for ids in SequenceStoreReader(path)]
+        assert store_head(path, len(head)) == head
+        return
+    with pytest.raises(StoreFormatError) as opened:
+        SequenceStoreReader(path)
+    for n in (WINDOW_RECORDS + 1, len(head)):
+        with pytest.raises(StoreFormatError) as walked:
+            store_head(path, n)
+        assert str(walked.value) == str(opened.value)
+
+
 # Opens a store, reads its lengths, gathers every sequence 16 at a time in
 # store order and then in length order, and prints how far that raised the
 # process's peak RSS (VmHWM), in bytes.
@@ -475,13 +530,17 @@ print(peak() - before)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
-def test_an_open_reader_holds_one_offset_per_sequence(tmp_path):
-    """The reader's offset table takes 8 bytes a sequence; nothing else may
-    grow with the count by more than 4 bytes a sequence."""
+@pytest.mark.parametrize("index", [True, False], ids=["index", "walk"])
+def test_an_open_reader_holds_one_offset_per_sequence(tmp_path, index):
+    """The reader's offset table takes 8 bytes a sequence, read from the
+    index or walked; nothing else may grow with the count by more than 4
+    bytes a sequence."""
     count = 1_000_000
     path = tmp_path / "short.seqs"
     with store_writer(path) as append:
         append(np.arange(4 * count, dtype="<u4").reshape(count, 4))
+    if not index:
+        Path(default_index_path(path)).unlink()
     src = str(Path(warmstart.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", OPEN_CHILD, str(path)],

@@ -74,7 +74,9 @@ def test_workers_start_only_for_a_corpus_of_several_groups(tmp_path, vocab, big_
 
 @pytest.mark.parametrize("extra, workers, error", [
     (["--seq-len", "1"], "2", "CorpusError: seq_len must be at least 2, got 1"),
-    (["--min-tail", "65"], "2", "CorpusError: min_tail must be in [0, 64], got 65"),
+    (["--min-tail", "65"], "2", "CorpusError: min_tail must be in [2, 64], got 65"),
+    (["--min-tail", "0"], "2", "CorpusError: min_tail must be in [2, 64], got 0"),
+    (["--min-tail", "1"], "2", "CorpusError: min_tail must be in [2, 64], got 1"),
     ([], "0", "ConfigError: WARMSTART_WORKERS='0' is not a positive integer"),
 ])
 def test_a_bad_setting_fails_before_any_document_is_read(
@@ -91,7 +93,7 @@ def test_a_bad_setting_fails_before_any_document_is_read(
 
 @pytest.mark.parametrize("extra, error", [
     (["--seq-len", "1"], "CorpusError: seq_len must be at least 2, got 1"),
-    (["--min-tail", "65"], "CorpusError: min_tail must be in [0, 64], got 65"),
+    (["--min-tail", "65"], "CorpusError: min_tail must be in [2, 64], got 65"),
 ])
 def test_a_bad_chunk_setting_fails_before_a_missing_vocabulary_is_read(
     tmp_path, big_corpus, extra, error

@@ -22,12 +22,15 @@ import pytest
 
 import warmstart
 import warmstart.cli as cli_module
+from warmstart.batcher import assemble, padding_stats
 from warmstart.cli import _Decimals, main
 from warmstart.corpus import (STORE_VERSION, SequenceStoreReader, StoreFormatError,
                               default_index_path, write_store)
+from warmstart.masking import MaskKey, MaskMode, MaskSpec, make_example
+from warmstart.vocab import load_vocab
 
 from conftest import write_vocab_file
-from test_cli import VOCAB_TOKENS, _isolate_run_log  # noqa: F401 (autouse fixture)
+from test_cli import VOCAB_TOKENS, WORDS, _isolate_run_log  # noqa: F401 (autouse fixture)
 from test_golden import GOLDEN, write_big_store
 
 SRC = str(Path(warmstart.__file__).resolve().parents[1])
@@ -353,6 +356,85 @@ def test_a_stale_index_past_micro_batch_0_ends_the_run_after_its_lines(
     assert proc.stderr.decode() == (f"warmstart: error: StoreFormatError: {big_store}.idx: "
                                     "stale index, offsets do not chain through the store\n")
     assert files_in(tmp_path) == before  # no temp file left, every target as it was
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("argv", [
+    [*BASE, "--vocab", "{d}/vocab.txt", "--out", "{d}/b.tsv", "--report", "{d}/b.eff"],
+    [*BASE, "--vocab", "{d}/vocab.txt", "--sort-by-length", "--format", "binary",
+     "--out", "{d}/bin"],
+    ["stats"],
+], ids=["store order", "sort by length", "stats"])
+def test_a_store_that_is_not_a_regular_file_is_one_error_line(
+    tmp_path, vocab, big_store, capsys, argv
+):
+    """As `--store <(cat big.seqs)` gives it: the writer stays attached, so
+    a read past what it wrote would wait."""
+    r, w = os.pipe()
+    try:
+        os.write(w, big_store.read_bytes()[:4096])
+        store = f"/dev/fd/{r}"
+        assert main([*(a.format(d=tmp_path) for a in argv), "--store", store]) == 1
+    finally:
+        os.close(r)
+        os.close(w)
+    assert capsys.readouterr() == (
+        "", f"warmstart: error: StoreFormatError: {store}: not a regular file\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.seqs", "big.seqs.idx", "vocab.txt"]
+
+
+@pytest.mark.parametrize("seq_len, min_tail", [(2, 2), (3, 2), (3, 3), (4, 2), (5, 4)])
+def test_every_store_prepare_corpus_accepts_is_sampled_to_the_end(
+    tmp_path, vocab, capsys, seq_len, min_tail
+):
+    """Documents of one to nine words, one-word documents among them, so
+    that every chunk length up to seq_len ends some document."""
+    text = tmp_path / "short.txt"
+    docs = [" ".join(WORDS[(i + j) % 8] for j in range(1 + i % 9)) for i in range(40)]
+    text.write_text("\n\n".join(docs), encoding="utf-8")
+    store = tmp_path / "short.seqs"
+    assert main(["prepare-corpus", "--vocab", str(vocab), "--in", str(text), "--out", str(store),
+                 "--seq-len", str(seq_len), "--min-tail", str(min_tail),
+                 "--sentinel-count", "3"]) == 0
+    count = SequenceStoreReader(store).count
+    assert min(SequenceStoreReader(store).lengths()) >= min_tail
+    capsys.readouterr()
+    for order in ([], ["--sort-by-length"]):
+        assert main([*BASE, "--store", str(store), "--vocab", str(vocab), *order]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sorted(int(line.split("\t")[0]) for line in lines[:-2]) == list(range(count))
+        assert lines[-1].startswith(f"batches={-(-count // 2)} sequences={count} ")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_report_and_efficiency_of_uneven_micro_batches_match_a_row_by_row_reference(
+    tmp_path, vocab, workers
+):
+    """Micro-batches of 7 over 601 sequences: runs of 252 rows, and a last
+    micro-batch of 6."""
+    store = write_big_store(tmp_path / "big.seqs", count=601)
+    argv = [*BASE, "--micro-batch", "7", "--effective-batch", "14", "--store", store,
+            "--vocab", vocab, "--report", tmp_path / "b.eff"]
+    proc = cli(tmp_path, *argv, workers=workers)
+    assert proc.returncode == 0, proc.stderr
+
+    spec = MaskSpec(rate=0.15, mean_span=3.0, mode=MaskMode.SPAN)
+    words = load_vocab(vocab, sentinel_count=3)
+    reader = SequenceStoreReader(store)
+    lines, real, total = [], 0, 0
+    for b, lo in enumerate(range(0, reader.count, 7)):
+        batch = assemble([make_example(reader.read(i), spec, MaskKey(9, 0, i), words)
+                          for i in range(lo, min(lo + 7, reader.count))], 7, words.pad_id)
+        stats = padding_stats(batch)
+        lines.append(f"batch={b} rows={batch.rows} width_in={batch.width_in} "
+                     f"width_tgt={batch.width_tgt} input_eff={stats.input_efficiency} "
+                     f"target_eff={stats.target_efficiency} combined={stats.combined}\n")
+        real += stats.input_real + stats.target_real
+        total += stats.input_total + stats.target_total
+    assert len(lines) == 86 and batch.rows == 6
+    assert (tmp_path / "b.eff").read_text(encoding="utf-8") == "".join(lines)
+    assert proc.stdout.decode().splitlines()[-1] == (
+        f"batches=86 sequences=601 epoch=0 mode=span seed=9 efficiency={real / total:.4f}")
 
 
 @pytest.mark.parametrize("case", ["stdout", "out", "report", "binary"])
